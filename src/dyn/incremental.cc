@@ -5,123 +5,14 @@
 
 #include "obs/trace.h"
 #include "tensor/pool.h"
-#include "util/bitset.h"
 #include "util/logging.h"
 
 namespace ahg::dyn {
 
-namespace {
-
-// D_next = seed ∪ N(D): every bit of `seed`, plus each adjacency-row
-// neighborhood of the bits in `frontier`. The symmetric self-looped
-// adjacency makes N(D) ⊇ D.
-DynamicBitset ExpandDirty(const DeltaCsr& adj, const DynamicBitset& frontier,
-                          const std::vector<int>& seed) {
-  DynamicBitset next(adj.rows());
-  for (int r : seed) next.Set(r);
-  for (int r : frontier.ToSortedVector()) {
-    const DeltaCsr::RowRef row = adj.Row(r);
-    for (int64_t e = 0; e < row.nnz; ++e) next.Set(row.cols[e]);
-  }
-  return next;
-}
-
-}  // namespace
-
-Matrix DenseLayerTransform(const Matrix& agg, const Matrix& w, const Matrix& b,
-                           bool relu) {
-  Matrix h = MatMul(agg, w);
-  AHG_CHECK_EQ(b.rows(), 1);
-  AHG_CHECK_EQ(b.cols(), h.cols());
-  for (int r = 0; r < h.rows(); ++r) {
-    double* row = h.Row(r);
-    const double* bias = b.Row(0);
-    for (int c = 0; c < h.cols(); ++c) row[c] += bias[c];
-    if (relu) {
-      for (int c = 0; c < h.cols(); ++c) row[c] = row[c] > 0.0 ? row[c] : 0.0;
-    }
-  }
-  return h;
-}
-
-std::vector<std::vector<int>> PerLayerDirtyRows(const ModelConfig& config,
-                                                const DeltaCsr& adj,
-                                                const BatchDelta& delta) {
-  // D_0 seeds from the feature-dirty rows; every level adds the
-  // adjacency-dirty rows and one hop of neighborhood.
-  std::vector<std::vector<int>> dirty_rows(config.num_layers);
-  DynamicBitset frontier(adj.rows());
-  for (int r : delta.dirty_feature_rows) frontier.Set(r);
-  for (int l = 0; l < config.num_layers; ++l) {
-    if (config.family == ModelFamily::kSgc && l == 0) {
-      // SGC's linear map is row-local: Z rows dirty == feature-dirty
-      // rows; the hop expansion starts at the first propagation.
-      dirty_rows[l] = delta.dirty_feature_rows;
-      continue;
-    }
-    frontier = ExpandDirty(adj, frontier, delta.dirty_adj_rows);
-    dirty_rows[l] = frontier.ToSortedVector();
-  }
-  // SGC propagates num_layers times after the map; fold the map level in
-  // by treating it as level 0 above and expanding the remaining hops.
-  if (config.family == ModelFamily::kSgc) {
-    dirty_rows.resize(config.num_layers + 1);
-    frontier = ExpandDirty(adj, frontier, delta.dirty_adj_rows);
-    dirty_rows[config.num_layers] = frontier.ToSortedVector();
-  }
-  return dirty_rows;
-}
-
 IncrementalPropagator::IncrementalPropagator(const ModelConfig& config,
                                              std::vector<Matrix> layer_params,
                                              const RefreshOptions& options)
-    : config_(config), params_(std::move(layer_params)), options_(options) {
-  AHG_CHECK_MSG(Supports(config),
-                "IncrementalPropagator supports kGcn and kSgc only");
-  AHG_CHECK_GT(config.num_layers, 0);
-  if (config.family == ModelFamily::kGcn) {
-    AHG_CHECK_EQ(static_cast<int>(params_.size()), 2 * config.num_layers);
-    int in = config.in_dim;
-    for (int l = 0; l < config.num_layers; ++l) {
-      AHG_CHECK_EQ(params_[2 * l].rows(), in);
-      AHG_CHECK_EQ(params_[2 * l].cols(), config.hidden_dim);
-      AHG_CHECK_EQ(params_[2 * l + 1].cols(), config.hidden_dim);
-      in = config.hidden_dim;
-    }
-  } else {
-    AHG_CHECK_EQ(static_cast<int>(params_.size()), 2);
-    AHG_CHECK_EQ(params_[0].rows(), config.in_dim);
-    AHG_CHECK_EQ(params_[0].cols(), config.hidden_dim);
-    AHG_CHECK_EQ(params_[1].cols(), config.hidden_dim);
-  }
-}
-
-bool IncrementalPropagator::Supports(const ModelConfig& config) {
-  return config.family == ModelFamily::kGcn ||
-         config.family == ModelFamily::kSgc;
-}
-
-std::vector<Matrix> IncrementalPropagator::ComputeStates(
-    const GraphSnapshot& snap, Matrix x) const {
-  const DeltaCsr& adj = snap.adjacency();
-  std::vector<Matrix> states;
-  states.reserve(config_.num_layers + 2);
-  states.push_back(std::move(x));
-  if (config_.family == ModelFamily::kGcn) {
-    for (int l = 0; l < config_.num_layers; ++l) {
-      Matrix agg = adj.Spmm(states.back());
-      states.push_back(DenseLayerTransform(agg, params_[2 * l], params_[2 * l + 1],
-                                      /*relu=*/true));
-    }
-  } else {  // kSgc: one linear map, then repeated propagation.
-    states.push_back(
-        DenseLayerTransform(states[0], params_[0], params_[1], /*relu=*/false));
-    for (int l = 0; l < config_.num_layers; ++l) {
-      states.push_back(adj.Spmm(states.back()));
-    }
-  }
-  return states;
-}
+    : core_(config, std::move(layer_params)), options_(options) {}
 
 RefreshStats IncrementalPropagator::FullRefresh(const GraphSnapshot& snap) {
   AHG_TRACE_SPAN_ARG("dyn/full_refresh", snap.num_nodes());
@@ -129,16 +20,16 @@ RefreshStats IncrementalPropagator::FullRefresh(const GraphSnapshot& snap) {
   // reuses the same layer-state and scratch shapes every batch. Fusion is
   // left as the caller set it — this path runs raw kernels, not autodiff.
   ScopedMemPlane mem_plane(options_.pooling, FusionEnabled());
-  AHG_CHECK_EQ(snap.feature_dim(), config_.in_dim);
-  states_ = ComputeStates(snap, snap.DenseFeatures());
-  hidden_ = std::make_shared<const Matrix>(states_.back());
-  has_state_ = true;
+  AHG_CHECK_EQ(snap.feature_dim(), core_.config().in_dim);
+  x_ = snap.DenseFeatures();
+  stages_ = core_.ComputeAll(snap.adjacency(), x_);
+  hidden_ = std::make_shared<const Matrix>(stages_.back());
   version_ = snap.version();
   RefreshStats stats;
   stats.incremental = false;
   stats.version = version_;
   stats.rows_refreshed =
-      static_cast<int64_t>(snap.num_nodes()) * config_.num_layers;
+      static_cast<int64_t>(snap.num_nodes()) * core_.config().num_layers;
   stats.final_dirty_rows = snap.num_nodes();
   stats.dirty_fraction = 1.0;
   return stats;
@@ -151,94 +42,53 @@ StatusOr<RefreshStats> IncrementalPropagator::Refresh(
     return Status::InvalidArgument("delta does not describe the step onto "
                                    "the given snapshot");
   }
-  if (!has_state_ || delta.from_version != version_) {
+  if (hidden_ == nullptr || delta.from_version != version_) {
     return FullRefresh(snap);
   }
   AHG_TRACE_SPAN_ARG("dyn/incremental_refresh",
                      static_cast<int64_t>(delta.dirty_adj_rows.size()));
   ScopedMemPlane mem_plane(options_.pooling, FusionEnabled());
   const DeltaCsr& adj = snap.adjacency();
-  const int n = snap.num_nodes();
-
-  // Expand the per-layer dirty sets first — pure bitset work, no matrix
-  // math — so the full-recompute fallback can trigger before any flops.
-  const std::vector<std::vector<int>> dirty_rows =
-      PerLayerDirtyRows(config_, adj, delta);
-  const std::vector<int>& final_dirty = dirty_rows.back();
-  const double fraction =
-      n > 0 ? static_cast<double>(final_dirty.size()) / n : 0.0;
-  if (fraction > options_.full_refresh_fraction) {
-    return FullRefresh(snap);
-  }
 
   // Grow cached states for appended nodes; the new rows are in every dirty
-  // set, so their zero-filled tails are overwritten below.
-  if (n > states_[0].rows()) {
-    for (Matrix& s : states_) s = GrowRows(s, n);
+  // set, so their zero-filled tails are overwritten by the refresh.
+  const int n = snap.num_nodes();
+  if (n > x_.rows()) {
+    x_ = GrowRows(x_, n);
+    for (Matrix& s : stages_) s = GrowRows(s, n);
   }
   for (int r : delta.dirty_feature_rows) {
-    std::memcpy(states_[0].Row(r), snap.FeatureRow(r),
+    std::memcpy(x_.Row(r), snap.FeatureRow(r),
                 static_cast<size_t>(snap.feature_dim()) * sizeof(double));
   }
 
-  RefreshStats stats;
-  stats.incremental = true;
-  stats.version = snap.version();
-  stats.final_dirty_rows = static_cast<int>(final_dirty.size());
-  stats.dirty_fraction = fraction;
-  if (config_.family == ModelFamily::kGcn) {
-    for (int l = 0; l < config_.num_layers; ++l) {
-      const std::vector<int>& rows = dirty_rows[l];
-      if (rows.empty()) continue;
-      Matrix agg = adj.SpmmRows(rows, states_[l]);
-      Matrix h = DenseLayerTransform(agg, params_[2 * l], params_[2 * l + 1],
-                                /*relu=*/true);
-      ScatterRows(h, rows, &states_[l + 1]);
-      stats.rows_refreshed += static_cast<int64_t>(rows.size());
-    }
-  } else {  // kSgc
-    const std::vector<int>& z_rows = dirty_rows[0];
-    if (!z_rows.empty()) {
-      Matrix z = DenseLayerTransform(GatherRows(states_[0], z_rows), params_[0],
-                                params_[1], /*relu=*/false);
-      ScatterRows(z, z_rows, &states_[1]);
-      stats.rows_refreshed += static_cast<int64_t>(z_rows.size());
-    }
-    for (int l = 0; l < config_.num_layers; ++l) {
-      const std::vector<int>& rows = dirty_rows[l + 1];
-      if (rows.empty()) continue;
-      Matrix h = adj.SpmmRows(rows, states_[l + 1]);
-      ScatterRows(h, rows, &states_[l + 2]);
-      stats.rows_refreshed += static_cast<int64_t>(rows.size());
-    }
-  }
-  hidden_ = std::make_shared<const Matrix>(states_.back());
+  const RefreshStats stats = core_.RefreshDirty(
+      adj, delta, options_.full_refresh_fraction,
+      [&](int s, const std::vector<int>& rows) {
+        core_.ComputeRows(s, adj, x_, rows, &stages_);
+      });
+  if (!stats.incremental) return FullRefresh(snap);
+  hidden_ = std::make_shared<const Matrix>(stages_.back());
   version_ = snap.version();
   return stats;
 }
 
 void IncrementalPropagator::ApplyReorder(const std::vector<int>& remap,
                                          uint64_t new_version) {
-  AHG_CHECK(has_state_);
+  AHG_CHECK(hidden_ != nullptr);
   AHG_TRACE_SPAN_ARG("dyn/apply_reorder",
                      static_cast<int64_t>(remap.size()));
-  for (Matrix& s : states_) {
-    AHG_CHECK_EQ(s.rows(), static_cast<int>(remap.size()));
-    Matrix moved(s.rows(), s.cols());
-    for (int r = 0; r < s.rows(); ++r) {
-      std::memcpy(moved.Row(remap[r]), s.Row(r),
-                  static_cast<size_t>(s.cols()) * sizeof(double));
-    }
-    s = std::move(moved);
-  }
-  hidden_ = std::make_shared<const Matrix>(states_.back());
+  x_ = RemapRows(x_, remap, x_.rows());
+  for (Matrix& s : stages_) s = RemapRows(s, remap, s.rows());
+  hidden_ = std::make_shared<const Matrix>(stages_.back());
   version_ = new_version;
 }
 
 Matrix IncrementalPropagator::ComputeFull(const GraphSnapshot& snap) const {
-  AHG_CHECK_EQ(snap.feature_dim(), config_.in_dim);
-  std::vector<Matrix> states = ComputeStates(snap, snap.DenseFeatures());
-  return std::move(states.back());
+  AHG_CHECK_EQ(snap.feature_dim(), core_.config().in_dim);
+  std::vector<Matrix> stages =
+      core_.ComputeAll(snap.adjacency(), snap.DenseFeatures());
+  return std::move(stages.back());
 }
 
 }  // namespace ahg::dyn

@@ -1,28 +1,12 @@
 // Incremental propagation refresh: patch cached layer states H^(1..L)
-// after a mutation batch by recomputing only dirty rows.
-//
-// Correctness rests on two facts:
-//  1. Every per-row state of GCN and SGC is a row-local function of the
-//     aggregation input: H^(l) row r = f(sum_c A[r,c] * H^(l-1)[c]), with f
-//     a dense transform (GEMM row + bias + ReLU) that touches no other
-//     row. So row r of H^(l) changes only when A row r changed or some
-//     H^(l-1) row in N(r) changed — the dirty set expands by one hop per
-//     layer: D_l = S_A ∪ N(D_{l-1}), starting from the batch's
-//     adjacency-dirty and feature-dirty rows. Self loops make N(D) ⊇ D, so
-//     the sets are monotone.
-//  2. The row kernels are subset-exact: DeltaCsr::SpmmRows and MatMul
-//     produce rows bitwise identical to the corresponding rows of the full
-//     product (fixed per-row accumulation order, one owner per row). So
-//     patching dirty rows of the cached state leaves a matrix bitwise
-//     identical to a cold full recompute — the oracle ComputeFull() tests
-//     assert with memcmp.
-//
-// Families: kGcn and kSgc, the pure SpMM-plus-row-transform architectures.
-// Supports() gates everything else; callers fall back to a full zoo
-// forward. A refresh also falls back to FullRefresh when the final dirty
-// set exceeds options.full_refresh_fraction of the rows (patching most of
-// the matrix costs more than recomputing it) or when the snapshot is not
-// the direct successor of the cached version.
+// after a mutation batch by recomputing only dirty rows. This is the
+// one-part driver of the GCN/SGC stage core (dyn/stages.h), which owns the
+// family gate, the stages and the dirty-row expansion; patched states stay
+// bitwise identical to the cold recompute ComputeFull() (tests memcmp).
+// A refresh falls back to FullRefresh when the final dirty set exceeds
+// options.full_refresh_fraction of the rows (patching most of the matrix
+// costs more than recomputing it) or when the snapshot is not the direct
+// successor of the cached version.
 #ifndef AUTOHENS_DYN_INCREMENTAL_H_
 #define AUTOHENS_DYN_INCREMENTAL_H_
 
@@ -31,61 +15,28 @@
 #include <vector>
 
 #include "dyn/snapshot.h"
+#include "dyn/stages.h"
 #include "models/model.h"
 #include "tensor/matrix.h"
 #include "util/status.h"
 
 namespace ahg::dyn {
 
-// Row-local dense transform of one layer: H = agg * W (+ bias) (ReLU?),
-// with exactly the arithmetic of the eval-mode autodiff chain
-// Relu(AddRowVector(MatMul(agg, W), b)) — same kernels, same order — so a
-// row computed from a gathered subset is bitwise identical to the same row
-// of the full layer. Shared by the incremental refresh and the partitioned
-// execution plane (src/partition), whose conformance stories both rest on
-// this subset-exactness.
-Matrix DenseLayerTransform(const Matrix& agg, const Matrix& w, const Matrix& b,
-                           bool relu);
-
-// Per-layer dirty row sets for a mutation step: entry l lists the rows
-// that must be recomputed at compute stage l. GCN: num_layers entries,
-// D_l = S_A ∪ N(D_{l-1}) seeded from the feature-dirty rows. SGC:
-// num_layers + 1 entries; level 0 is the row-local linear map (dirty ==
-// feature-dirty rows) and each later level is one propagation hop. Rows
-// are sorted ascending. Pure bitset work — no matrix math — so callers can
-// decide on a full-recompute fallback before spending flops.
-std::vector<std::vector<int>> PerLayerDirtyRows(const ModelConfig& config,
-                                                const DeltaCsr& adj,
-                                                const BatchDelta& delta);
-
 struct RefreshOptions {
   // Fall back to a full recompute when |D_L| / num_nodes exceeds this.
-  double full_refresh_fraction = 0.5;
+  double full_refresh_fraction = kFullRefreshFraction;
   // Recycle refresh scratch (dirty-row gathers, per-layer patch products)
   // through the MatrixPool (tensor/pool.h) for the duration of each
   // Refresh/FullRefresh call. Bitwise-neutral.
   bool pooling = false;
 };
 
-struct RefreshStats {
-  bool incremental = false;     // false = full recompute path ran
-  uint64_t version = 0;         // snapshot version the states now match
-  int64_t rows_refreshed = 0;   // sum of |D_l| over recomputed layers
-  int final_dirty_rows = 0;     // |D_L|: rows of H^(L) that were patched
-  double dirty_fraction = 0.0;  // final_dirty_rows / num_nodes
-};
-
 class IncrementalPropagator {
  public:
-  // `layer_params` in ParameterStore::Snapshot order, classifier head
-  // excluded — GCN: [W_1, b_1, ..., W_L, b_L]; SGC: [W, b]. Shapes are
-  // checked against `config`.
+  // `layer_params` as StageCore::Validate describes; they must pass it.
   IncrementalPropagator(const ModelConfig& config,
                         std::vector<Matrix> layer_params,
                         const RefreshOptions& options = {});
-
-  // True for the families whose layer structure the refresh understands.
-  static bool Supports(const ModelConfig& config);
 
   // Cold recompute of every cached layer state from `snap`.
   RefreshStats FullRefresh(const GraphSnapshot& snap);
@@ -96,38 +47,31 @@ class IncrementalPropagator {
   StatusOr<RefreshStats> Refresh(const GraphSnapshot& snap,
                                  const BatchDelta& delta);
 
-  // Row-gathers every cached layer state through `remap` (remap[old_row] =
-  // new_row) after a GraphSnapshot::Reordered relayout, and adopts the
-  // reordered snapshot's version. Pure data movement, zero FLOPs — rows
-  // keep their bytes at new positions — so the incremental dirty-set cost
-  // bound is untouched and the next Refresh patches as if the relayout
-  // never happened.
+  // Moves every cached layer state through `remap` (remap[old_row] =
+  // new_row; RemapRows) after a GraphSnapshot::Reordered relayout, and
+  // adopts the reordered snapshot's version. Pure data movement, zero
+  // FLOPs — rows keep their bytes at new positions — so the incremental
+  // dirty-set cost bound is untouched and the next Refresh patches as if
+  // the relayout never happened.
   void ApplyReorder(const std::vector<int>& remap, uint64_t new_version);
 
   // Final hidden states H^(L) for the current version — an immutable copy
   // published per refresh, safe to hand to concurrent readers and caches.
   std::shared_ptr<const Matrix> hidden() const { return hidden_; }
 
-  bool has_state() const { return has_state_; }
   uint64_t version() const { return version_; }
 
-  // Oracle: H^(L) recomputed from scratch through the same kernels, without
-  // touching cached state. Tests memcmp this against the patched states.
+  // Oracle: H^(L) recomputed from scratch through the whole-matrix kernels
+  // (DeltaCsr::Spmm), without touching cached state. Tests memcmp this
+  // against the patched states.
   Matrix ComputeFull(const GraphSnapshot& snap) const;
 
  private:
-  // All layer states from features `x`; shared by FullRefresh/ComputeFull.
-  std::vector<Matrix> ComputeStates(const GraphSnapshot& snap,
-                                    Matrix x) const;
-
-  ModelConfig config_;
-  std::vector<Matrix> params_;
+  StageCore core_;
   RefreshOptions options_;
-  bool has_state_ = false;
   uint64_t version_ = 0;
-  // states_[0] = dense features X. GCN: states_[l] = H^(l). SGC:
-  // states_[1] = XW + b, states_[1 + k] = A^k (XW + b).
-  std::vector<Matrix> states_;
+  Matrix x_;                   // dense features X
+  std::vector<Matrix> stages_;  // stages_[s - 1] = stage s (StageCore)
   std::shared_ptr<const Matrix> hidden_;
 };
 

@@ -39,7 +39,7 @@ StreamingServer::StreamingServer(const serve::ServableModel& model,
 StatusOr<std::unique_ptr<StreamingServer>> StreamingServer::Create(
     const Graph& graph, const serve::ServableModel& model,
     const StreamOptions& options) {
-  if (!IncrementalPropagator::Supports(model.config)) {
+  if (!StageCore::Supports(model.config)) {
     return Status::InvalidArgument(StrFormat(
         "model family %s has no incremental propagation support",
         ModelFamilyName(model.config.family)));

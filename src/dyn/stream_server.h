@@ -2,12 +2,14 @@
 //
 // Wires the pieces together: a MutationLog collects streamed edits, a
 // single mutator thread calls ApplyPending() to fold them into the next
-// GraphSnapshot version, an IncrementalPropagator patches the cached
-// H^(1..L) states over the dirty rows, and the resulting (snapshot, hidden)
-// pair is published atomically for readers. Queries never block on a
-// refresh: PredictNodes copies one shared_ptr under a short lock and serves
-// from that immutable pair, so a concurrent publish retargets later
-// queries while in-flight ones finish against the version they started on.
+// GraphSnapshot version, an IncrementalPropagator — the one-part driver of
+// the GCN/SGC stage core the partitioned engine also runs (dyn/stages.h) —
+// patches the cached H^(1..L) states over the dirty rows, and the
+// resulting (snapshot, hidden) pair is published atomically for readers.
+// Queries never block on a refresh: PredictNodes copies one shared_ptr
+// under a short lock and serves from that immutable pair, so a concurrent
+// publish retargets later queries while in-flight ones finish against the
+// version they started on.
 //
 // PublishTo() bridges into the static serving stack: it materializes the
 // current snapshot as a Graph, SwapGraph()s the InferenceEngine onto it
@@ -55,8 +57,8 @@ class StreamingServer {
  public:
   // Builds snapshot version 0 from `graph` (undirected, featured, no self
   // loops — see GraphSnapshot::FromGraph) and runs the cold propagation for
-  // `model`, whose family must pass IncrementalPropagator::Supports and
-  // whose last two params are the classifier head.
+  // `model`, whose family must pass StageCore::Supports and whose last two
+  // params are the classifier head.
   static StatusOr<std::unique_ptr<StreamingServer>> Create(
       const Graph& graph, const serve::ServableModel& model,
       const StreamOptions& options = {});

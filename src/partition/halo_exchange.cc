@@ -32,38 +32,30 @@ void HaloExchange::Rebuild() {
   }
 }
 
-void HaloExchange::PostBoundary(int p, const Matrix& state) {
+void HaloExchange::PostBoundary(int p, const Matrix& state,
+                                const std::vector<int>* dirty_globals) {
   AHG_TRACE_SPAN_ARG("partition/post_boundary", p);
   for (int dst = 0; dst < plan_->num_parts; ++dst) {
     const Route& route = routes_[p][dst];
     if (route.globals.empty()) continue;
-    Mail& mail = mailbox_[dst][p];
-    mail.rows = GatherRows(state, route.src_locals);
-    mail.dst_locals = route.dst_locals;
-  }
-}
-
-void HaloExchange::PostBoundaryDirty(int p, const Matrix& state,
-                                     const std::vector<int>& dirty_globals) {
-  AHG_TRACE_SPAN_ARG("partition/post_boundary",
-                     static_cast<int64_t>(dirty_globals.size()));
-  for (int dst = 0; dst < plan_->num_parts; ++dst) {
-    const Route& route = routes_[p][dst];
-    if (route.globals.empty()) continue;
-    // Sorted intersection of the route with the dirty set; both ascend
-    // global id, so the subset stays in delivery order.
     std::vector<int> src_subset;
     std::vector<int> dst_subset;
     size_t di = 0;
     for (size_t i = 0; i < route.globals.size(); ++i) {
-      while (di < dirty_globals.size() &&
-             dirty_globals[di] < route.globals[i]) {
-        ++di;
+      if (dirty_globals != nullptr) {
+        // Sorted intersection of the route with the dirty set; both ascend
+        // global id, so the subset stays in delivery order.
+        while (di < dirty_globals->size() &&
+               (*dirty_globals)[di] < route.globals[i]) {
+          ++di;
+        }
+        if (di == dirty_globals->size() ||
+            (*dirty_globals)[di] != route.globals[i]) {
+          continue;
+        }
       }
-      if (di < dirty_globals.size() && dirty_globals[di] == route.globals[i]) {
-        src_subset.push_back(route.src_locals[i]);
-        dst_subset.push_back(route.dst_locals[i]);
-      }
+      src_subset.push_back(route.src_locals[i]);
+      dst_subset.push_back(route.dst_locals[i]);
     }
     if (src_subset.empty()) continue;
     Mail& mail = mailbox_[dst][p];

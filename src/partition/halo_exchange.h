@@ -37,12 +37,10 @@ class HaloExchange {
 
   // Gathers the boundary rows of part p's state (n_local x dim) — the owned
   // rows some other part holds as halo — into that consumer's mailbox.
-  void PostBoundary(int p, const Matrix& state);
-
-  // Like PostBoundary but posts only boundary rows whose global id is in
-  // `dirty_globals` (sorted ascending) — the incremental-refresh path.
-  void PostBoundaryDirty(int p, const Matrix& state,
-                         const std::vector<int>& dirty_globals);
+  // With `dirty_globals` (sorted ascending), only the boundary rows whose
+  // global id it lists are posted — the incremental-refresh path.
+  void PostBoundary(int p, const Matrix& state,
+                    const std::vector<int>* dirty_globals = nullptr);
 
   // Merges every mailbox posted for part q into its halo rows: source parts
   // in ascending part id, rows in ascending global id. Clears q's mailbox.

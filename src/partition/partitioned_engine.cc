@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
-#include "dyn/incremental.h"
+#include "dyn/stages.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/inference_engine.h"
@@ -12,23 +13,6 @@
 #include "util/string_util.h"
 
 namespace ahg::partition {
-
-namespace {
-
-// Dirty fraction beyond which a version is recomputed from scratch instead
-// of refreshed row-by-row (same threshold as dyn::RefreshOptions default).
-constexpr double kFullRecomputeFraction = 0.5;
-
-std::vector<int> SortedUnion(const std::vector<int>& a,
-                             const std::vector<int>& b) {
-  std::vector<int> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-}  // namespace
 
 PartitionedEngine::PartitionedEngine(PartitionPlan plan, const Graph& graph)
     : plan_(std::move(plan)),
@@ -74,17 +58,6 @@ StatusOr<std::unique_ptr<PartitionedEngine>> PartitionedEngine::CreateFromPlan(
       new PartitionedEngine(std::move(plan), graph));
 }
 
-bool PartitionedEngine::Supports(const ModelConfig& config) {
-  return config.family == ModelFamily::kGcn ||
-         config.family == ModelFamily::kSgc;
-}
-
-int PartitionedEngine::NumStages(const ModelConfig& config) {
-  // GCN stage s = H^(s); SGC stage 1 = Z = XW + b, stages 2..L+1 = A^k Z.
-  return config.family == ModelFamily::kGcn ? config.num_layers
-                                            : config.num_layers + 1;
-}
-
 bool PartitionedEngine::HasHalo() const {
   for (const PartitionPlan::Part& part : plan_.parts) {
     if (!part.halo_globals.empty()) return true;
@@ -119,77 +92,64 @@ int64_t PartitionedEngine::PartResidentBytes(int p) const {
   return bytes;
 }
 
-void PartitionedEngine::ComputeStageRows(VersionState* vs, int p, int s,
-                                         const std::vector<int>& rows) {
-  if (rows.empty()) return;
-  const PartitionPlan::Part& part = plan_.parts[p];
-  Matrix& state = vs->states[p][s - 1];
-  if (vs->config.family == ModelFamily::kGcn) {
-    const Matrix& prev = s == 1 ? feats_[p] : vs->states[p][s - 2];
-    Matrix agg = part.adj.SpmmRows(rows, prev);
-    Matrix h = dyn::DenseLayerTransform(agg, vs->layer_params[2 * (s - 1)],
-                                        vs->layer_params[2 * (s - 1) + 1],
-                                        /*relu=*/true);
-    ScatterRows(h, rows, &state);
-  } else if (s == 1) {  // kSgc linear map: row-local, reads features.
-    Matrix z = dyn::DenseLayerTransform(GatherRows(feats_[p], rows),
-                                        vs->layer_params[0], vs->layer_params[1],
-                                        /*relu=*/false);
-    ScatterRows(z, rows, &state);
-  } else {  // kSgc propagation hop.
-    Matrix h = part.adj.SpmmRows(rows, vs->states[p][s - 2]);
-    ScatterRows(h, rows, &state);
+void PartitionedEngine::RecomputeLocked(VersionState* vs) {
+  const int S = vs->core.num_stages();
+  vs->states.clear();
+  for (const PartitionPlan::Part& part : plan_.parts) {
+    vs->states.emplace_back(
+        S, Matrix(part.num_local(), vs->core.config().hidden_dim));
   }
+  for (int s = 1; s <= S; ++s) RunStageLocked(vs, s, nullptr, {});
 }
 
-void PartitionedEngine::RecomputeLocked(VersionState* vs) {
+void PartitionedEngine::RunStageLocked(VersionState* vs, int s,
+                                       const std::vector<int>* level,
+                                       const std::vector<int>& forced) {
   const int P = plan_.num_parts;
-  const int S = NumStages(vs->config);
-  vs->states.assign(P, {});
   for (int p = 0; p < P; ++p) {
-    vs->states[p].reserve(S);
-    for (int s = 0; s < S; ++s) {
-      vs->states[p].emplace_back(plan_.parts[p].num_local(),
-                                 vs->config.hidden_dim);
+    const PartitionPlan::Part& part = plan_.parts[p];
+    std::vector<int> rows;  // owned rows of `level`, ascending local == global
+    if (level != nullptr) {
+      for (int g : *level) {
+        if (plan_.part_of[g] == p) rows.push_back(part.local_of.at(g));
+      }
     }
+    vs->core.ComputeRows(s, part.adj, feats_[p],
+                         level != nullptr ? rows : part.owned_locals,
+                         &vs->states[p]);
   }
-  const bool exchange = HasHalo();
-  for (int s = 1; s <= S; ++s) {
-    for (int p = 0; p < P; ++p) {
-      ComputeStageRows(vs, p, s, plan_.parts[p].owned_locals);
-    }
-    if (!exchange) continue;
-    // Fixed order: post all parts ascending, then deliver all parts
-    // ascending — the halo rows of stage s are in place before any part
-    // reads them at stage s + 1.
-    for (int p = 0; p < P; ++p) exchange_.PostBoundary(p, vs->states[p][s - 1]);
-    for (int p = 0; p < P; ++p) exchange_.DeliverHalo(p, &vs->states[p][s - 1]);
+  if (!HasHalo()) return;
+  // Fixed order: post all parts ascending, then deliver all parts
+  // ascending — the halo rows of stage s are in place before any part
+  // reads them at stage s + 1.
+  std::vector<int> post;
+  if (level != nullptr) {
+    std::set_union(level->begin(), level->end(), forced.begin(), forced.end(),
+                   std::back_inserter(post));
   }
+  for (int p = 0; p < P; ++p) {
+    exchange_.PostBoundary(p, vs->states[p][s - 1],
+                           level != nullptr ? &post : nullptr);
+  }
+  for (int p = 0; p < P; ++p) exchange_.DeliverHalo(p, &vs->states[p][s - 1]);
 }
 
 Status PartitionedEngine::WarmLocked(const serve::ServableModel& model) {
   if (versions_.count(model.version) != 0) return Status::OK();
   AHG_TRACE_SPAN_ARG("partition/warm", model.version);
-  if (!Supports(model.config)) {
-    return Status::InvalidArgument(
-        "partitioned engine supports kGcn and kSgc model families only");
-  }
   if (model.config.in_dim != feature_dim_) {
     return Status::InvalidArgument(
         StrFormat("model in_dim %d does not match graph feature_dim %d",
                   model.config.in_dim, feature_dim_));
   }
-  const int expected =
-      model.config.family == ModelFamily::kGcn ? 2 * model.config.num_layers + 2
-                                               : 4;
-  if (static_cast<int>(model.params.size()) != expected) {
-    return Status::InvalidArgument(
-        StrFormat("model has %d param tensors, family expects %d",
-                  static_cast<int>(model.params.size()), expected));
+  if (model.params.size() < 2) {
+    return Status::InvalidArgument("model lacks its 2-tensor classifier head");
   }
-  VersionState vs;
-  vs.config = model.config;
-  vs.layer_params.assign(model.params.begin(), model.params.end() - 2);
+  std::vector<Matrix> layer_params(model.params.begin(),
+                                   model.params.end() - 2);
+  Status valid = dyn::StageCore::Validate(model.config, layer_params);
+  if (!valid.ok()) return valid;
+  VersionState vs{dyn::StageCore(model.config, std::move(layer_params)), {}};
   RecomputeLocked(&vs);
   versions_.emplace(model.version, std::move(vs));
   return Status::OK();
@@ -199,7 +159,7 @@ StatusOr<Matrix> PartitionedEngine::GatherAndHead(
     const VersionState& vs, const serve::ServableModel& model,
     const std::vector<int>& nodes) const {
   const int n = static_cast<int>(plan_.part_of.size());
-  Matrix hidden(static_cast<int>(nodes.size()), vs.config.hidden_dim);
+  Matrix hidden(static_cast<int>(nodes.size()), vs.core.config().hidden_dim);
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] < 0 || nodes[i] >= n) {
       return Status::InvalidArgument(
@@ -214,7 +174,7 @@ StatusOr<Matrix> PartitionedEngine::GatherAndHead(
     const Matrix& final_state = vs.states[p].back();
     std::memcpy(hidden.Row(static_cast<int>(i)),
                 final_state.Row(part.local_of.at(g)),
-                static_cast<size_t>(vs.config.hidden_dim) * sizeof(double));
+                static_cast<size_t>(hidden.cols()) * sizeof(double));
   }
   return serve::ApplyClassifierHead(hidden, model);
 }
@@ -304,14 +264,16 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   // 3. Apply the structural change per part: append when every addition is
   // larger than the current largest local (keeps the ascending-global local
   // numbering without renumbering); otherwise rebuild the part — re-merge
-  // the local universe and permute every resident matrix by global id.
+  // the local universe and move every resident matrix by global id.
   std::vector<uint8_t> rebuilt(P, 0);
   for (int p = 0; p < P; ++p) {
     if (additions[p].empty()) continue;
     PartitionPlan::Part& part = plan_.parts[p];
+    std::vector<int> moved_to(part.num_local());  // old local -> new local
     const bool append_only =
         part.locals.empty() || additions[p].front() > part.locals.back();
     if (append_only) {
+      std::iota(moved_to.begin(), moved_to.end(), 0);
       for (int g : additions[p]) {
         const int l = part.num_local();
         part.locals.push_back(g);
@@ -324,89 +286,31 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
           part.halo_globals.push_back(g);
         }
       }
-      const int n_local = part.num_local();
-      part.adj.Grow(n_local, n_local);
-      feats_[p] = GrowRows(feats_[p], n_local);
-      for (auto& [version, vs] : versions_) {
-        (void)version;
-        for (Matrix& state : vs.states[p]) state = GrowRows(state, n_local);
+      part.adj.Grow(part.num_local(), part.num_local());
+    } else {
+      // Rebuild path: a new halo node falls between existing locals, so the
+      // whole local id space shifts.
+      rebuilt[p] = 1;
+      const std::vector<int> old_locals = std::move(part.locals);
+      part.Relayout(p, old_locals, additions[p], plan_.part_of,
+                    [&gadj](int g) { return gadj.Row(g); });
+      for (size_t l = 0; l < old_locals.size(); ++l) {
+        moved_to[l] = part.local_of.at(old_locals[l]);
       }
-      for (int g : additions[p]) {
-        std::memcpy(feats_[p].Row(part.local_of.at(g)), snap.FeatureRow(g),
-                    static_cast<size_t>(feature_dim_) * sizeof(double));
-      }
-      continue;
     }
-
-    // Rebuild path: a new halo node falls between existing locals, so the
-    // whole local id space shifts. Old rows are carried over by global id;
-    // rows new to the part are zero and get their values from the dirty
-    // recompute (owned) or the forced halo delivery (halo) below.
-    rebuilt[p] = 1;
-    const std::vector<int> old_locals = std::move(part.locals);
-    const std::unordered_map<int, int> old_local_of = std::move(part.local_of);
-    part.locals.clear();
-    std::merge(old_locals.begin(), old_locals.end(), additions[p].begin(),
-               additions[p].end(), std::back_inserter(part.locals));
+    // Old rows are carried over by global id; rows new to the part start
+    // zero and get their values from the snapshot (features), the dirty
+    // recompute (owned states) or the forced halo delivery (halo states).
     const int n_local = part.num_local();
-    part.local_of = {};
-    part.local_of.reserve(n_local);
-    part.owned.assign(n_local, 0);
-    part.owned_locals.clear();
-    part.halo_globals.clear();
-    for (int l = 0; l < n_local; ++l) {
-      const int g = part.locals[l];
-      part.local_of.emplace(g, l);
-      if (plan_.part_of[g] == p) {
-        part.owned[l] = 1;
-        part.owned_locals.push_back(l);
-      } else {
-        part.halo_globals.push_back(g);
-      }
-    }
-    // Entry order copied as stored (not re-sorted by local id), preserving
-    // the SpMM accumulation order on plain and reordered graphs alike.
-    std::vector<int64_t> row_ptr(n_local + 1, 0);
-    for (int l : part.owned_locals) {
-      row_ptr[l + 1] = gadj.Row(part.locals[l]).nnz;
-    }
-    for (int l = 0; l < n_local; ++l) row_ptr[l + 1] += row_ptr[l];
-    std::vector<int> csr_cols(row_ptr[n_local]);
-    std::vector<double> csr_vals(row_ptr[n_local]);
-    for (int l : part.owned_locals) {
-      const dyn::DeltaCsr::RowRef row = gadj.Row(part.locals[l]);
-      int64_t at = row_ptr[l];
-      for (int64_t e = 0; e < row.nnz; ++e, ++at) {
-        csr_cols[at] = part.local_of.at(row.cols[e]);
-        csr_vals[at] = row.vals[e];
-      }
-    }
-    part.adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
-        SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
-                                   std::move(csr_cols),
-                                   std::move(csr_vals))));
-    Matrix new_feats(n_local, feature_dim_);
-    for (int l = 0; l < n_local; ++l) {
-      const int g = part.locals[l];
-      auto it = old_local_of.find(g);
-      const double* src =
-          it != old_local_of.end() ? feats_[p].Row(it->second)
-                                   : snap.FeatureRow(g);
-      std::memcpy(new_feats.Row(l), src,
+    feats_[p] = RemapRows(feats_[p], moved_to, n_local);
+    for (int g : additions[p]) {
+      std::memcpy(feats_[p].Row(part.local_of.at(g)), snap.FeatureRow(g),
                   static_cast<size_t>(feature_dim_) * sizeof(double));
     }
-    feats_[p] = std::move(new_feats);
     for (auto& [version, vs] : versions_) {
       (void)version;
       for (Matrix& state : vs.states[p]) {
-        Matrix permuted(n_local, state.cols());
-        for (int l = 0; l < n_local; ++l) {
-          auto it = old_local_of.find(part.locals[l]);
-          if (it == old_local_of.end()) continue;  // new row, stays zero
-          std::memcpy(permuted.Row(l), state.Row(it->second),
-                      static_cast<size_t>(state.cols()) * sizeof(double));
-        }
-        state = std::move(permuted);
+        state = RemapRows(state, moved_to, n_local);
       }
     }
   }
@@ -415,17 +319,8 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   // DeltaCsr's ascending-rank invariant keeps holding locally (rank of
   // local l = external id of its global; identity when unreordered).
   if (perm_ != nullptr) {
-    auto rank_of_global = [&](int g) {
-      return g < perm_->num_nodes() ? perm_->to_external[g] : g;
-    };
     for (int p = 0; p < P; ++p) {
-      if (additions[p].empty()) continue;
-      PartitionPlan::Part& part = plan_.parts[p];
-      auto rank = std::make_shared<std::vector<int>>(part.num_local());
-      for (int l = 0; l < part.num_local(); ++l) {
-        (*rank)[l] = rank_of_global(part.locals[l]);
-      }
-      part.adj.SetColRank(std::move(rank));
+      if (!additions[p].empty()) plan_.parts[p].SetColRank(*perm_);
     }
   }
 
@@ -476,39 +371,15 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   std::sort(forced.begin(), forced.end());
   forced.erase(std::unique(forced.begin(), forced.end()), forced.end());
 
-  // 7. Refresh every warmed version over the per-layer dirty sets.
-  const bool exchange = HasHalo();
+  // 7. Refresh every warmed version through the stage core's dirty levels.
   for (auto& [version, vs] : versions_) {
     (void)version;
-    const std::vector<std::vector<int>> dirty =
-        dyn::PerLayerDirtyRows(vs.config, gadj, delta);
-    const double fraction =
-        n_new > 0 ? static_cast<double>(dirty.back().size()) / n_new : 0.0;
-    if (fraction > kFullRecomputeFraction) {
-      RecomputeLocked(&vs);
-      continue;
-    }
-    const int S = NumStages(vs.config);
-    AHG_CHECK_EQ(static_cast<int>(dirty.size()), S);
-    for (int s = 1; s <= S; ++s) {
-      const std::vector<int>& level = dirty[s - 1];
-      for (int p = 0; p < P; ++p) {
-        std::vector<int> rows;  // owned dirty rows, ascending local == global
-        const PartitionPlan::Part& part = plan_.parts[p];
-        for (int g : level) {
-          if (plan_.part_of[g] == p) rows.push_back(part.local_of.at(g));
-        }
-        ComputeStageRows(&vs, p, s, rows);
-      }
-      if (!exchange) continue;
-      const std::vector<int> post = SortedUnion(level, forced);
-      for (int p = 0; p < P; ++p) {
-        exchange_.PostBoundaryDirty(p, vs.states[p][s - 1], post);
-      }
-      for (int p = 0; p < P; ++p) {
-        exchange_.DeliverHalo(p, &vs.states[p][s - 1]);
-      }
-    }
+    const dyn::RefreshStats refreshed = vs.core.RefreshDirty(
+        gadj, delta, dyn::kFullRefreshFraction,
+        [&](int s, const std::vector<int>& level) {
+          RunStageLocked(&vs, s, &level, forced);
+        });
+    if (!refreshed.incremental) RecomputeLocked(&vs);
   }
 
   for (PartitionPlan::Part& part : plan_.parts) part.adj.MaybeCompact();

@@ -5,27 +5,29 @@
 // appendix — features, local adjacency, and per-version layer states all
 // scale ~1/K + halo overhead instead of K full replicas (bench/
 // partition_scale proves the bound with AllocTracker). Compute runs the
-// same per-row kernels as the single engine: at every propagation stage
-// each part computes its owned rows with DeltaCsr::SpmmRows + the shared
-// dyn::DenseLayerTransform, then boundary rows cross the HaloExchange in a
-// fixed merge order. Because each part's local universe is numbered in
-// ascending global id (see plan.h), local adjacency rows preserve the
-// global entry order, the subset-exact kernels reproduce the global rows
-// bitwise, and a query answered here is memcmp-identical to the lone
-// engine — the conformance matrix partition_test asserts across synthetic
-// families, part counts, and thread counts.
+// same per-row kernels as the single engine: every part drives the GCN/SGC
+// stage core (dyn/stages.h) — the one the incremental propagator drives
+// over a whole snapshot — over its owned rows, and after each stage the
+// boundary rows cross the HaloExchange in a fixed merge order. Because
+// each part's local universe is numbered in ascending global id (see
+// plan.h), local adjacency rows preserve the global entry order, the
+// subset-exact kernels reproduce the global rows bitwise, and a query
+// answered here is memcmp-identical to the lone engine — the conformance
+// matrix partition_test asserts across synthetic families, part counts,
+// and thread counts.
 //
-// Families: kGcn and kSgc (the row-local layer structures), the same gate
-// as dyn::IncrementalPropagator::Supports. Everything else is rejected
-// with InvalidArgument — callers fall back to the replicated path.
+// Families: the ones dyn::StageCore::Supports admits (kGcn, kSgc).
+// Everything else, and layer tensors of the wrong count or shape, is
+// rejected with InvalidArgument — callers fall back to the replicated path.
 //
 // Dynamic graphs: ApplyDelta routes a mutation batch through the plan —
 // adjacency rows are patched copy-on-write on their owning part, new nodes
 // are appended to the least-loaded part, new halo dependencies are
-// materialized, and each resident model version is refreshed over the
-// L-hop dirty sets (dyn::PerLayerDirtyRows) with per-stage dirty halo
-// exchange. Orphaned halo rows (references removed by edge deletions) are
-// kept; they are unused and merely occupy their row until a rebuild.
+// materialized, and each resident model version is refreshed by the stage
+// core's dirty-level loop (dyn::StageCore::RefreshDirty) with per-stage
+// dirty halo exchange. Orphaned halo rows (references removed by edge
+// deletions) are kept; they are unused and merely occupy their row until a
+// rebuild.
 #ifndef AUTOHENS_PARTITION_PARTITIONED_ENGINE_H_
 #define AUTOHENS_PARTITION_PARTITIONED_ENGINE_H_
 
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "dyn/snapshot.h"
+#include "dyn/stages.h"
 #include "graph/graph.h"
 #include "partition/halo_exchange.h"
 #include "partition/plan.h"
@@ -61,9 +64,6 @@ class PartitionedEngine : public serve::NodePredictor {
   static StatusOr<std::unique_ptr<PartitionedEngine>> CreateFromPlan(
       const Graph& graph, PartitionPlan plan);
 
-  // True for the model families the partitioned forward understands.
-  static bool Supports(const ModelConfig& config);
-
   // Class probabilities for `nodes` (rows in input order): each node is
   // resolved to its owning part, the final-stage hidden row is gathered,
   // and the classifier head applied — bitwise identical to the lone
@@ -76,7 +76,8 @@ class PartitionedEngine : public serve::NodePredictor {
 
   // Applies one mutation step: `delta` must describe snapshot_version() ->
   // snap.version(). Refreshes every warmed model version incrementally
-  // (full per-part recompute when the dirty fraction exceeds 0.5).
+  // (full per-part recompute when the dirty fraction exceeds
+  // dyn::kFullRefreshFraction).
   Status ApplyDelta(const dyn::GraphSnapshot& snap,
                     const dyn::BatchDelta& delta);
 
@@ -91,27 +92,27 @@ class PartitionedEngine : public serve::NodePredictor {
   int64_t PartResidentBytes(int p) const;
 
  private:
-  // Per warmed model version: config, layer params (head excluded), and
-  // states[part][stage] where stage s holds the part-local matrix of
-  // pipeline stage s + 1 (stage 0 input is the shared feature matrix).
+  // Per warmed model version: the stage core (config + layer params, head
+  // excluded) and states[part][s - 1], the part-local matrix of stage s
+  // (stage 1 reads the part's feature matrix).
   struct VersionState {
-    ModelConfig config;
-    std::vector<Matrix> layer_params;
+    dyn::StageCore core;
     std::vector<std::vector<Matrix>> states;
   };
 
   PartitionedEngine(PartitionPlan plan, const Graph& graph);
 
-  static int NumStages(const ModelConfig& config);
   bool HasHalo() const;
 
   Status WarmLocked(const serve::ServableModel& model);
   // Recomputes every stage of `vs` from the current features/adjacency.
   void RecomputeLocked(VersionState* vs);
-  // Computes owned `rows` (local ids, ascending) of stage `s` (1-based)
-  // for part p and scatters them into the stage matrix.
-  void ComputeStageRows(VersionState* vs, int p, int s,
-                        const std::vector<int>& rows);
+  // Computes stage s of `vs` on every part, then exchanges its boundary
+  // rows. `level` (ascending global ids) limits the compute to its owned
+  // rows and the exchange to level ∪ `forced`; null means every owned row
+  // and the whole boundary.
+  void RunStageLocked(VersionState* vs, int s, const std::vector<int>* level,
+                      const std::vector<int>& forced);
   StatusOr<Matrix> GatherAndHead(const VersionState& vs,
                                  const serve::ServableModel& model,
                                  const std::vector<int>& nodes) const;

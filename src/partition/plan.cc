@@ -45,63 +45,77 @@ PartitionPlan Materialize(const Graph& graph, std::vector<int> part_of,
     }
     std::sort(halo.begin(), halo.end());
     halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
-    part.halo_globals = halo;
     plan.halo_nodes_total += static_cast<int64_t>(halo.size());
 
-    part.locals.clear();
-    std::merge(owned_globals.begin(), owned_globals.end(), halo.begin(),
-               halo.end(), std::back_inserter(part.locals));
-    const int n_local = part.num_local();
-    part.owned.assign(n_local, 0);
-    part.local_of.reserve(n_local);
-    for (int l = 0; l < n_local; ++l) {
-      const int g = part.locals[l];
-      part.local_of.emplace(g, l);
-      if (plan.part_of[g] == p) {
-        part.owned[l] = 1;
-        part.owned_locals.push_back(l);
-      }
-    }
-
-    // Local CSR: owned rows replicate the global kSymNorm rows verbatim with
-    // columns remapped (halo rows stay empty), entry order copied as stored —
-    // so the SpMM accumulation order, and with it bitwise conformance,
-    // survives partitioning on plain AND locality-reordered graphs (where
-    // stored order is ascending external, not ascending internal, and a
-    // column re-sort would change the FP accumulation sequence).
-    std::vector<int64_t> row_ptr(n_local + 1, 0);
-    for (int l : part.owned_locals) {
-      const int g = part.locals[l];
-      row_ptr[l + 1] = adj.row_ptr()[g + 1] - adj.row_ptr()[g];
-    }
-    for (int l = 0; l < n_local; ++l) row_ptr[l + 1] += row_ptr[l];
-    std::vector<int> col_idx(row_ptr[n_local]);
-    std::vector<double> values(row_ptr[n_local]);
-    for (int l : part.owned_locals) {
-      const int g = part.locals[l];
-      int64_t at = row_ptr[l];
-      for (int64_t e = adj.row_ptr()[g]; e < adj.row_ptr()[g + 1]; ++e, ++at) {
-        col_idx[at] = part.local_of.at(adj.col_idx()[e]);
-        values[at] = adj.values()[e];
-      }
-    }
-    part.adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
-        SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
-                                   std::move(col_idx), std::move(values))));
-    if (graph.permutation() != nullptr) {
-      // Local column rank = external id of the local's global node, so
-      // DeltaCsr's ascending-rank invariant keeps holding part-locally.
-      auto rank = std::make_shared<std::vector<int>>(n_local);
-      for (int l = 0; l < n_local; ++l) {
-        (*rank)[l] = graph.permutation()->to_external[part.locals[l]];
-      }
-      part.adj.SetColRank(std::move(rank));
-    }
+    part.Relayout(p, owned_globals, halo, plan.part_of, [&adj](int g) {
+      const int64_t begin = adj.row_ptr()[g];
+      return dyn::DeltaCsr::RowRef{adj.col_idx().data() + begin,
+                                   adj.values().data() + begin,
+                                   adj.row_ptr()[g + 1] - begin};
+    });
+    if (graph.permutation() != nullptr) part.SetColRank(*graph.permutation());
   }
   return plan;
 }
 
 }  // namespace
+
+void PartitionPlan::Part::Relayout(
+    int p, const std::vector<int>& a, const std::vector<int>& b,
+    const std::vector<int>& part_of,
+    const std::function<dyn::DeltaCsr::RowRef(int g)>& global_row) {
+  locals.clear();
+  std::merge(a.begin(), a.end(), b.begin(), b.end(),
+             std::back_inserter(locals));
+  const int n_local = num_local();
+  owned.assign(n_local, 0);
+  owned_locals.clear();
+  halo_globals.clear();
+  local_of.clear();
+  local_of.reserve(n_local);
+  for (int l = 0; l < n_local; ++l) {
+    const int g = locals[l];
+    local_of.emplace(g, l);
+    if (part_of[g] == p) {
+      owned[l] = 1;
+      owned_locals.push_back(l);
+    } else {
+      halo_globals.push_back(g);
+    }
+  }
+
+  // Local CSR: owned rows replicate the global kSymNorm rows verbatim with
+  // columns remapped (halo rows stay empty), entry order copied as stored —
+  // so the SpMM accumulation order, and with it bitwise conformance,
+  // survives partitioning on plain AND locality-reordered graphs (where
+  // stored order is ascending external, not ascending internal, and a
+  // column re-sort would change the FP accumulation sequence).
+  std::vector<int64_t> row_ptr(n_local + 1, 0);
+  for (int l : owned_locals) row_ptr[l + 1] = global_row(locals[l]).nnz;
+  for (int l = 0; l < n_local; ++l) row_ptr[l + 1] += row_ptr[l];
+  std::vector<int> col_idx(row_ptr[n_local]);
+  std::vector<double> values(row_ptr[n_local]);
+  for (int l : owned_locals) {
+    const dyn::DeltaCsr::RowRef row = global_row(locals[l]);
+    int64_t at = row_ptr[l];
+    for (int64_t e = 0; e < row.nnz; ++e, ++at) {
+      col_idx[at] = local_of.at(row.cols[e]);
+      values[at] = row.vals[e];
+    }
+  }
+  adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
+      SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
+                                 std::move(col_idx), std::move(values))));
+}
+
+void PartitionPlan::Part::SetColRank(const NodePermutation& perm) {
+  auto rank = std::make_shared<std::vector<int>>(num_local());
+  for (int l = 0; l < num_local(); ++l) {
+    const int g = locals[l];
+    (*rank)[l] = g < perm.num_nodes() ? perm.to_external[g] : g;
+  }
+  adj.SetColRank(std::move(rank));
+}
 
 StatusOr<PartitionPlan> PartitionPlan::Build(const Graph& graph, int num_parts,
                                              const PartitionerOptions& options) {

@@ -24,6 +24,7 @@
 #define AUTOHENS_PARTITION_PLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,6 +54,21 @@ struct PartitionPlan {
     int num_local() const { return static_cast<int>(locals.size()); }
     int num_owned() const { return static_cast<int>(owned_locals.size()); }
     int num_halo() const { return static_cast<int>(halo_globals.size()); }
+
+    // Re-derives part p from its local universe — the merge of the
+    // disjoint ascending global-id lists `a` and `b` — under the assignment
+    // `part_of`: every field above, with owned adjacency rows copied from
+    // `global_row(g)`. Shared by plan materialization and the engine's part
+    // rebuild.
+    void Relayout(int p, const std::vector<int>& a, const std::vector<int>& b,
+                  const std::vector<int>& part_of,
+                  const std::function<dyn::DeltaCsr::RowRef(int g)>&
+                      global_row);
+
+    // Local column rank = external id of the local's global node under
+    // `perm` (nodes appended past it keep their id), so DeltaCsr's
+    // ascending-rank invariant keeps holding part-locally.
+    void SetColRank(const NodePermutation& perm);
   };
 
   int num_parts = 0;

@@ -572,4 +572,15 @@ Matrix GrowRows(const Matrix& src, int new_rows) {
   return out;
 }
 
+Matrix RemapRows(const Matrix& src, const std::vector<int>& to, int new_rows) {
+  AHG_CHECK_EQ(static_cast<int>(to.size()), src.rows());
+  Matrix out(new_rows, src.cols());
+  const size_t row_bytes = static_cast<size_t>(src.cols()) * sizeof(double);
+  for (int r = 0; r < src.rows(); ++r) {
+    AHG_CHECK(to[r] >= 0 && to[r] < new_rows);
+    std::memcpy(out.Row(to[r]), src.Row(r), row_bytes);
+  }
+  return out;
+}
+
 }  // namespace ahg

@@ -124,6 +124,12 @@ void ScatterRows(const Matrix& src, const std::vector<int>& rows,
 // AddNode).
 Matrix GrowRows(const Matrix& src, int new_rows);
 
+// Moves every row to a new row layout: a `new_rows`-row copy of `src` whose
+// row to[r] holds src row r. Rows no source row lands on are zero-filled
+// (rows new to the layout). `to` has src.rows() unique entries in
+// [0, new_rows). Pure data movement — rows keep their bytes.
+Matrix RemapRows(const Matrix& src, const std::vector<int>& to, int new_rows);
+
 }  // namespace ahg
 
 #endif  // AUTOHENS_TENSOR_MATRIX_H_

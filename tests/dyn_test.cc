@@ -406,11 +406,11 @@ TEST(IncrementalTest, FallsBackToFullRefreshWhenMostRowsDirty) {
 TEST(IncrementalTest, UnsupportedFamiliesAreGated) {
   ModelConfig config;
   config.family = ModelFamily::kGat;
-  EXPECT_FALSE(IncrementalPropagator::Supports(config));
+  EXPECT_FALSE(StageCore::Supports(config));
   config.family = ModelFamily::kGcn;
-  EXPECT_TRUE(IncrementalPropagator::Supports(config));
+  EXPECT_TRUE(StageCore::Supports(config));
   config.family = ModelFamily::kSgc;
-  EXPECT_TRUE(IncrementalPropagator::Supports(config));
+  EXPECT_TRUE(StageCore::Supports(config));
 }
 
 TEST(StreamingServerTest, EndStateMatchesStaticEngineOnRebuiltGraph) {

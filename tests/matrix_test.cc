@@ -111,6 +111,18 @@ TEST(MatrixTest, AxpyInPlace) {
   EXPECT_TRUE(AllClose(a, Matrix::FromRows({{7, 9}}), 1e-12));
 }
 
+TEST(MatrixTest, RemapRowsPermutesAndZeroFillsGrowth) {
+  Matrix a = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
+  // Pure permutation: row r lands at to[r].
+  Matrix permuted = RemapRows(a, {2, 0, 1}, 3);
+  EXPECT_TRUE(
+      AllClose(permuted, Matrix::FromRows({{3, 4}, {5, 6}, {1, 2}}), 0.0));
+  // Growth: two new rows between and after the moved ones stay zero.
+  Matrix grown = RemapRows(a, {0, 2, 3}, 5);
+  EXPECT_TRUE(AllClose(
+      grown, Matrix::FromRows({{1, 2}, {0, 0}, {3, 4}, {5, 6}, {0, 0}}), 0.0));
+}
+
 TEST(AllocTrackerTest, TracksMatrixLifetime) {
   const int64_t before = AllocTracker::CurrentBytes();
   {

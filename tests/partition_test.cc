@@ -29,6 +29,7 @@
 
 #include "dyn/mutation.h"
 #include "dyn/snapshot.h"
+#include "dyn/stages.h"
 #include "fabric/fabric.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
@@ -316,6 +317,17 @@ TEST(PartitionedEngineTest, RejectsUnsupportedFamiliesAndBadNodes) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(engine.value()->PredictNodes(gcn, {-1}).status().code(),
             Status::Code::kInvalidArgument);
+  // Right tensor count, wrong layer shapes: rejected, not aborted in MatMul.
+  serve::ServableModel bad_weight =
+      MakeServable(graph, 3, ModelFamily::kGcn, 35);
+  bad_weight.params[2] = Matrix(bad_weight.config.hidden_dim + 1,
+                                bad_weight.config.hidden_dim);
+  EXPECT_EQ(engine.value()->Warm(bad_weight).code(),
+            Status::Code::kInvalidArgument);
+  serve::ServableModel bad_bias = MakeServable(graph, 4, ModelFamily::kSgc, 36);
+  bad_bias.params[1] = Matrix(1, bad_bias.config.hidden_dim + 1);
+  EXPECT_EQ(engine.value()->Warm(bad_bias).code(),
+            Status::Code::kInvalidArgument);
 }
 
 // --- Dynamic conformance ---------------------------------------------------
@@ -329,7 +341,7 @@ TEST(PartitionDynamicTest, ApplyDeltaMatchesColdEngineOnMaterializedGraph) {
   ASSERT_TRUE(snap0.ok()) << snap0.status().ToString();
   dyn::GraphSnapshot snap = std::move(snap0).value();
 
-  for (int parts : {2, 4}) {
+  for (int parts : {1, 2, 4}) {
     SCOPED_TRACE("parts " + std::to_string(parts));
     auto engine_or = PartitionedEngine::Create(graph, parts);
     ASSERT_TRUE(engine_or.ok());
@@ -339,8 +351,12 @@ TEST(PartitionDynamicTest, ApplyDeltaMatchesColdEngineOnMaterializedGraph) {
     ASSERT_TRUE(engine.Warm(sgc).ok());
 
     dyn::GraphSnapshot current = snap;
-    // Two batches: edge adds/removes + feature updates, then a node append
-    // with fresh edges (exercises the plan-growth and forced-halo paths).
+    // Edge adds + feature updates, then a node append with fresh edges
+    // (exercises the plan-growth and forced-halo paths). On this small
+    // graph both dirty more than dyn::kFullRefreshFraction of the rows, so
+    // they take the full-recompute fallback. Then two small batches that
+    // take the dirty-row path: one feature update, and a node append with
+    // a single edge (plan growth and new halo under dirty-row refresh).
     std::vector<double> feat(static_cast<size_t>(graph.feature_dim()), 0.5);
     std::vector<std::vector<dyn::Mutation>> batches;
     {
@@ -366,12 +382,28 @@ TEST(PartitionDynamicTest, ApplyDeltaMatchesColdEngineOnMaterializedGraph) {
           dyn::Mutation::AddEdge(graph.num_nodes(), 17, 1.0));
       batches.push_back(std::move(batch));
     }
+    // Nodes 13 and 24 have the smallest 2-hop neighborhoods of this graph.
+    batches.push_back({dyn::Mutation::UpdateFeatures(13, feat)});
+    batches.push_back({dyn::Mutation::AddNode(feat),
+                       dyn::Mutation::AddEdge(graph.num_nodes() + 1, 13, 1.0),
+                       dyn::Mutation::AddEdge(graph.num_nodes() + 1, 24, 1.0)});
+    const std::vector<bool> mostly_dirty = {true, true, false, false};
 
     for (size_t b = 0; b < batches.size(); ++b) {
       SCOPED_TRACE("batch " + std::to_string(b));
       auto next = current.Apply(batches[b]);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       auto [applied, delta] = std::move(next).value();
+      for (const serve::ServableModel* model : {&gcn, &sgc}) {
+        const std::vector<std::vector<int>> levels =
+            dyn::StageCore::PerLayerDirtyRows(model->config,
+                                              applied.adjacency(), delta);
+        const double final_dirty = static_cast<double>(levels.back().size());
+        EXPECT_EQ(final_dirty > dyn::kFullRefreshFraction * applied.num_nodes(),
+                  mostly_dirty[b])
+            << "version " << model->version << ": " << final_dirty << " of "
+            << applied.num_nodes() << " rows dirty";
+      }
       ASSERT_TRUE(engine.ApplyDelta(applied, delta).ok());
       current = std::move(applied);
 
