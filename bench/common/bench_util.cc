@@ -302,4 +302,9 @@ std::string MeanStdCell(const std::vector<double>& values) {
   return FormatMeanStd(Summarize(values), /*percent=*/true);
 }
 
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 }  // namespace ahg::bench

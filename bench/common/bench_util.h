@@ -109,6 +109,9 @@ std::vector<MethodScores> RunNodeRoster(const Graph& graph,
 // "86.1±0.2" from a per-repeat score vector (percent).
 std::string MeanStdCell(const std::vector<double>& values);
 
+// Upper median of timing samples; `samples` must be non-empty.
+double Median(std::vector<double> samples);
+
 }  // namespace ahg::bench
 
 #endif  // AUTOHENS_BENCH_COMMON_BENCH_UTIL_H_

@@ -11,9 +11,12 @@
 //           static serving path would pay)
 //
 // and verifies the patched hidden states stay bitwise identical to the
-// cold recompute. The ISSUE acceptance criterion is asserted in-process:
-// incremental must be >= 5x faster than full at <= 5% dirty; the process
-// exits non-zero otherwise so CI can gate on it.
+// cold recompute. inc and full are each the median of 11 runs of the
+// same refresh (every repeat patches a fresh copy of the pre-batch
+// propagator and is memcmp-checked against the cold oracle), so one noisy
+// run on a shared host cannot decide the gate. The acceptance criterion is
+// asserted in-process: incremental must be >= 5x faster than full at <= 5%
+// dirty; the process exits non-zero otherwise so CI can gate on it.
 //
 // A final scenario streams edge-add batches until DeltaCsr compaction
 // fires, re-reorders the folded snapshot with the locality pass (the same
@@ -107,6 +110,9 @@ std::vector<int> SeedsForTarget(const GraphSnapshot& snap,
   return std::vector<int>(bfs.begin(), bfs.begin() + lo);
 }
 
+// Timed repeats of each scenario's incremental and full refresh.
+constexpr int kRepeats = 11;
+
 bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (int r = 0; r < a.rows(); ++r) {
@@ -199,21 +205,32 @@ int Main(int argc, char** argv) {
     auto [next, delta] = std::move(applied).value();
     snap = std::move(next);
 
-    Stopwatch inc_watch;
-    auto stats = prop.Refresh(snap, delta);
-    const double inc_ms = inc_watch.ElapsedMillis();
-    if (!stats.ok() || !stats.value().incremental) {
-      std::fprintf(stderr, "refresh did not take the incremental path\n");
-      return false;
-    }
+    // Each repeat patches its own copy of the pre-batch propagator, so all
+    // of them time the same refresh; the last copy carries on.
+    const IncrementalPropagator before = prop;
+    std::vector<double> inc_samples, full_samples;
+    StatusOr<RefreshStats> stats = Status::Internal("no refresh ran");
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      prop = before;
+      Stopwatch inc_watch;
+      stats = prop.Refresh(snap, delta);
+      inc_samples.push_back(inc_watch.ElapsedMillis());
+      if (!stats.ok() || !stats.value().incremental) {
+        std::fprintf(stderr, "refresh did not take the incremental path\n");
+        return false;
+      }
 
-    Stopwatch full_watch;
-    Matrix oracle = prop.ComputeFull(snap);
-    const double full_ms = full_watch.ElapsedMillis();
-    if (!BitwiseEqual(*prop.hidden(), oracle)) {
-      std::fprintf(stderr, "incremental result diverged from cold oracle\n");
-      return false;
+      Stopwatch full_watch;
+      Matrix oracle = prop.ComputeFull(snap);
+      full_samples.push_back(full_watch.ElapsedMillis());
+      if (!BitwiseEqual(*prop.hidden(), oracle)) {
+        std::fprintf(stderr,
+                     "incremental result diverged from cold oracle\n");
+        return false;
+      }
     }
+    const double inc_ms = ahg::bench::Median(std::move(inc_samples));
+    const double full_ms = ahg::bench::Median(std::move(full_samples));
 
     const double speedup = full_ms / inc_ms;
     table.AddRow({label,

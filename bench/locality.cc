@@ -6,11 +6,8 @@
 // attached), so its CSR is column-sorted in shuffled order — the pessimal
 // layout a real ingest pipeline can hand us. Candidates re-reorder that
 // shuffled graph with the locality pass:
-//   rcm           bandwidth-minimizing Reverse Cuthill-McKee
-//   hub           degree-sorted hub clustering
-//   hub+segments  hub layout plus the compressed hub-segment CSR encoding
-//                 (SparseMatrix::BuildHubSegments) the hub order creates
-//                 runs for
+//   rcm  bandwidth-minimizing Reverse Cuthill-McKee
+//   hub  degree-sorted hub clustering
 //
 // Workload per layout: a 2-layer GCN step (H1 = relu((A X) W1 + b1),
 // H2 = (A H1) W2 + b2) over the layout's kSymNorm CSR — SpMM-bound at
@@ -18,8 +15,7 @@
 //
 // Conformance is a hard gate, not a report: every reordered layout must
 // serve PredictAll probabilities bitwise identical (memcmp) to the
-// baseline engine, and the hub-segment SpMM must be byte-equal to the
-// uncompressed one. Any mismatch exits non-zero regardless of flags.
+// baseline engine. Any mismatch exits non-zero regardless of flags.
 // The speedup gate (best layout >= min_speedup over the shuffled
 // baseline) is opt-in via --assert-speedup, since wall-clock thresholds
 // are machine-dependent; the committed BENCH_locality.json records a full
@@ -217,8 +213,7 @@ int Main(int argc, char** argv) {
   const Graph base = GenerateSbmGraph(cfg);
   const Graph shuffled = ShuffledPlainGraph(base, seed);
 
-  // Shared weights for the timed step; the baseline output is the bitwise
-  // reference for the hub-segment check.
+  // Shared weights for the timed step.
   Rng rng(seed ^ 0xbe9cULL);
   auto random_matrix = [&rng](int r, int c) {
     Matrix m(r, c);
@@ -280,27 +275,17 @@ int Main(int argc, char** argv) {
   struct Candidate {
     const char* name;
     ReorderStrategy strategy;
-    bool segments;
   };
   const Candidate candidates[] = {
-      {"rcm", ReorderStrategy::kRcm, false},
-      {"hub", ReorderStrategy::kHubCluster, false},
-      {"hub+segments", ReorderStrategy::kHubCluster, true},
+      {"rcm", ReorderStrategy::kRcm},
+      {"hub", ReorderStrategy::kHubCluster},
   };
   for (const Candidate& c : candidates) {
     const Graph reordered = ReorderGraph(shuffled, c.strategy, seed);
-    SparseMatrix adj = reordered.Adjacency(AdjacencyKind::kSymNorm);
-    // Only genuinely fat (power-law hub) rows get the segment encoding:
-    // at symmetrized degree ~2*avg_degree a threshold of 3*avg keeps the
-    // decode overhead off the dense bulk of ordinary rows.
-    if (c.segments) {
-      adj.BuildHubSegments(
-          /*min_row_nnz=*/static_cast<int>(3 * cfg.avg_degree));
-    }
     LayoutReport r =
         layout_stats(std::string(c.name), reordered, std::string(c.name) + "_");
 
-    // Hard gate 1: served probabilities bitwise identical to the baseline
+    // Hard gate: served probabilities bitwise identical to the baseline
     // engine (PredictAll rows are in external = shuffled-id order).
     serve::InferenceEngine engine(&reordered, serve::EngineOptions{});
     auto probs = engine.PredictAll(model);
@@ -308,21 +293,8 @@ int Main(int argc, char** argv) {
       r.conformant = false;
       conformance_pass = false;
     }
-    // Hard gate 2: the compressed layout must not change a single byte of
-    // the step output vs the same layout uncompressed.
-    if (c.segments) {
-      Matrix seg_out;
-      TimeGcnStep(adj, x, w1, b1, w2, b2, /*repeats=*/1, &seg_out);
-      Matrix plain_out;
-      TimeGcnStep(reordered.Adjacency(AdjacencyKind::kSymNorm), x, w1, b1,
-                  w2, b2, /*repeats=*/1, &plain_out);
-      if (!BitwiseEqual(plain_out, seg_out)) {
-        r.conformant = false;
-        conformance_pass = false;
-      }
-    }
     reports.push_back(std::move(r));
-    adjacencies.push_back(std::move(adj));
+    adjacencies.push_back(reordered.Adjacency(AdjacencyKind::kSymNorm));
   }
 
   // Timing phase: round-robin over the layouts, min per layout.

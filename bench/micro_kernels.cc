@@ -318,7 +318,7 @@ bool WriteKernelsJson(const std::string& path) {
     spmm_scalar_ns =
         MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(adj.Spmm(x)); });
   }
-  // Active (best supported / env-forced) tier with autotuning live.
+  // Active (best supported / env-forced) tier at its fixed block widths.
   const char* tier_name = ahg::kernels::TierName(ahg::kernels::ActiveTier());
   const double matmul_ns =
       MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
@@ -327,15 +327,15 @@ bool WriteKernelsJson(const std::string& path) {
 
   // The memory-plane comparison (baseline vs pooled) is pinned to the
   // scalar tier so its speedup stays comparable to the committed baseline
-  // from before the SIMD backend existed; `tuned` then runs the pooled
-  // plane on the active tier with the autotuner warm — the full fast path.
+  // from before the SIMD backend existed; `simd` then runs the pooled
+  // plane on the active tier at its fixed block widths — the full fast path.
   StepSuiteResult baseline, pooled;
   {
     ahg::kernels::ScopedTier scalar(ahg::kernels::Tier::kScalar);
     baseline = MeasureGcnStep(false, false);
     pooled = MeasureGcnStep(true, true);
   }
-  const StepSuiteResult tuned = MeasureGcnStep(true, true);
+  const StepSuiteResult simd = MeasureGcnStep(true, true);
   const double speedup =
       pooled.ns_op > 0.0 ? baseline.ns_op / pooled.ns_op : 0.0;
   const double alloc_reduction =
@@ -343,10 +343,10 @@ bool WriteKernelsJson(const std::string& path) {
           ? 1.0 - static_cast<double>(pooled.allocs_per_step) /
                       static_cast<double>(baseline.allocs_per_step)
           : 0.0;
-  const double tuned_vs_baseline =
-      tuned.ns_op > 0.0 ? baseline.ns_op / tuned.ns_op : 0.0;
-  const double tuned_vs_pooled =
-      tuned.ns_op > 0.0 ? pooled.ns_op / tuned.ns_op : 0.0;
+  const double simd_vs_baseline =
+      simd.ns_op > 0.0 ? baseline.ns_op / simd.ns_op : 0.0;
+  const double simd_vs_pooled =
+      simd.ns_op > 0.0 ? pooled.ns_op / simd.ns_op : 0.0;
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -369,7 +369,7 @@ bool WriteKernelsJson(const std::string& path) {
                "%lld, \"bytes_per_step\": %lld},\n"
                "    \"pooled\": {\"ns_op\": %.0f, \"allocs_per_step\": %lld, "
                "\"bytes_per_step\": %lld, \"pool_hit_rate\": %.4f},\n"
-               "    \"tuned\": {\"ns_op\": %.0f, \"allocs_per_step\": %lld, "
+               "    \"simd\": {\"ns_op\": %.0f, \"allocs_per_step\": %lld, "
                "\"pool_hit_rate\": %.4f, \"tier\": \"%s\",\n"
                "      \"speedup_vs_baseline\": %.3f, "
                "\"speedup_vs_pooled\": %.3f},\n"
@@ -385,16 +385,16 @@ bool WriteKernelsJson(const std::string& path) {
                static_cast<long long>(baseline.bytes_per_step), pooled.ns_op,
                static_cast<long long>(pooled.allocs_per_step),
                static_cast<long long>(pooled.bytes_per_step),
-               pooled.pool_hit_rate, tuned.ns_op,
-               static_cast<long long>(tuned.allocs_per_step),
-               tuned.pool_hit_rate, tier_name, tuned_vs_baseline,
-               tuned_vs_pooled, speedup, alloc_reduction);
+               pooled.pool_hit_rate, simd.ns_op,
+               static_cast<long long>(simd.allocs_per_step),
+               simd.pool_hit_rate, tier_name, simd_vs_baseline,
+               simd_vs_pooled, speedup, alloc_reduction);
   std::fclose(f);
   std::printf("wrote %s (baseline %lld allocs/step -> pooled %lld, "
-              "pool speedup %.2fx, tuned[%s] %.2fx vs pooled)\n",
+              "pool speedup %.2fx, simd[%s] %.2fx vs pooled)\n",
               path.c_str(), static_cast<long long>(baseline.allocs_per_step),
               static_cast<long long>(pooled.allocs_per_step), speedup,
-              tier_name, tuned_vs_pooled);
+              tier_name, simd_vs_pooled);
   return true;
 }
 

@@ -36,11 +36,6 @@
 namespace ahg::serve {
 namespace {
 
-double MedianMs(std::vector<double> samples) {
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
 int Main(int argc, char** argv) {
   const bool fast = ahg::bench::FastMode(argc, argv);
   const ahg::bench::ObsFlags obs_flags =
@@ -110,7 +105,7 @@ int Main(int argc, char** argv) {
     if (!cold_engine.PredictNodes(*model, node).ok()) return 1;
     warm_samples.push_back(watch.ElapsedMillis());
   }
-  const double warm_ms = MedianMs(std::move(warm_samples));
+  const double warm_ms = ahg::bench::Median(std::move(warm_samples));
 
   // Naive baseline: each query re-runs the full-graph eval forward.
   Stopwatch naive_watch;

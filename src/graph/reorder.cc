@@ -113,6 +113,16 @@ StatusOr<NodePermutation> NodePermutation::Deserialize(
   if (!(in >> key >> n) || key != "nodes" || n < 0) {
     return Status::InvalidArgument("bad node-perm nodes line");
   }
+  // Each entry needs a separator and a digit, so a count the rest of the
+  // text cannot hold is rejected before anything is sized from it.
+  const std::streamoff pos = in.tellg();
+  const int64_t remaining =
+      pos < 0 ? 0 : static_cast<int64_t>(text.size()) - pos;
+  if (int64_t{n} > remaining / 2) {
+    return Status::InvalidArgument(
+        StrFormat("node-perm claims %d nodes but only %lld bytes follow", n,
+                  static_cast<long long>(remaining)));
+  }
   perm.to_internal.resize(n);
   perm.to_external.assign(n, -1);
   for (int e = 0; e < n; ++e) {

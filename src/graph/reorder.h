@@ -42,9 +42,8 @@ enum class ReorderStrategy {
   kRcm,
   // Degree-sorted hub clustering: high-degree hubs first (degree descending,
   // id ascending), then each remaining node grouped behind its lowest-id hub
-  // neighbor. Keeps a hub's neighborhood contiguous, which is what makes the
-  // compressed hub-segment CSR layout (SparseMatrix::BuildHubSegments) find
-  // runs on hub-heavy graphs.
+  // neighbor. Keeps a hub's neighborhood contiguous in the dense operand of
+  // SpMM on hub-heavy graphs.
   kHubCluster,
   // Seeded Fisher-Yates shuffle. Pessimal-locality baseline for benches and
   // adversarial tests; never a win.

@@ -7,7 +7,6 @@
 #include "core/search_adaptive.h"
 #include "core/search_gradient.h"
 #include "core/trained_ensemble.h"
-#include "kernels/autotune.h"
 #include "metrics/metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -307,17 +306,6 @@ StatusOr<SearchJobOutcome> SearchJob::Run(const JobEnv& env) {
     }
     outcome.published_version = spec.publish_version;
     state.published_version = spec.publish_version;
-  }
-
-  // Persist the kernel-tuning profile this run accumulated as a job
-  // artifact. It goes in the job directory, NOT the ensemble directory:
-  // ensemble payloads are compared bitwise across runs (twin-job
-  // determinism), while tuning winners are timing-dependent.
-  {
-    kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-    if (tuner.entries() > 0) {
-      tuner.SaveFile(store_->JobDir(job_id_) + "/tuning.ahgt");
-    }
   }
 
   state.status = JobStatus::kPublished;

@@ -1,177 +1,13 @@
-// iSpLib-style per-shape kernel autotuner.
-//
-// Every tunable dimension (GEMM register-block width and k-panel size, SpMM
-// column-block width and row- vs nnz-split scheduling) is *exact* — all
-// variants produce bitwise-identical results (see kernel_ops.h) — so the
-// tuner is free to benchmark candidates on first use and pick the fastest
-// without perturbing any determinism guarantee. The winner is cached under a
-// (tier, shape) key; profiles can be serialized ("ahg-tuning 1" text format)
-// and persisted alongside models so serving and follow-up jobs skip the
-// benchmark entirely.
+// Kernel block widths are fixed per SIMD tier (see kernels/kernel_ops.h);
+// there is no shape autotuner. This stub exists only so the perfbench env
+// line can keep reporting `"autotune": "off"`, and goes away with the next
+// change to perfbench.
 #ifndef AUTOHENS_KERNELS_AUTOTUNE_H_
 #define AUTOHENS_KERNELS_AUTOTUNE_H_
 
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <mutex>
-#include <string>
-#include <vector>
-
-#include "kernels/dispatch.h"
-
 namespace ahg::kernels {
 
-// GEMM variant: register-block width (output columns held in accumulators;
-// 0 = tier default) and k-panel size for the packed inner loop.
-struct GemmChoice {
-  int jblock = 0;
-  int kpanel = 128;
-};
-
-// SpMM variant: column-block width (0 = tier default) and whether the full
-// Spmm partitions work by equal-nnz chunks instead of equal row counts.
-// Row ownership never changes, so both schedules are exact.
-struct SpmmChoice {
-  int cblock = 0;
-  bool nnz_split = false;
-};
-
-// Autotuning defaults on; AHG_AUTOTUNE=0 in the environment disables it
-// (every shape then uses the tier-default variant with no benchmarking).
-bool AutotuneEnabled();
-void SetAutotuneEnabled(bool enabled);
-
-// Shape keys. Large free dimensions (GEMM rows m, SpMM rows/nnz) are
-// bucketed to powers of two so one profile entry covers near-identical
-// workloads; the per-element dims that pick the kernel (k, n, cols) stay
-// exact. Keys are tab- and newline-free (they are fields in the profile).
-std::string GemmShapeKey(Tier tier, int k, int n, int64_t m);
-std::string SpmmShapeKey(Tier tier, int64_t rows, int64_t nnz, int cols);
-
-class KernelTuner {
- public:
-  // Process-wide tuner used by the tensor layer; tests may construct their
-  // own instances.
-  static KernelTuner& Global();
-
-  KernelTuner() = default;
-  KernelTuner(const KernelTuner&) = delete;
-  KernelTuner& operator=(const KernelTuner&) = delete;
-
-  // Returns the cached winner for `key`, or benchmarks `candidates` via
-  // `bench` (lower score wins; typically nanoseconds), caches, and returns
-  // the winner. With autotuning disabled (or an empty candidate list) the
-  // first candidate is cached without benchmarking. `bench` runs with the
-  // tuner lock held — it must not call back into the tuner.
-  GemmChoice GetGemm(const std::string& key,
-                     const std::vector<GemmChoice>& candidates,
-                     const std::function<double(const GemmChoice&)>& bench);
-  SpmmChoice GetSpmm(const std::string& key,
-                     const std::vector<SpmmChoice>& candidates,
-                     const std::function<double(const SpmmChoice&)>& bench);
-  // Transposed GEMM variants (MatMulTransA / MatMulTransB). Both reuse
-  // GemmChoice with jblock = column/row tile width (0 = untiled default);
-  // kpanel is unused and serialized as 0. Tiling only regroups which output
-  // entries a pass touches — per-element accumulation order is unchanged —
-  // so these variants are exact like every other tunable.
-  GemmChoice GetGemmTransA(
-      const std::string& key, const std::vector<GemmChoice>& candidates,
-      const std::function<double(const GemmChoice&)>& bench);
-  GemmChoice GetGemmTransB(
-      const std::string& key, const std::vector<GemmChoice>& candidates,
-      const std::function<double(const GemmChoice&)>& bench);
-
-  bool LookupGemm(const std::string& key, GemmChoice* out) const;
-  bool LookupSpmm(const std::string& key, SpmmChoice* out) const;
-  bool LookupGemmTransA(const std::string& key, GemmChoice* out) const;
-  bool LookupGemmTransB(const std::string& key, GemmChoice* out) const;
-
-  // Direct inserts (profile merge); overwrite existing entries.
-  void PutGemm(const std::string& key, const GemmChoice& choice);
-  void PutSpmm(const std::string& key, const SpmmChoice& choice);
-  void PutGemmTransA(const std::string& key, const GemmChoice& choice);
-  void PutGemmTransB(const std::string& key, const GemmChoice& choice);
-
-  int64_t entries() const;
-  // Number of benchmarked tuning events since construction/Clear. A profile
-  // load followed by hits must leave this unchanged — that is the "no
-  // re-benchmark" guarantee tests assert on.
-  int64_t benchmark_runs() const;
-  void Clear();
-
-  // Text profile, versioned. Deserialize *merges* into the current table
-  // (later entries win) and tolerates unknown record kinds from newer
-  // writers; it rejects a missing/mismatched header.
-  std::string Serialize() const;
-  bool Deserialize(const std::string& text);
-
-  // Atomic save (tmp + rename). SaveFile of an empty tuner still writes a
-  // valid header-only profile. LoadFile returns false if the file is
-  // missing or malformed.
-  bool SaveFile(const std::string& path) const;
-  bool LoadFile(const std::string& path);
-
- private:
-  GemmChoice GetGemmLocked(std::map<std::string, GemmChoice>* table,
-                           const std::string& key,
-                           const std::vector<GemmChoice>& candidates,
-                           const std::function<double(const GemmChoice&)>& bench);
-
-  mutable std::mutex mu_;
-  std::map<std::string, GemmChoice> gemm_;
-  std::map<std::string, SpmmChoice> spmm_;
-  std::map<std::string, GemmChoice> gemm_ta_;
-  std::map<std::string, GemmChoice> gemm_tb_;
-  int64_t benchmark_runs_ = 0;
-};
-
-// Test hooks: force every GEMM/SpMM call in scope to one variant, bypassing
-// the tuner. Used by the bitwise-identity matrix to sweep variants.
-const GemmChoice* ForcedGemm();
-const SpmmChoice* ForcedSpmm();
-const GemmChoice* ForcedGemmTransA();
-const GemmChoice* ForcedGemmTransB();
-
-class ScopedForcedGemm {
- public:
-  explicit ScopedForcedGemm(const GemmChoice& choice);
-  ~ScopedForcedGemm();
-
- private:
-  const GemmChoice* saved_;
-  GemmChoice choice_;
-};
-
-class ScopedForcedSpmm {
- public:
-  explicit ScopedForcedSpmm(const SpmmChoice& choice);
-  ~ScopedForcedSpmm();
-
- private:
-  const SpmmChoice* saved_;
-  SpmmChoice choice_;
-};
-
-class ScopedForcedGemmTransA {
- public:
-  explicit ScopedForcedGemmTransA(const GemmChoice& choice);
-  ~ScopedForcedGemmTransA();
-
- private:
-  const GemmChoice* saved_;
-  GemmChoice choice_;
-};
-
-class ScopedForcedGemmTransB {
- public:
-  explicit ScopedForcedGemmTransB(const GemmChoice& choice);
-  ~ScopedForcedGemmTransB();
-
- private:
-  const GemmChoice* saved_;
-  GemmChoice choice_;
-};
+inline bool AutotuneEnabled() { return false; }
 
 }  // namespace ahg::kernels
 

@@ -10,12 +10,11 @@
 // exactly the order the scalar reference does (k ascending for GEMM, entry
 // ascending for SpMM), uses separate multiply and add (no FMA contraction;
 // the SIMD TUs are compiled with -ffp-contract=off), and reproduces the
-// scalar tail element-for-element. Register-block width only changes how
-// many independent output columns are held in registers, never the order
-// any single element accumulates in — so all tiers, widths, and thread
-// counts produce bitwise-identical results, which is what lets the
-// autotuner pick variants freely without perturbing the repo-wide
-// determinism guarantees. (Max-reductions are order-independent for
+// scalar tail element-for-element. Each tier holds a fixed number of output
+// columns in registers (scalar 4, AVX2 16, AVX-512 32), which changes how
+// many independent elements advance together, never the order any single
+// element accumulates in — so all tiers and thread counts produce
+// bitwise-identical results. (Max-reductions are order-independent for
 // NaN-free input; a ±0.0 tie can differ in sign, which exp/log/div map to
 // identical downstream values.)
 #ifndef AUTOHENS_KERNELS_KERNEL_OPS_H_
@@ -30,25 +29,16 @@ namespace ahg::kernels {
 struct TierOps {
   Tier tier;
 
-  // Register-block widths (output columns held in accumulators) the tier's
-  // gemm_panel / spmm_row support, ascending. The autotuner picks among
-  // these; 0 passed at call time means "tier default" (the widest entry).
-  const int* gemm_jblocks;
-  int num_gemm_jblocks;
-  const int* spmm_cblocks;
-  int num_spmm_cblocks;
-
   // GEMM k-panel: crow[j] += sum_{k < kc, arow[k] != 0} arow[k]*b[k*ldb+j]
   // for j in [0, n), k ascending per element, zero a-entries skipped
   // (matches the scalar GEMM exactly, including its +/-0.0 behavior).
-  void (*gemm_panel)(int jblock, const double* arow, int kc, const double* b,
-                     int64_t ldb, int n, double* crow);
+  void (*gemm_panel)(const double* arow, int kc, const double* b, int64_t ldb,
+                     int n, double* crow);
 
   // One CSR row times a dense block: yrow[c] = sum_e values[e] *
   // x[cols[e]*ldx + c] for c in [0, n), entries ascending per element.
-  void (*spmm_row)(int cblock, const double* values, const int* cols,
-                   int64_t nnz, const double* x, int64_t ldx, int n,
-                   double* yrow);
+  void (*spmm_row)(const double* values, const int* cols, int64_t nnz,
+                   const double* x, int64_t ldx, int n, double* yrow);
 
   // Four simultaneous dot products (A*B^T register block):
   // out[l] = sum_k arow[k] * b_l[k], k ascending within each lane.
@@ -80,17 +70,6 @@ struct TierOps {
 
   // out[i] = a[i] * b[i].
   void (*cwise_mul)(const double* a, const double* b, int64_t n, double* out);
-
-  // One compressed hub-segment CSR row times a dense block (see
-  // SparseMatrix::BuildHubSegments): the row's entries arrive as `num_runs`
-  // runs of consecutive column ids — run k reads columns run_cols[k] ..
-  // run_cols[k]+run_lens[k]-1 — with `values` holding the entry values in
-  // the same stored order the runs decode to. Accumulation is entry
-  // ascending per output element, exactly like spmm_row, so the result is
-  // bitwise identical to spmm_row over the decoded (values, cols) arrays.
-  void (*spmm_hub_row)(int cblock, const double* values, const int* run_cols,
-                       const int* run_lens, int num_runs, const double* x,
-                       int64_t ldx, int n, double* yrow);
 };
 
 // The scalar reference table (always available).

@@ -15,9 +15,6 @@
 namespace ahg::kernels {
 namespace {
 
-constexpr int kGemmJBlocks[] = {4, 8, 16, 32};
-constexpr int kSpmmCBlocks[] = {4, 8, 16, 32};
-
 // NV = number of 4-wide accumulators held across the k panel.
 template <int NV>
 inline void GemmPanelBlock(const double* arow, int kc, const double* b,
@@ -37,23 +34,13 @@ inline void GemmPanelBlock(const double* arow, int kc, const double* b,
   for (int v = 0; v < NV; ++v) _mm256_storeu_pd(crow + 4 * v, acc[v]);
 }
 
-void GemmPanelAvx2(int jblock, const double* arow, int kc, const double* b,
-                   int64_t ldb, int n, double* crow) {
-  if (jblock == 0) jblock = 16;
+// 16 output columns per block, then 8- and 4-wide remainders.
+void GemmPanelAvx2(const double* arow, int kc, const double* b, int64_t ldb,
+                   int n, double* crow) {
   int j = 0;
-  switch (jblock) {
-    case 32:
-      for (; j + 32 <= n; j += 32) GemmPanelBlock<8>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 16:
-      for (; j + 16 <= n; j += 16) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 8:
-      for (; j + 8 <= n; j += 8) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    default:
-      for (; j + 4 <= n; j += 4) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
-  }
+  for (; j + 16 <= n; j += 16) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
+  for (; j + 8 <= n; j += 8) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
+  for (; j + 4 <= n; j += 4) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
   // Scalar remainder: k outer, j inner, zero-skip — the reference tail.
   if (j < n) {
     for (int k = 0; k < kc; ++k) {
@@ -81,79 +68,16 @@ inline void SpmmRowBlock(const double* values, const int* cols, int64_t nnz,
   for (int v = 0; v < NV; ++v) _mm256_storeu_pd(yrow + 4 * v, acc[v]);
 }
 
-void SpmmRowAvx2(int cblock, const double* values, const int* cols,
-                 int64_t nnz, const double* x, int64_t ldx, int n,
-                 double* yrow) {
-  if (cblock == 0) cblock = 16;
+void SpmmRowAvx2(const double* values, const int* cols, int64_t nnz,
+                 const double* x, int64_t ldx, int n, double* yrow) {
   int c = 0;
-  switch (cblock) {
-    case 32:
-      for (; c + 32 <= n; c += 32) SpmmRowBlock<8>(values, cols, nnz, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 16:
-      for (; c + 16 <= n; c += 16) SpmmRowBlock<4>(values, cols, nnz, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 8:
-      for (; c + 8 <= n; c += 8) SpmmRowBlock<2>(values, cols, nnz, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    default:
-      for (; c + 4 <= n; c += 4) SpmmRowBlock<1>(values, cols, nnz, x + c, ldx, yrow + c);
-  }
+  for (; c + 16 <= n; c += 16) SpmmRowBlock<4>(values, cols, nnz, x + c, ldx, yrow + c);
+  for (; c + 8 <= n; c += 8) SpmmRowBlock<2>(values, cols, nnz, x + c, ldx, yrow + c);
+  for (; c + 4 <= n; c += 4) SpmmRowBlock<1>(values, cols, nnz, x + c, ldx, yrow + c);
   for (; c < n; ++c) {
     double acc = 0.0;
     for (int64_t e = 0; e < nnz; ++e) {
       acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
-    }
-    yrow[c] = acc;
-  }
-}
-
-template <int NV>
-inline void SpmmHubRowBlock(const double* values, const int* run_cols,
-                            const int* run_lens, int num_runs,
-                            const double* x, int64_t ldx, double* yrow) {
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-  const double* vp = values;
-  for (int k = 0; k < num_runs; ++k) {
-    const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx;
-    for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-      const __m256d ve = _mm256_set1_pd(*vp);
-      for (int v = 0; v < NV; ++v) {
-        acc[v] = _mm256_add_pd(
-            acc[v], _mm256_mul_pd(ve, _mm256_loadu_pd(xrow + 4 * v)));
-      }
-    }
-  }
-  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(yrow + 4 * v, acc[v]);
-}
-
-void SpmmHubRowAvx2(int cblock, const double* values, const int* run_cols,
-                    const int* run_lens, int num_runs, const double* x,
-                    int64_t ldx, int n, double* yrow) {
-  if (cblock == 0) cblock = 16;
-  int c = 0;
-  switch (cblock) {
-    case 32:
-      for (; c + 32 <= n; c += 32) SpmmHubRowBlock<8>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 16:
-      for (; c + 16 <= n; c += 16) SpmmHubRowBlock<4>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 8:
-      for (; c + 8 <= n; c += 8) SpmmHubRowBlock<2>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    default:
-      for (; c + 4 <= n; c += 4) SpmmHubRowBlock<1>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-  }
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      const double* xp = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xp += ldx, ++vp) {
-        acc += *vp * *xp;
-      }
     }
     yrow[c] = acc;
   }
@@ -297,10 +221,6 @@ void CWiseMulAvx2(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kAvx2OpsTable = {
     Tier::kAvx2,
-    kGemmJBlocks,
-    static_cast<int>(sizeof(kGemmJBlocks) / sizeof(int)),
-    kSpmmCBlocks,
-    static_cast<int>(sizeof(kSpmmCBlocks) / sizeof(int)),
     GemmPanelAvx2,
     SpmmRowAvx2,
     Dot4Avx2,
@@ -312,7 +232,6 @@ constexpr TierOps kAvx2OpsTable = {
     AxpyInplaceAvx2,
     ScaleInplaceAvx2,
     CWiseMulAvx2,
-    SpmmHubRowAvx2,
 };
 
 }  // namespace

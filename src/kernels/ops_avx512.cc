@@ -14,9 +14,6 @@
 namespace ahg::kernels {
 namespace {
 
-constexpr int kGemmJBlocks[] = {8, 16, 32, 64};
-constexpr int kSpmmCBlocks[] = {8, 16, 32, 64};
-
 // NV = number of 8-wide accumulators held across the k panel.
 template <int NV>
 inline void GemmPanelBlock(const double* arow, int kc, const double* b,
@@ -49,23 +46,13 @@ inline void GemmPanelBlock4(const double* arow, int kc, const double* b,
   _mm256_storeu_pd(crow, acc);
 }
 
-void GemmPanelAvx512(int jblock, const double* arow, int kc, const double* b,
-                     int64_t ldb, int n, double* crow) {
-  if (jblock == 0) jblock = 32;
+// 32 output columns per block, then 16-, 8- and 4-wide remainders.
+void GemmPanelAvx512(const double* arow, int kc, const double* b, int64_t ldb,
+                     int n, double* crow) {
   int j = 0;
-  switch (jblock) {
-    case 64:
-      for (; j + 64 <= n; j += 64) GemmPanelBlock<8>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 32:
-      for (; j + 32 <= n; j += 32) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    case 16:
-      for (; j + 16 <= n; j += 16) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
-      [[fallthrough]];
-    default:
-      for (; j + 8 <= n; j += 8) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
-  }
+  for (; j + 32 <= n; j += 32) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
+  for (; j + 16 <= n; j += 16) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
+  for (; j + 8 <= n; j += 8) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
   for (; j + 4 <= n; j += 4) GemmPanelBlock4(arow, kc, b + j, ldb, crow + j);
   if (j < n) {
     for (int k = 0; k < kc; ++k) {
@@ -104,96 +91,17 @@ inline void SpmmRowBlock4(const double* values, const int* cols, int64_t nnz,
   _mm256_storeu_pd(yrow, acc);
 }
 
-void SpmmRowAvx512(int cblock, const double* values, const int* cols,
-                   int64_t nnz, const double* x, int64_t ldx, int n,
-                   double* yrow) {
-  if (cblock == 0) cblock = 32;
+void SpmmRowAvx512(const double* values, const int* cols, int64_t nnz,
+                   const double* x, int64_t ldx, int n, double* yrow) {
   int c = 0;
-  switch (cblock) {
-    case 64:
-      for (; c + 64 <= n; c += 64) SpmmRowBlock<8>(values, cols, nnz, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 32:
-      for (; c + 32 <= n; c += 32) SpmmRowBlock<4>(values, cols, nnz, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 16:
-      for (; c + 16 <= n; c += 16) SpmmRowBlock<2>(values, cols, nnz, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    default:
-      for (; c + 8 <= n; c += 8) SpmmRowBlock<1>(values, cols, nnz, x + c, ldx, yrow + c);
-  }
+  for (; c + 32 <= n; c += 32) SpmmRowBlock<4>(values, cols, nnz, x + c, ldx, yrow + c);
+  for (; c + 16 <= n; c += 16) SpmmRowBlock<2>(values, cols, nnz, x + c, ldx, yrow + c);
+  for (; c + 8 <= n; c += 8) SpmmRowBlock<1>(values, cols, nnz, x + c, ldx, yrow + c);
   for (; c + 4 <= n; c += 4) SpmmRowBlock4(values, cols, nnz, x + c, ldx, yrow + c);
   for (; c < n; ++c) {
     double acc = 0.0;
     for (int64_t e = 0; e < nnz; ++e) {
       acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
-    }
-    yrow[c] = acc;
-  }
-}
-
-template <int NV>
-inline void SpmmHubRowBlock(const double* values, const int* run_cols,
-                            const int* run_lens, int num_runs,
-                            const double* x, int64_t ldx, double* yrow) {
-  __m512d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_pd();
-  const double* vp = values;
-  for (int k = 0; k < num_runs; ++k) {
-    const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx;
-    for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-      const __m512d ve = _mm512_set1_pd(*vp);
-      for (int v = 0; v < NV; ++v) {
-        acc[v] = _mm512_add_pd(
-            acc[v], _mm512_mul_pd(ve, _mm512_loadu_pd(xrow + 8 * v)));
-      }
-    }
-  }
-  for (int v = 0; v < NV; ++v) _mm512_storeu_pd(yrow + 8 * v, acc[v]);
-}
-
-inline void SpmmHubRowBlock4(const double* values, const int* run_cols,
-                             const int* run_lens, int num_runs,
-                             const double* x, int64_t ldx, double* yrow) {
-  __m256d acc = _mm256_setzero_pd();
-  const double* vp = values;
-  for (int k = 0; k < num_runs; ++k) {
-    const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx;
-    for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-      const __m256d ve = _mm256_set1_pd(*vp);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(ve, _mm256_loadu_pd(xrow)));
-    }
-  }
-  _mm256_storeu_pd(yrow, acc);
-}
-
-void SpmmHubRowAvx512(int cblock, const double* values, const int* run_cols,
-                      const int* run_lens, int num_runs, const double* x,
-                      int64_t ldx, int n, double* yrow) {
-  if (cblock == 0) cblock = 32;
-  int c = 0;
-  switch (cblock) {
-    case 64:
-      for (; c + 64 <= n; c += 64) SpmmHubRowBlock<8>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 32:
-      for (; c + 32 <= n; c += 32) SpmmHubRowBlock<4>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    case 16:
-      for (; c + 16 <= n; c += 16) SpmmHubRowBlock<2>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-      [[fallthrough]];
-    default:
-      for (; c + 8 <= n; c += 8) SpmmHubRowBlock<1>(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-  }
-  for (; c + 4 <= n; c += 4) SpmmHubRowBlock4(values, run_cols, run_lens, num_runs, x + c, ldx, yrow + c);
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      const double* xp = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xp += ldx, ++vp) {
-        acc += *vp * *xp;
-      }
     }
     yrow[c] = acc;
   }
@@ -331,10 +239,6 @@ void CWiseMulAvx512(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kAvx512OpsTable = {
     Tier::kAvx512,
-    kGemmJBlocks,
-    static_cast<int>(sizeof(kGemmJBlocks) / sizeof(int)),
-    kSpmmCBlocks,
-    static_cast<int>(sizeof(kSpmmCBlocks) / sizeof(int)),
     GemmPanelAvx512,
     SpmmRowAvx512,
     Dot4Avx512,
@@ -346,7 +250,6 @@ constexpr TierOps kAvx512OpsTable = {
     AxpyInplaceAvx512,
     ScaleInplaceAvx512,
     CWiseMulAvx512,
-    SpmmHubRowAvx512,
 };
 
 }  // namespace

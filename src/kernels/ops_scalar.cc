@@ -1,5 +1,5 @@
 // Portable scalar reference tier. Every other tier must reproduce these
-// kernels bit-for-bit; the blocked variants here only change how many
+// kernels bit-for-bit; the 4-column blocks here only change how many
 // output columns are held in register-resident accumulators, never the
 // order any single element accumulates in.
 #include <algorithm>
@@ -10,32 +10,24 @@
 namespace ahg::kernels {
 namespace {
 
-constexpr int kGemmJBlocks[] = {1, 4, 8};
-constexpr int kSpmmCBlocks[] = {4, 8};
+// Output columns held in locals across a whole k panel / CSR row.
+constexpr int kBlock = 4;
 
-void GemmPanelScalar(int jblock, const double* arow, int kc, const double* b,
-                     int64_t ldb, int n, double* crow) {
-  if (jblock == 0) jblock = 4;
-  // Wider requests (a forced variant or profile tuned for a SIMD tier) clamp
-  // to the widest the acc[] locals hold; blocking width never affects values.
-  if (jblock > 8) jblock = 8;
+void GemmPanelScalar(const double* arow, int kc, const double* b, int64_t ldb,
+                     int n, double* crow) {
   int j = 0;
-  if (jblock >= 4) {
-    // Hold `jblock` output columns in locals across the whole k panel.
-    for (; j + jblock <= n; j += jblock) {
-      double acc[8];
-      for (int v = 0; v < jblock; ++v) acc[v] = crow[j + v];
-      for (int k = 0; k < kc; ++k) {
-        const double aik = arow[k];
-        if (aik == 0.0) continue;
-        const double* brow = b + static_cast<int64_t>(k) * ldb + j;
-        for (int v = 0; v < jblock; ++v) acc[v] += aik * brow[v];
-      }
-      for (int v = 0; v < jblock; ++v) crow[j + v] = acc[v];
+  for (; j + kBlock <= n; j += kBlock) {
+    double acc[kBlock];
+    for (int v = 0; v < kBlock; ++v) acc[v] = crow[j + v];
+    for (int k = 0; k < kc; ++k) {
+      const double aik = arow[k];
+      if (aik == 0.0) continue;
+      const double* brow = b + static_cast<int64_t>(k) * ldb + j;
+      for (int v = 0; v < kBlock; ++v) acc[v] += aik * brow[v];
     }
+    for (int v = 0; v < kBlock; ++v) crow[j + v] = acc[v];
   }
-  // Unblocked remainder (also the jblock==1 whole-row path): k outer,
-  // j inner — the original MatMul inner loop.
+  // Unblocked remainder: k outer, j inner — the original MatMul inner loop.
   if (j < n) {
     for (int k = 0; k < kc; ++k) {
       const double aik = arow[k];
@@ -46,58 +38,22 @@ void GemmPanelScalar(int jblock, const double* arow, int kc, const double* b,
   }
 }
 
-void SpmmRowScalar(int cblock, const double* values, const int* cols,
-                   int64_t nnz, const double* x, int64_t ldx, int n,
-                   double* yrow) {
-  if (cblock == 0) cblock = 4;
-  if (cblock > 8) cblock = 8;
+void SpmmRowScalar(const double* values, const int* cols, int64_t nnz,
+                   const double* x, int64_t ldx, int n, double* yrow) {
   int c = 0;
-  for (; c + cblock <= n; c += cblock) {
-    double acc[8] = {0.0};
+  for (; c + kBlock <= n; c += kBlock) {
+    double acc[kBlock] = {0.0};
     for (int64_t e = 0; e < nnz; ++e) {
       const double v = values[e];
       const double* xrow = x + static_cast<int64_t>(cols[e]) * ldx + c;
-      for (int l = 0; l < cblock; ++l) acc[l] += v * xrow[l];
+      for (int l = 0; l < kBlock; ++l) acc[l] += v * xrow[l];
     }
-    for (int l = 0; l < cblock; ++l) yrow[c + l] = acc[l];
+    for (int l = 0; l < kBlock; ++l) yrow[c + l] = acc[l];
   }
   for (; c < n; ++c) {
     double acc = 0.0;
     for (int64_t e = 0; e < nnz; ++e) {
       acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
-    }
-    yrow[c] = acc;
-  }
-}
-
-void SpmmHubRowScalar(int cblock, const double* values, const int* run_cols,
-                      const int* run_lens, int num_runs, const double* x,
-                      int64_t ldx, int n, double* yrow) {
-  if (cblock == 0) cblock = 4;
-  if (cblock > 8) cblock = 8;
-  int c = 0;
-  for (; c + cblock <= n; c += cblock) {
-    double acc[8] = {0.0};
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      // Decoded entry order equals stored order, so each acc[l] sees the
-      // same value sequence as SpmmRowScalar over the flat arrays.
-      const double* xrow = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xrow += ldx, ++vp) {
-        const double v = *vp;
-        for (int l = 0; l < cblock; ++l) acc[l] += v * xrow[l];
-      }
-    }
-    for (int l = 0; l < cblock; ++l) yrow[c + l] = acc[l];
-  }
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    const double* vp = values;
-    for (int k = 0; k < num_runs; ++k) {
-      const double* xp = x + static_cast<int64_t>(run_cols[k]) * ldx + c;
-      for (int i = 0; i < run_lens[k]; ++i, xp += ldx, ++vp) {
-        acc += *vp * *xp;
-      }
     }
     yrow[c] = acc;
   }
@@ -165,10 +121,6 @@ void CWiseMulScalar(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kScalarOps = {
     Tier::kScalar,
-    kGemmJBlocks,
-    static_cast<int>(sizeof(kGemmJBlocks) / sizeof(int)),
-    kSpmmCBlocks,
-    static_cast<int>(sizeof(kSpmmCBlocks) / sizeof(int)),
     GemmPanelScalar,
     SpmmRowScalar,
     Dot4Scalar,
@@ -180,7 +132,6 @@ constexpr TierOps kScalarOps = {
     AxpyInplaceScalar,
     ScaleInplaceScalar,
     CWiseMulScalar,
-    SpmmHubRowScalar,
 };
 
 }  // namespace

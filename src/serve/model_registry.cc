@@ -10,10 +10,8 @@
 #include <mutex>
 #include <utility>
 
-#include "kernels/autotune.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace ahg::serve {
@@ -29,14 +27,6 @@ std::string ManifestPath(const std::string& dir) {
 
 std::string ModelFileName(int version) {
   return StrFormat("model_v%d.ahgm", version);
-}
-
-// Kernel-tuning profile published next to the model ("ahg-tuning 1" text
-// format, kernels/autotune.h). Best-effort on both ends: absence or
-// corruption never blocks publish or refresh — serving just re-tunes on
-// first use.
-std::string TuningFileName(int version) {
-  return StrFormat("tuning_v%d.ahgt", version);
 }
 
 Status EnsureDir(const std::string& dir) {
@@ -192,11 +182,6 @@ Status ModelRegistry::Refresh() {
     }
     auto loaded = LoadModel(dir_ + "/" + row->file);
     if (!loaded.ok()) return loaded.status();
-    // Merge the version's kernel-tuning profile (if published) into the
-    // process tuner so serving skips first-use benchmarking. Missing files
-    // are the common case for registries written by older publishers.
-    kernels::KernelTuner::Global().LoadFile(dir_ + "/" +
-                                            TuningFileName(version));
     auto model = std::make_shared<ServableModel>();
     model->version = version;
     model->num_classes = row->num_classes;
@@ -279,16 +264,6 @@ Status ModelRegistry::Publish(const std::string& dir, int version,
   const std::string file = ModelFileName(version);
   s = SaveModel(dir + "/" + file, config, params);
   if (!s.ok()) return s;
-  // Snapshot whatever kernel tuning the publishing process accumulated
-  // (training on this model's shapes warms exactly the entries serving
-  // needs). Empty tuners publish nothing; write failures only warn.
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  if (tuner.entries() > 0) {
-    const std::string tuning_path = dir + "/" + TuningFileName(version);
-    if (!tuner.SaveFile(tuning_path)) {
-      AHG_LOG(Warning) << "could not write tuning profile " << tuning_path;
-    }
-  }
   std::vector<ManifestRow> rows;
   auto existing = ReadManifest(dir);
   if (existing.ok()) {

@@ -7,11 +7,10 @@
 //                           followed by the classifier head W (hidden x C)
 //                           and bias b (1 x C), exactly the ParameterStore
 //                           order TrainedEnsemble members are saved in.
-//   tuning_v<N>.ahgt        optional kernel-tuning profile ("ahg-tuning 1"
-//                           text format, kernels/autotune.h) snapshotted by
-//                           Publish() and merged into the process tuner by
-//                           Refresh(), so serving skips first-use kernel
-//                           benchmarking. Best-effort on both ends.
+//
+// Any other file in the directory is ignored; in particular a stale
+// tuning_v<N>.ahgt kernel-tuning profile left by older publishers is never
+// opened.
 //
 // Publish() writes a model file and rewrites the manifest atomically
 // (tmp + rename), so a live registry never observes a half-written

@@ -1,13 +1,10 @@
 #include "tensor/matrix.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "kernels/autotune.h"
 #include "kernels/kernel_ops.h"
 #include "obs/trace.h"
 #include "tensor/aligned.h"
@@ -17,172 +14,6 @@
 #include "util/thread_pool.h"
 
 namespace ahg {
-namespace {
-
-// Workloads below this many multiply-adds use the tier-default kernel
-// variant without consulting (or populating) the autotuner — tuning
-// overhead would swamp any win on small shapes.
-constexpr int64_t kTuneMinWork = 1 << 20;
-
-// Candidate k-panel sizes (rows of B kept hot per slab) for GEMM tuning.
-constexpr int kGemmKPanels[] = {64, 128, 256};
-
-int64_t NowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Runs one GEMM candidate over the first `bench_rows` rows and returns
-// elapsed ns. Accumulates into c's real rows; the caller re-zeros them
-// before the production pass, so the benchmark leaves no trace.
-double BenchGemmCandidate(const kernels::TierOps& ops,
-                          const kernels::GemmChoice& cand, const Matrix& a,
-                          const Matrix& b, int bench_rows, Matrix* c) {
-  const int64_t t0 = NowNs();
-  for (int k0 = 0; k0 < a.cols(); k0 += cand.kpanel) {
-    const int k1 = std::min(a.cols(), k0 + cand.kpanel);
-    for (int i = 0; i < bench_rows; ++i) {
-      ops.gemm_panel(cand.jblock, a.Row(i) + k0, k1 - k0, b.Row(k0), b.cols(),
-                     b.cols(), c->Row(i));
-    }
-  }
-  return static_cast<double>(NowNs() - t0);
-}
-
-// Resolves the GEMM variant for this shape: forced (tests) > cached >
-// benchmarked-on-first-use > tier default. Any rows the benchmark dirtied
-// are re-zeroed before returning.
-kernels::GemmChoice ResolveGemmChoice(const kernels::TierOps& ops,
-                                      const Matrix& a, const Matrix& b,
-                                      Matrix* c) {
-  if (const kernels::GemmChoice* forced = kernels::ForcedGemm()) {
-    return *forced;
-  }
-  const int64_t work = int64_t{a.rows()} * a.cols() * b.cols();
-  if (work < kTuneMinWork || !kernels::AutotuneEnabled()) {
-    return kernels::GemmChoice{};
-  }
-  const std::string key =
-      kernels::GemmShapeKey(ops.tier, a.cols(), b.cols(), a.rows());
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  kernels::GemmChoice cached;
-  if (tuner.LookupGemm(key, &cached)) return cached;
-  std::vector<kernels::GemmChoice> candidates;
-  for (int bi = 0; bi < ops.num_gemm_jblocks; ++bi) {
-    for (const int kp : kGemmKPanels) {
-      candidates.push_back(kernels::GemmChoice{ops.gemm_jblocks[bi], kp});
-    }
-  }
-  const int bench_rows = std::min(a.rows(), 8);
-  const kernels::GemmChoice choice = tuner.GetGemm(
-      key, candidates, [&](const kernels::GemmChoice& cand) {
-        return BenchGemmCandidate(ops, cand, a, b, bench_rows, c);
-      });
-  if (bench_rows > 0) {
-    std::fill(c->Row(0), c->Row(0) + int64_t{bench_rows} * c->cols(), 0.0);
-  }
-  return choice;
-}
-
-// Resolves the MatMulTransA variant: jblock = column tile width over
-// b.cols() (0 = one untiled pass). Tiling splits each chunk's rank-1
-// updates into column bands so a band of the partial stays register/cache
-// hot; for any fixed output entry the k-accumulation sequence is unchanged,
-// so every tile width is exact. The fixed reduction-chunk size is NOT a
-// knob — it defines the FP grouping of the cross-chunk reduction.
-kernels::GemmChoice ResolveTransAChoice(const kernels::TierOps& ops,
-                                        const Matrix& a, const Matrix& b) {
-  if (const kernels::GemmChoice* forced = kernels::ForcedGemmTransA()) {
-    return *forced;
-  }
-  const int64_t work = int64_t{a.rows()} * a.cols() * b.cols();
-  if (work < kTuneMinWork || !kernels::AutotuneEnabled()) {
-    return kernels::GemmChoice{0, 0};
-  }
-  const std::string key =
-      kernels::GemmShapeKey(ops.tier, a.cols(), b.cols(), a.rows());
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  kernels::GemmChoice cached;
-  if (tuner.LookupGemmTransA(key, &cached)) return cached;
-  std::vector<kernels::GemmChoice> candidates{{0, 0}};
-  if (b.cols() > 64) candidates.push_back({64, 0});
-  if (b.cols() > 256) candidates.push_back({256, 0});
-  const int bench_rows = static_cast<int>(std::min<int64_t>(a.rows(), 256));
-  Matrix scratch(a.cols(), b.cols());  // discarded; timing only
-  return tuner.GetGemmTransA(
-      key, candidates, [&](const kernels::GemmChoice& cand) {
-        const int jtile = cand.jblock > 0 ? cand.jblock : b.cols();
-        const int64_t t0 = NowNs();
-        for (int j0 = 0; j0 < b.cols(); j0 += jtile) {
-          const int jw = std::min(b.cols() - j0, jtile);
-          for (int k = 0; k < bench_rows; ++k) {
-            const double* arow = a.Row(k);
-            const double* brow = b.Row(k);
-            for (int i = 0; i < a.cols(); ++i) {
-              const double aki = arow[i];
-              if (aki == 0.0) continue;
-              ops.axpy_inplace(scratch.Row(i) + j0, aki, brow + j0, jw);
-            }
-          }
-        }
-        return static_cast<double>(NowNs() - t0);
-      });
-}
-
-// Resolves the MatMulTransB variant: jblock = tile of b's rows (output
-// columns) processed per pass, i innermost within a pass so the tile of B
-// rows is reused across every row of a. Each c[i][j] is still one complete
-// ascending-k dot (dot4 lanes are independent dots), so tiling is exact.
-kernels::GemmChoice ResolveTransBChoice(const kernels::TierOps& ops,
-                                        const Matrix& a, const Matrix& b,
-                                        Matrix* c) {
-  if (const kernels::GemmChoice* forced = kernels::ForcedGemmTransB()) {
-    return *forced;
-  }
-  const int64_t work = int64_t{a.rows()} * a.cols() * b.rows();
-  if (work < kTuneMinWork || !kernels::AutotuneEnabled()) {
-    return kernels::GemmChoice{0, 0};
-  }
-  const std::string key =
-      kernels::GemmShapeKey(ops.tier, a.cols(), b.rows(), a.rows());
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  kernels::GemmChoice cached;
-  if (tuner.LookupGemmTransB(key, &cached)) return cached;
-  std::vector<kernels::GemmChoice> candidates{{0, 0}};
-  if (b.rows() > 64) candidates.push_back({64, 0});
-  if (b.rows() > 256) candidates.push_back({256, 0});
-  // Bench over the first few output rows of c; entries are assigned (not
-  // accumulated) and the production pass overwrites every one, so the
-  // benchmark leaves no trace.
-  const int bench_rows = std::min(a.rows(), 8);
-  return tuner.GetGemmTransB(
-      key, candidates, [&](const kernels::GemmChoice& cand) {
-        const int jtile = cand.jblock > 0 ? cand.jblock : b.rows();
-        const int64_t t0 = NowNs();
-        for (int j0 = 0; j0 < b.rows(); j0 += jtile) {
-          const int j1 = std::min(b.rows(), j0 + jtile);
-          for (int i = 0; i < bench_rows; ++i) {
-            const double* arow = a.Row(i);
-            double* crow = c->Row(i);
-            int j = j0;
-            for (; j + 4 <= j1; j += 4) {
-              ops.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2),
-                       b.Row(j + 3), a.cols(), crow + j);
-            }
-            for (; j < j1; ++j) {
-              const double* brow = b.Row(j);
-              double dot = 0.0;
-              for (int k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-              crow[j] = dot;
-            }
-          }
-        }
-        return static_cast<double>(NowNs() - t0);
-      });
-}
-
-}  // namespace
 
 void Matrix::Allocate(int rows, int cols, bool zero) {
   AHG_CHECK_GE(rows, 0);
@@ -340,20 +171,18 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   // worker, and each c[i][j] still accumulates k in globally ascending
   // order (panels ascend, k ascends within a panel), so the result is
   // bitwise identical to the unblocked i-k-j kernel at every thread count
-  // and every dispatch tier (see kernels/kernel_ops.h). The tier table and
-  // tuned variant are resolved on the calling thread before the parallel
-  // region so every worker uses the same kernel.
+  // and every dispatch tier (see kernels/kernel_ops.h). The tier table is
+  // resolved on the calling thread before the parallel region so every
+  // worker uses the same kernel.
+  constexpr int kpanel = 128;  // rows of B kept hot per slab
   const kernels::TierOps& ops = kernels::ActiveOps();
-  const kernels::GemmChoice choice = ResolveGemmChoice(ops, a, b, &c);
-  const int kpanel = choice.kpanel > 0 ? choice.kpanel : 128;
   const int64_t work_per_row = int64_t{a.cols()} * b.cols();
   ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
     for (int k0 = 0; k0 < a.cols(); k0 += kpanel) {
       const int k1 = std::min(a.cols(), k0 + kpanel);
       for (int64_t i = begin; i < end; ++i) {
-        ops.gemm_panel(choice.jblock, a.Row(static_cast<int>(i)) + k0, k1 - k0,
-                       b.Row(k0), b.cols(), b.cols(),
-                       c.Row(static_cast<int>(i)));
+        ops.gemm_panel(a.Row(static_cast<int>(i)) + k0, k1 - k0, b.Row(k0),
+                       b.cols(), b.cols(), c.Row(static_cast<int>(i)));
       }
     }
   });
@@ -384,26 +213,19 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
     partial.emplace_back(a.cols(), b.cols());
   }
   const kernels::TierOps& ops = kernels::ActiveOps();
-  // Tuned column tile (see ResolveTransAChoice): exact for any width, so
-  // the tuner is free to pick per shape. Resolved on the calling thread.
-  const kernels::GemmChoice choice = ResolveTransAChoice(ops, a, b);
-  const int jtile = choice.jblock > 0 ? choice.jblock : b.cols();
   ParallelForChunked(num_chunks, work_per_chunk,
                      [&](int64_t begin, int64_t end) {
     for (int64_t p = begin; p < end; ++p) {
       Matrix& local = partial[p];
       const int64_t k_end = std::min(n, (p + 1) * kReduceChunk);
-      for (int j0 = 0; j0 < b.cols(); j0 += jtile) {
-        const int jw = std::min(b.cols() - j0, jtile);
-        for (int64_t k = p * kReduceChunk; k < k_end; ++k) {
-          const double* arow = a.Row(static_cast<int>(k));
-          const double* brow = b.Row(static_cast<int>(k));
-          for (int i = 0; i < a.cols(); ++i) {
-            const double aki = arow[i];
-            if (aki == 0.0) continue;
-            // Rank-1 band update local[i][j0..j0+jw) += aki * brow — an axpy.
-            ops.axpy_inplace(local.Row(i) + j0, aki, brow + j0, jw);
-          }
+      for (int64_t k = p * kReduceChunk; k < k_end; ++k) {
+        const double* arow = a.Row(static_cast<int>(k));
+        const double* brow = b.Row(static_cast<int>(k));
+        for (int i = 0; i < a.cols(); ++i) {
+          const double aki = arow[i];
+          if (aki == 0.0) continue;
+          // Rank-1 update local[i][:] += aki * brow — an axpy.
+          ops.axpy_inplace(local.Row(i), aki, brow, b.cols());
         }
       }
     }
@@ -422,29 +244,21 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   // transposes 4x4 blocks of B so each lane adds one k term at a time), so
   // values are bitwise identical to the one-j-at-a-time kernel.
   const kernels::TierOps& ops = kernels::ActiveOps();
-  // Tuned j-tile (see ResolveTransBChoice): a band of B rows stays hot
-  // across every row of the worker's range. Exact for any tile width since
-  // each c[i][j] is one complete ascending-k dot either way.
-  const kernels::GemmChoice choice = ResolveTransBChoice(ops, a, b, &c);
-  const int jtile = choice.jblock > 0 ? choice.jblock : b.rows();
   const int64_t work_per_row = int64_t{a.cols()} * b.rows();
   ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    for (int j0 = 0; j0 < b.rows(); j0 += jtile) {
-      const int j1 = std::min(b.rows(), j0 + jtile);
-      for (int64_t i = begin; i < end; ++i) {
-        const double* arow = a.Row(static_cast<int>(i));
-        double* crow = c.Row(static_cast<int>(i));
-        int j = j0;
-        for (; j + 4 <= j1; j += 4) {
-          ops.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2), b.Row(j + 3),
-                   a.cols(), crow + j);
-        }
-        for (; j < j1; ++j) {
-          const double* brow = b.Row(j);
-          double dot = 0.0;
-          for (int k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-          crow[j] = dot;
-        }
+    for (int64_t i = begin; i < end; ++i) {
+      const double* arow = a.Row(static_cast<int>(i));
+      double* crow = c.Row(static_cast<int>(i));
+      int j = 0;
+      for (; j + 4 <= b.rows(); j += 4) {
+        ops.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2), b.Row(j + 3),
+                 a.cols(), crow + j);
+      }
+      for (; j < b.rows(); ++j) {
+        const double* brow = b.Row(j);
+        double dot = 0.0;
+        for (int k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
+        crow[j] = dot;
       }
     }
   });

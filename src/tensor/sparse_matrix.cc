@@ -1,12 +1,10 @@
 #include "tensor/sparse_matrix.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "kernels/autotune.h"
 #include "kernels/kernel_ops.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -14,125 +12,18 @@
 namespace ahg {
 namespace {
 
-// Workloads (nnz * dense width) below this skip the autotuner and use the
-// tier-default variant.
-constexpr int64_t kSpmmTuneMinWork = 1 << 20;
-
 // One CSR row times a dense block via the dispatched per-tier kernel:
 // register-blocked over the dense width, each y[c] accumulating entries in
 // ascending storage order — the same per-element order as the naive
-// entry-outer loop — so results are bitwise identical to it across tiers
-// and block widths. Shared by Spmm and SpmmRows. Rows with no entries
-// write a zero row (the accumulators start at 0 and are always stored).
-inline void SpmmRowKernel(const kernels::TierOps& ops, int cblock,
-                          const SparseMatrix& m, int64_t r, const Matrix& x,
-                          double* yrow) {
+// entry-outer loop — so results are bitwise identical to it across tiers.
+// Shared by Spmm and SpmmRows. Rows with no entries write a zero row (the
+// accumulators start at 0 and are always stored).
+inline void SpmmRowKernel(const kernels::TierOps& ops, const SparseMatrix& m,
+                          int64_t r, const Matrix& x, double* yrow) {
   const int64_t e_begin = m.row_ptr()[r];
-  const SparseMatrix::HubSegments* hub = m.hub_segments();
-  if (hub != nullptr && hub->is_hub[r] != 0 &&
-      ops.spmm_hub_row != nullptr) {
-    // Compressed hub row: run metadata instead of per-entry column loads.
-    // The kernel consumes values in the same stored order, so the result is
-    // bitwise identical to the plain path.
-    const int64_t run_begin = hub->run_ptr[r];
-    ops.spmm_hub_row(cblock, m.values().data() + e_begin,
-                     hub->run_cols.data() + run_begin,
-                     hub->run_lens.data() + run_begin,
-                     static_cast<int>(hub->run_ptr[r + 1] - run_begin),
-                     x.data(), x.cols(), x.cols(), yrow);
-    return;
-  }
-  ops.spmm_row(cblock, m.values().data() + e_begin,
-               m.col_idx().data() + e_begin, m.row_ptr()[r + 1] - e_begin,
-               x.data(), x.cols(), x.cols(), yrow);
-}
-
-int64_t SpmmNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// Row-split schedule: contiguous row ranges of ~equal row count (the
-// ParallelForChunked default partition).
-void SpmmRowSplitPass(const kernels::TierOps& ops, int cblock,
-                      const SparseMatrix& m, const Matrix& x, Matrix* y) {
-  const int64_t work_per_row =
-      m.rows() > 0 ? std::max<int64_t>(1, m.nnz() / m.rows()) * x.cols() : 1;
-  ParallelForChunked(m.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    for (int64_t r = begin; r < end; ++r) {
-      SpmmRowKernel(ops, cblock, m, r, x, y->Row(static_cast<int>(r)));
-    }
-  });
-}
-
-// nnz-split schedule: contiguous row ranges of ~equal *entry* count, found
-// by searching the CSR row_ptr prefix sums. Better load balance on
-// degree-skewed graphs. Each row is still computed whole by one worker in
-// the same entry order, so the result is bitwise identical to row-split.
-void SpmmNnzSplitPass(const kernels::TierOps& ops, int cblock,
-                      const SparseMatrix& m, const Matrix& x, Matrix* y) {
-  const int64_t rows = m.rows();
-  const int64_t nnz = m.nnz();
-  const std::vector<int64_t>& row_ptr = m.row_ptr();
-  const int64_t target_chunks =
-      std::min<int64_t>(rows, std::max(1, GetNumThreads() * 4));
-  std::vector<int64_t> bounds;
-  bounds.reserve(static_cast<size_t>(target_chunks) + 1);
-  bounds.push_back(0);
-  for (int64_t t = 1; t < target_chunks; ++t) {
-    const int64_t target = nnz * t / target_chunks;
-    const int64_t row =
-        std::upper_bound(row_ptr.begin(), row_ptr.end(), target) -
-        row_ptr.begin() - 1;
-    if (row > bounds.back() && row < rows) bounds.push_back(row);
-  }
-  bounds.push_back(rows);
-  const int64_t num_chunks = static_cast<int64_t>(bounds.size()) - 1;
-  const int64_t work_per_chunk =
-      std::max<int64_t>(1, nnz / num_chunks) * x.cols();
-  ParallelForChunked(num_chunks, work_per_chunk,
-                     [&](int64_t begin, int64_t end) {
-    for (int64_t ci = begin; ci < end; ++ci) {
-      for (int64_t r = bounds[ci]; r < bounds[ci + 1]; ++r) {
-        SpmmRowKernel(ops, cblock, m, r, x, y->Row(static_cast<int>(r)));
-      }
-    }
-  });
-}
-
-// SpMM variant for this (matrix, dense width) shape: forced (tests) >
-// cached > benchmarked-on-first-use > tier default. Benchmark passes fully
-// overwrite y, so they leave no residue for the production pass.
-kernels::SpmmChoice ResolveSpmmChoice(const kernels::TierOps& ops,
-                                      const SparseMatrix& m, const Matrix& x,
-                                      Matrix* y) {
-  if (const kernels::SpmmChoice* forced = kernels::ForcedSpmm()) {
-    return *forced;
-  }
-  const int64_t work = m.nnz() * x.cols();
-  if (work < kSpmmTuneMinWork || !kernels::AutotuneEnabled()) {
-    return kernels::SpmmChoice{};
-  }
-  const std::string key =
-      kernels::SpmmShapeKey(ops.tier, m.rows(), m.nnz(), x.cols());
-  kernels::KernelTuner& tuner = kernels::KernelTuner::Global();
-  kernels::SpmmChoice cached;
-  if (tuner.LookupSpmm(key, &cached)) return cached;
-  std::vector<kernels::SpmmChoice> candidates;
-  for (int bi = 0; bi < ops.num_spmm_cblocks; ++bi) {
-    candidates.push_back(kernels::SpmmChoice{ops.spmm_cblocks[bi], false});
-    candidates.push_back(kernels::SpmmChoice{ops.spmm_cblocks[bi], true});
-  }
-  return tuner.GetSpmm(key, candidates, [&](const kernels::SpmmChoice& cand) {
-    const int64_t t0 = SpmmNowNs();
-    if (cand.nnz_split) {
-      SpmmNnzSplitPass(ops, cand.cblock, m, x, y);
-    } else {
-      SpmmRowSplitPass(ops, cand.cblock, m, x, y);
-    }
-    return static_cast<double>(SpmmNowNs() - t0);
-  });
+  ops.spmm_row(m.values().data() + e_begin, m.col_idx().data() + e_begin,
+               m.row_ptr()[r + 1] - e_begin, x.data(), x.cols(), x.cols(),
+               yrow);
 }
 
 }  // namespace
@@ -213,43 +104,6 @@ SparseMatrix SparseMatrix::FromCsrParts(int rows, int cols,
   return m;
 }
 
-void SparseMatrix::BuildHubSegments(int64_t min_row_nnz) {
-  AHG_CHECK_GT(min_row_nnz, 0);
-  auto hub = std::make_shared<HubSegments>();
-  hub->is_hub.assign(rows_, 0);
-  hub->run_ptr.assign(rows_ + 1, 0);
-  for (int r = 0; r < rows_; ++r) {
-    hub->run_ptr[r + 1] = hub->run_ptr[r];
-    const int64_t begin = row_ptr_[r];
-    const int64_t end = row_ptr_[r + 1];
-    if (end - begin < min_row_nnz) continue;
-    hub->is_hub[r] = 1;
-    ++hub->num_hub_rows;
-    int64_t i = begin;
-    while (i < end) {
-      // One run: maximal stretch of stored entries with consecutive column
-      // ids. Stored order is preserved, never re-sorted.
-      int64_t len = 1;
-      while (i + len < end && col_idx_[i + len] == col_idx_[i + len - 1] + 1) {
-        ++len;
-      }
-      hub->run_cols.push_back(col_idx_[i]);
-      hub->run_lens.push_back(static_cast<int>(len));
-      hub->run_ptr[r + 1] += 1;
-      i += len;
-    }
-  }
-  if (hub->num_hub_rows == 0) {
-    hub_.reset();
-    return;
-  }
-  hub->tracked.Reset(hub->is_hub.size() * sizeof(uint8_t) +
-                     hub->run_ptr.size() * sizeof(int64_t) +
-                     hub->run_cols.size() * sizeof(int) +
-                     hub->run_lens.size() * sizeof(int));
-  hub_ = std::move(hub);
-}
-
 StatusOr<SparseMatrix> SparseMatrix::FromCooChecked(
     int rows, int cols, std::vector<CooEntry> entries) {
   if (rows < 0 || cols < 0) {
@@ -272,15 +126,16 @@ Matrix SparseMatrix::Spmm(const Matrix& x) const {
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("tensor/spmm", nnz() * x.cols());
   Matrix y(rows_, x.cols());
-  // Tier table and variant resolved on the calling thread before any
-  // parallel region; both schedules are exact (see SpmmNnzSplitPass).
+  // Tier table resolved on the calling thread before the parallel region;
+  // contiguous row ranges of ~equal row count, each row owned by one worker.
   const kernels::TierOps& ops = kernels::ActiveOps();
-  const kernels::SpmmChoice choice = ResolveSpmmChoice(ops, *this, x, &y);
-  if (choice.nnz_split) {
-    SpmmNnzSplitPass(ops, choice.cblock, *this, x, &y);
-  } else {
-    SpmmRowSplitPass(ops, choice.cblock, *this, x, &y);
-  }
+  const int64_t work_per_row =
+      rows_ > 0 ? std::max<int64_t>(1, nnz() / rows_) * x.cols() : 1;
+  ParallelForChunked(rows_, work_per_row, [&](int64_t begin, int64_t end) {
+    for (int64_t r = begin; r < end; ++r) {
+      SpmmRowKernel(ops, *this, r, x, y.Row(static_cast<int>(r)));
+    }
+  });
   return y;
 }
 
@@ -290,17 +145,7 @@ Matrix SparseMatrix::SpmmRows(const std::vector<int>& rows,
   AHG_TRACE_SPAN_ARG("tensor/spmm_rows",
                      static_cast<int64_t>(rows.size()) * x.cols());
   Matrix y(static_cast<int>(rows.size()), x.cols());
-  // Row subsets change every incremental refresh, so they never tune a key
-  // of their own; reuse the full-matrix entry's column block when present
-  // (the per-row kernel is the same) and fall back to the tier default.
   const kernels::TierOps& ops = kernels::ActiveOps();
-  kernels::SpmmChoice choice;
-  if (const kernels::SpmmChoice* forced = kernels::ForcedSpmm()) {
-    choice = *forced;
-  } else {
-    kernels::KernelTuner::Global().LookupSpmm(
-        kernels::SpmmShapeKey(ops.tier, rows_, nnz(), x.cols()), &choice);
-  }
   const int64_t work_per_row =
       rows_ > 0 ? std::max<int64_t>(1, nnz() / rows_) * x.cols() : 1;
   ParallelForChunked(static_cast<int64_t>(rows.size()), work_per_row,
@@ -308,8 +153,7 @@ Matrix SparseMatrix::SpmmRows(const std::vector<int>& rows,
     for (int64_t i = begin; i < end; ++i) {
       const int r = rows[i];
       AHG_CHECK(r >= 0 && r < rows_);
-      SpmmRowKernel(ops, choice.cblock, *this, r, x,
-                    y.Row(static_cast<int>(i)));
+      SpmmRowKernel(ops, *this, r, x, y.Row(static_cast<int>(i)));
     }
   });
   return y;

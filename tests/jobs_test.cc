@@ -466,6 +466,37 @@ TEST(SearchJobTest, PublishRollsIntoRegistry) {
   EXPECT_EQ(store.LoadState("p").value().published_version, 4);
 }
 
+// Job directories written before kernel block widths became fixed can hold
+// a tuning.ahgt kernel profile. Resume never opens it: a job with a stale
+// profile in its directory, killed at every checkpoint, resumes to the same
+// ensemble bytes as an uninterrupted job without one.
+TEST(SearchJobTest, LegacyTuningProfileInJobDirIsIgnoredOnResume) {
+  JobStore store(FreshRoot("legacy_tuning"));
+  ASSERT_TRUE(store.CreateJob(MakeSpec("plain", JobAlgo::kHierarchical)).ok());
+  ASSERT_TRUE(
+      store.CreateJob(MakeSpec("legacy", JobAlgo::kHierarchical)).ok());
+  const std::string profile_path = store.JobDir("legacy") + "/tuning.ahgt";
+  // Rows in the old profile layout; the content is never read.
+  const std::string legacy_profile =
+      "gemm\tscalar:k6:n8:m64\t8\t256\n"
+      "spmm\tscalar:r64:z256:c8\t8\t1\n";
+  {
+    std::ofstream out(profile_path, std::ios::binary);
+    out << legacy_profile;
+  }
+  SetNumThreads(1);  // match the forked workers' kernel schedule
+  SearchJob plain(&store, "plain");
+  auto plain_out = plain.Run(MakeEnv());
+  ASSERT_TRUE(plain_out.ok()) << plain_out.status().ToString();
+  ASSERT_EQ(plain_out.value().status, JobStatus::kPublished);
+
+  EXPECT_GT(RunSearchJobWithKills(store, "legacy", MakeEnv()), 1);
+  EXPECT_EQ(store.LoadState("legacy").value().status, JobStatus::kPublished);
+  ExpectDirsIdentical(store.EnsembleDir("plain"), store.EnsembleDir("legacy"));
+  // Left exactly as it was found.
+  EXPECT_EQ(ReadBytes(profile_path), legacy_profile);
+}
+
 struct AlgoName {
   template <typename T>
   std::string operator()(const T& info) const {

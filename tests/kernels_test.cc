@@ -1,10 +1,7 @@
 // Kernel backend tests: 64-byte allocation alignment on every Matrix path,
-// the bitwise-identity matrix across dispatch tiers x kernel variants x odd
-// shapes x thread counts, odd-shape edge cases, and tuning-profile
-// round-trips (persist -> reload -> same variant, no re-benchmark).
+// the bitwise-identity matrix across dispatch tiers x odd shapes x thread
+// counts, and odd-shape edge cases.
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -12,7 +9,6 @@
 #include "autodiff/ops.h"
 #include "autodiff/variable.h"
 #include "gtest/gtest.h"
-#include "kernels/autotune.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernel_ops.h"
 #include "tensor/aligned.h"
@@ -25,12 +21,7 @@
 namespace ahg {
 namespace {
 
-using kernels::GemmChoice;
-using kernels::KernelTuner;
-using kernels::ScopedForcedGemm;
-using kernels::ScopedForcedSpmm;
 using kernels::ScopedTier;
-using kernels::SpmmChoice;
 using kernels::Tier;
 using kernels::TierOps;
 using kernels::TierSupported;
@@ -46,7 +37,7 @@ Matrix RandomMatrix(int rows, int cols, uint64_t seed) {
 }
 
 // ~20% of rows have no entries (zero-nnz edge) and degrees vary, so the
-// nnz-split schedule partitions unevenly.
+// row-parallel chunks carry uneven work.
 SparseMatrix RandomSparse(int rows, int cols, uint64_t seed) {
   Rng rng(seed);
   std::vector<CooEntry> entries;
@@ -146,7 +137,8 @@ TEST(BitwiseTest, DenseOpsMatchScalarAcrossTiersShapesThreads) {
   ScopedMinParallelWork grain(1);  // force the threaded path on tiny inputs
   uint64_t seed = 1;
   for (const int m : {1, 5, 17, 33}) {
-    for (const int k : {1, 8, 31}) {
+    // k = 130 spans two GEMM k-panels (128 rows each).
+    for (const int k : {1, 8, 31, 130}) {
       for (const int n : {1, 4, 9, 33}) {
         const Matrix a = RandomMatrix(m, k, seed++);
         const Matrix b = RandomMatrix(k, n, seed++);
@@ -183,72 +175,13 @@ TEST(BitwiseTest, DenseOpsMatchScalarAcrossTiersShapesThreads) {
   }
 }
 
-TEST(BitwiseTest, GemmVariantSweepIsExact) {
-  const Matrix a = RandomMatrix(37, 29, 101);
-  const Matrix b = RandomMatrix(29, 23, 102);
-  Matrix base;
-  {
-    ScopedTier scalar(Tier::kScalar);
-    base = MatMul(a, b);
-  }
-  std::vector<Tier> tiers = SupportedSimdTiers();
-  tiers.push_back(Tier::kScalar);
-  for (const Tier tier : tiers) {
-    const TierOps& ops = kernels::OpsFor(tier);
-    for (int bi = 0; bi < ops.num_gemm_jblocks; ++bi) {
-      for (const int kpanel : {64, 128, 256}) {
-        ScopedTier t(tier);
-        ScopedForcedGemm forced(GemmChoice{ops.gemm_jblocks[bi], kpanel});
-        EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base))
-            << kernels::TierName(tier) << " jblock " << ops.gemm_jblocks[bi]
-            << " kpanel " << kpanel;
-      }
-    }
-  }
-}
-
-TEST(BitwiseTest, TransposedGemmVariantSweepIsExact) {
-  // Tiling the TransA/TransB passes regroups which output entries a pass
-  // touches but never the per-element accumulation order, so every forced
-  // tile width must reproduce the scalar untiled result bit for bit.
-  const Matrix a = RandomMatrix(31, 19, 201);   // k x m for TransA
-  const Matrix b = RandomMatrix(31, 23, 202);   // k x n
-  const Matrix c = RandomMatrix(17, 19, 203);   // m x k for TransB
-  const Matrix d = RandomMatrix(29, 19, 204);   // n x k
-  Matrix base_ta, base_tb;
-  {
-    ScopedTier scalar(Tier::kScalar);
-    kernels::ScopedForcedGemmTransA fa(GemmChoice{0, 0});
-    kernels::ScopedForcedGemmTransB fb(GemmChoice{0, 0});
-    base_ta = MatMulTransA(a, b);
-    base_tb = MatMulTransB(c, d);
-  }
-  std::vector<Tier> tiers = SupportedSimdTiers();
-  tiers.push_back(Tier::kScalar);
-  for (const Tier tier : tiers) {
-    for (const int tile : {0, 4, 16, 64}) {
-      for (const int threads : {1, 4}) {
-        ScopedTier t(tier);
-        ScopedNumThreads nt(threads);
-        kernels::ScopedForcedGemmTransA fa(GemmChoice{tile, 0});
-        kernels::ScopedForcedGemmTransB fb(GemmChoice{tile, 0});
-        EXPECT_TRUE(BitwiseEqual(MatMulTransA(a, b), base_ta))
-            << "trans_a " << kernels::TierName(tier) << " tile " << tile
-            << " threads " << threads;
-        EXPECT_TRUE(BitwiseEqual(MatMulTransB(c, d), base_tb))
-            << "trans_b " << kernels::TierName(tier) << " tile " << tile
-            << " threads " << threads;
-      }
-    }
-  }
-}
-
-TEST(BitwiseTest, SpmmVariantSweepIsExact) {
+TEST(BitwiseTest, SpmmMatchesScalarAcrossTiersThreads) {
   const SparseMatrix adj = RandomSparse(200, 150, 7);
   ScopedMinParallelWork grain(1);
   // A subset mixing zero-nnz rows, boundaries, and repeats.
   const std::vector<int> subset = {0, 3, 7, 7, 42, 150, 199};
-  for (const int n : {1, 5, 16, 33}) {
+  // Widths below, at and past every tier's column block (4, 16, 32).
+  for (const int n : {1, 5, 16, 33, 47}) {
     const Matrix x = RandomMatrix(150, n, 500 + n);
     Matrix base, base_rows;
     {
@@ -256,25 +189,15 @@ TEST(BitwiseTest, SpmmVariantSweepIsExact) {
       base = adj.Spmm(x);
       base_rows = adj.SpmmRows(subset, x);
     }
-    std::vector<Tier> tiers = SupportedSimdTiers();
-    tiers.push_back(Tier::kScalar);
-    for (const Tier tier : tiers) {
-      const TierOps& ops = kernels::OpsFor(tier);
-      for (int bi = 0; bi < ops.num_spmm_cblocks; ++bi) {
-        for (const bool nnz_split : {false, true}) {
-          for (const int threads : {1, 4}) {
-            ScopedTier t(tier);
-            ScopedNumThreads nt(threads);
-            ScopedForcedSpmm forced(
-                SpmmChoice{ops.spmm_cblocks[bi], nnz_split});
-            EXPECT_TRUE(BitwiseEqual(adj.Spmm(x), base))
-                << kernels::TierName(tier) << " cblock "
-                << ops.spmm_cblocks[bi] << " nnz_split " << nnz_split
-                << " threads " << threads << " n " << n;
-            EXPECT_TRUE(BitwiseEqual(adj.SpmmRows(subset, x), base_rows))
-                << "rows subset, tier " << kernels::TierName(tier);
-          }
-        }
+    for (const Tier tier : SupportedSimdTiers()) {
+      for (const int threads : {1, 4}) {
+        ScopedTier t(tier);
+        ScopedNumThreads nt(threads);
+        EXPECT_TRUE(BitwiseEqual(adj.Spmm(x), base))
+            << kernels::TierName(tier) << " threads " << threads << " n "
+            << n;
+        EXPECT_TRUE(BitwiseEqual(adj.SpmmRows(subset, x), base_rows))
+            << "rows subset, tier " << kernels::TierName(tier);
       }
     }
     // Subset rows must equal the corresponding rows of the full product.
@@ -396,139 +319,10 @@ TEST(EdgeTest, GemmNarrowerThanRegisterBlock) {
     tiers.push_back(Tier::kScalar);
     for (const Tier tier : tiers) {
       ScopedTier t(tier);
-      ScopedForcedGemm forced(GemmChoice{8, 128});
       EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base))
           << kernels::TierName(tier) << " n " << n;
     }
   }
-}
-
-TEST(TuningTest, FirstUseBenchmarksThenCaches) {
-  KernelTuner tuner;
-  int bench_calls = 0;
-  const std::vector<GemmChoice> candidates = {
-      {4, 64}, {8, 128}, {16, 256}};
-  auto bench = [&](const GemmChoice& c) {
-    ++bench_calls;
-    return c.jblock == 8 ? 1.0 : 2.0;  // make {8,128} the winner
-  };
-  const GemmChoice first = tuner.GetGemm("avx2:k31:n64:m4096", candidates,
-                                         bench);
-  EXPECT_EQ(first.jblock, 8);
-  EXPECT_EQ(first.kpanel, 128);
-  EXPECT_EQ(bench_calls, 3);
-  EXPECT_EQ(tuner.benchmark_runs(), 1);
-  // Second call must hit the cache without re-benchmarking.
-  const GemmChoice again = tuner.GetGemm(
-      "avx2:k31:n64:m4096", candidates, [](const GemmChoice&) {
-        ADD_FAILURE() << "cached entry re-benchmarked";
-        return 0.0;
-      });
-  EXPECT_EQ(again.jblock, 8);
-  EXPECT_EQ(tuner.benchmark_runs(), 1);
-}
-
-TEST(TuningTest, ProfileRoundTripSkipsRebenchmark) {
-  KernelTuner tuner;
-  tuner.GetGemm("avx512:k64:n64:m4096", {{8, 64}, {32, 256}},
-                [](const GemmChoice& c) { return c.jblock == 32 ? 1.0 : 2.0; });
-  tuner.GetSpmm("avx512:r4096:z16384:c64", {{8, false}, {16, true}},
-                [](const SpmmChoice& c) { return c.nnz_split ? 1.0 : 2.0; });
-  tuner.GetGemmTransA("avx512:ta:k64:n64:m4096", {{0, 0}, {16, 0}},
-                      [](const GemmChoice& c) { return c.jblock == 16 ? 1.0 : 2.0; });
-  tuner.GetGemmTransB("avx512:tb:k64:n64:m4096", {{0, 0}, {32, 0}},
-                      [](const GemmChoice& c) { return c.jblock == 0 ? 1.0 : 2.0; });
-  EXPECT_EQ(tuner.entries(), 4);
-  EXPECT_EQ(tuner.benchmark_runs(), 4);
-
-  const std::string profile = tuner.Serialize();
-  EXPECT_EQ(profile.rfind("ahg-tuning 1\n", 0), 0u);
-
-  KernelTuner reloaded;
-  ASSERT_TRUE(reloaded.Deserialize(profile));
-  EXPECT_EQ(reloaded.entries(), 4);
-  EXPECT_EQ(reloaded.benchmark_runs(), 0);  // loading is not benchmarking
-  GemmChoice g;
-  ASSERT_TRUE(reloaded.LookupGemm("avx512:k64:n64:m4096", &g));
-  EXPECT_EQ(g.jblock, 32);
-  EXPECT_EQ(g.kpanel, 256);
-  SpmmChoice s;
-  ASSERT_TRUE(reloaded.LookupSpmm("avx512:r4096:z16384:c64", &s));
-  EXPECT_EQ(s.cblock, 16);
-  EXPECT_TRUE(s.nnz_split);
-  GemmChoice ta;
-  ASSERT_TRUE(reloaded.LookupGemmTransA("avx512:ta:k64:n64:m4096", &ta));
-  EXPECT_EQ(ta.jblock, 16);
-  GemmChoice tb;
-  ASSERT_TRUE(reloaded.LookupGemmTransB("avx512:tb:k64:n64:m4096", &tb));
-  EXPECT_EQ(tb.jblock, 0);
-  // The transposed kinds live in separate tables: a gemm_ta key must not
-  // answer a plain gemm lookup.
-  EXPECT_FALSE(reloaded.LookupGemm("avx512:ta:k64:n64:m4096", &g));
-  // The reloaded tuner serves the same variant with no benchmark callback
-  // invocation at all.
-  const GemmChoice served = reloaded.GetGemm(
-      "avx512:k64:n64:m4096", {{8, 64}, {32, 256}}, [](const GemmChoice&) {
-        ADD_FAILURE() << "profile entry re-benchmarked after reload";
-        return 0.0;
-      });
-  EXPECT_EQ(served.jblock, 32);
-  EXPECT_EQ(reloaded.benchmark_runs(), 0);
-}
-
-TEST(TuningTest, SaveLoadFileRoundTrip) {
-  const char* base = std::getenv("TMPDIR");
-  const std::string path =
-      std::string(base ? base : "/tmp") + "/ahg_kernels_test_tuning.ahgt";
-  KernelTuner tuner;
-  tuner.PutGemm("scalar:k8:n8:m64", GemmChoice{4, 64});
-  tuner.PutSpmm("scalar:r64:z256:c8", SpmmChoice{8, true});
-  tuner.PutGemmTransA("scalar:ta:k8:n8:m64", GemmChoice{8, 0});
-  tuner.PutGemmTransB("scalar:tb:k8:n8:m64", GemmChoice{16, 0});
-  ASSERT_TRUE(tuner.SaveFile(path));
-  KernelTuner loaded;
-  ASSERT_TRUE(loaded.LoadFile(path));
-  GemmChoice g;
-  ASSERT_TRUE(loaded.LookupGemm("scalar:k8:n8:m64", &g));
-  EXPECT_EQ(g.jblock, 4);
-  SpmmChoice s;
-  ASSERT_TRUE(loaded.LookupSpmm("scalar:r64:z256:c8", &s));
-  EXPECT_TRUE(s.nnz_split);
-  GemmChoice ta;
-  ASSERT_TRUE(loaded.LookupGemmTransA("scalar:ta:k8:n8:m64", &ta));
-  EXPECT_EQ(ta.jblock, 8);
-  GemmChoice tb;
-  ASSERT_TRUE(loaded.LookupGemmTransB("scalar:tb:k8:n8:m64", &tb));
-  EXPECT_EQ(tb.jblock, 16);
-  EXPECT_FALSE(loaded.LoadFile(path + ".does_not_exist"));
-  std::remove(path.c_str());
-}
-
-TEST(TuningTest, DisabledAutotunePicksFirstCandidateWithoutBenchmark) {
-  KernelTuner tuner;
-  kernels::SetAutotuneEnabled(false);
-  const GemmChoice c = tuner.GetGemm(
-      "scalar:k4:n4:m16", {{1, 64}, {8, 256}}, [](const GemmChoice&) {
-        ADD_FAILURE() << "benchmarked with autotune disabled";
-        return 0.0;
-      });
-  kernels::SetAutotuneEnabled(true);
-  EXPECT_EQ(c.jblock, 1);
-  EXPECT_EQ(tuner.benchmark_runs(), 0);
-}
-
-TEST(TuningTest, MalformedProfileRejectedOrSkipped) {
-  KernelTuner tuner;
-  EXPECT_FALSE(tuner.Deserialize("not-a-profile\n"));
-  EXPECT_FALSE(tuner.Deserialize(""));
-  // Bad rows and unknown kinds are skipped; good rows still load.
-  ASSERT_TRUE(tuner.Deserialize(
-      "ahg-tuning 1\n"
-      "gemm\tscalar:k2:n2:m2\t4\t64\n"
-      "gemm\tbroken-row\n"
-      "frobnicate\tx\t1\t2\n"
-      "spmm\tscalar:r2:z2:c2\tnot-a-number\t1\n"));
-  EXPECT_EQ(tuner.entries(), 1);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -302,6 +303,44 @@ TEST(ModelRegistryTest, ValidateCompatibilityRejectsWrongGraph) {
   Graph incompatible = GenerateSbmGraph(other);
   EXPECT_EQ(registry.ValidateCompatibility(incompatible).code(),
             Status::Code::kInvalidArgument);
+}
+
+// Registries published before kernel block widths became fixed can hold a
+// tuning_v<N>.ahgt kernel profile next to the model. Refresh never opens it,
+// so serving from such a directory is byte-for-byte the same as serving
+// from one without it — even when the stale profile is malformed.
+TEST(ModelRegistryTest, LegacyTuningProfileIsIgnored) {
+  Graph graph = SmallGraph();
+  ServableModel v1 = MakeServable(graph, 1);
+  const std::string plain_dir = FreshDir("serve_registry_plain");
+  const std::string legacy_dir = FreshDir("serve_registry_legacy_tuning");
+  for (const std::string& dir : {plain_dir, legacy_dir}) {
+    ASSERT_TRUE(ModelRegistry::Publish(dir, 1, v1.config, v1.params,
+                                       v1.num_classes)
+                    .ok());
+  }
+  {
+    std::ofstream profile(legacy_dir + "/tuning_v1.ahgt", std::ios::binary);
+    // Rows in the old profile layout, then a row no parser would accept.
+    profile << "gemm\tavx512:k6:n8:m64\t64\t256\n"
+               "spmm\tbroken-row\n";
+  }
+  Matrix served[2];
+  int i = 0;
+  for (const std::string& dir : {plain_dir, legacy_dir}) {
+    ModelRegistry registry(dir);
+    ASSERT_TRUE(registry.Refresh().ok()) << dir;
+    ASSERT_NE(registry.Active(), nullptr);
+    InferenceEngine engine(&graph, EngineOptions{});
+    auto probs = engine.PredictAll(*registry.Active());
+    ASSERT_TRUE(probs.ok()) << probs.status().ToString();
+    served[i++] = std::move(probs.value());
+  }
+  ASSERT_EQ(served[0].size(), served[1].size());
+  EXPECT_EQ(std::memcmp(served[0].data(), served[1].data(),
+                        static_cast<size_t>(served[0].size()) *
+                            sizeof(double)),
+            0);
 }
 
 TEST(InferenceEngineTest, MatchesTrainingPathBitwise) {
