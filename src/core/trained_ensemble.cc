@@ -1,15 +1,9 @@
 #include "core/trained_ensemble.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "autodiff/ops.h"
 #include "ensemble/baselines.h"
 #include "io/model_store.h"
+#include "io/record.h"
 #include "metrics/metrics.h"
 #include "nn/linear.h"
 #include "nn/optimizer.h"
@@ -68,14 +62,6 @@ std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
     }
   }
   return best_snapshot;
-}
-
-Status EnsureDir(const std::string& dir) {
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -186,58 +172,60 @@ Matrix TrainedEnsemble::PredictProba(const Graph& graph) const {
 Status TrainedEnsemble::Save(const std::string& dir) const {
   Status s = EnsureDir(dir);
   if (!s.ok()) return s;
-  std::ofstream manifest(dir + "/manifest.tsv");
-  if (!manifest.is_open()) {
-    return Status::IOError("cannot write manifest in " + dir);
-  }
-  manifest << "beta";
-  for (double b : beta_) manifest << "\t" << b;
-  manifest << "\n";
+  // Members first, manifest last: the manifest is the commit point, so a
+  // crash mid-save never leaves a manifest naming a missing member.
+  std::string manifest = "beta";
+  for (double b : beta_) manifest += StrFormat("\t%.17g", b);
+  manifest += "\n";
   for (size_t i = 0; i < members_.size(); ++i) {
     const std::string file = StrFormat("member_%zu.ahgm", i);
     s = SaveModel(dir + "/" + file, members_[i].config, members_[i].params);
     if (!s.ok()) return s;
-    manifest << file << "\t" << members_[i].pool_index << "\t"
-             << members_[i].num_classes << "\n";
+    manifest += StrFormat("%s\t%d\t%d\n", file.c_str(),
+                          members_[i].pool_index, members_[i].num_classes);
   }
-  return Status::OK();
+  return AtomicWriteFile(dir + "/manifest.tsv", manifest);
 }
 
 StatusOr<TrainedEnsemble> TrainedEnsemble::Load(const std::string& dir) {
-  std::ifstream manifest(dir + "/manifest.tsv");
-  if (!manifest.is_open()) {
-    return Status::NotFound("no manifest in " + dir);
-  }
+  StatusOr<std::string> text = ReadFile(dir + "/manifest.tsv");
+  if (!text.ok()) return text.status();
+  const std::vector<std::string> lines = StrSplit(text.value(), '\n');
   TrainedEnsemble ensemble;
-  std::string line;
-  if (!std::getline(manifest, line)) {
-    return Status::InvalidArgument("empty manifest");
-  }
   {
-    const auto parts = StrSplit(line, '\t');
-    if (parts.empty() || parts[0] != "beta") {
+    const auto parts = StrSplit(lines[0], '\t');
+    if (parts[0] != "beta") {
       return Status::InvalidArgument("manifest must start with beta row");
     }
+    ensemble.beta_.resize(parts.size() - 1);
     for (size_t i = 1; i < parts.size(); ++i) {
-      ensemble.beta_.push_back(std::stod(parts[i]));
+      if (!ParseNumber(parts[i], &ensemble.beta_[i - 1])) {
+        return Status::InvalidArgument("bad beta '" + parts[i] +
+                                       "' in manifest");
+      }
     }
   }
-  while (std::getline(manifest, line)) {
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
     if (StrTrim(line).empty()) continue;
     const auto parts = StrSplit(line, '\t');
-    if (parts.size() != 3) {
+    Member member;
+    if (parts.size() != 3 || !ParseNumber(parts[1], &member.pool_index) ||
+        !ParseNumber(parts[2], &member.num_classes)) {
       return Status::InvalidArgument("malformed manifest row: " + line);
     }
-    auto loaded = LoadModel(dir + "/" + parts[0]);
-    if (!loaded.ok()) return loaded.status();
-    Member member;
-    member.config = loaded.value().config;
-    member.params = std::move(loaded.value().params);
-    member.pool_index = std::stoi(parts[1]);
-    member.num_classes = std::stoi(parts[2]);
     if (member.pool_index < 0 ||
         member.pool_index >= static_cast<int>(ensemble.beta_.size())) {
       return Status::InvalidArgument("pool index out of range in manifest");
+    }
+    auto loaded = LoadModel(dir + "/" + parts[0]);
+    if (!loaded.ok()) return loaded.status();
+    member.config = loaded.value().config;
+    member.params = std::move(loaded.value().params);
+    Status valid = ValidateHeadedModel(member.config, member.params,
+                                       member.num_classes);
+    if (!valid.ok()) {
+      return Status::InvalidArgument(parts[0] + ": " + valid.message());
     }
     ensemble.members_.push_back(std::move(member));
   }

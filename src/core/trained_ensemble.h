@@ -70,8 +70,11 @@ class TrainedEnsemble {
   // feature dimensionality and class count.
   Matrix PredictProba(const Graph& graph) const;
 
-  // Serializes to `dir`: manifest.tsv (member file, architecture beta) plus
-  // one .ahgm per member.
+  // Serializes to `dir`: one .ahgm per member, then manifest.tsv (beta at
+  // round-trip precision, one member file row each). Every file is written
+  // atomically and the manifest last, so it is the commit point. Load
+  // validates every member against its config and the manifest's class
+  // count.
   Status Save(const std::string& dir) const;
   static StatusOr<TrainedEnsemble> Load(const std::string& dir);
 

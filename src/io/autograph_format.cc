@@ -1,25 +1,14 @@
 #include "io/autograph_format.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
 
+#include "io/record.h"
 #include "util/string_util.h"
 
 namespace ahg {
 namespace {
-
-Status EnsureDirectory(const std::string& dir) {
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("cannot create directory " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
 
 Status OpenForWrite(const std::string& path, std::ofstream* out) {
   out->open(path);
@@ -57,7 +46,7 @@ Status WriteAutographDataset(const std::string& dir, const Graph& graph,
                              const std::vector<int>& train_nodes,
                              const std::vector<int>& test_nodes,
                              double time_budget_seconds) {
-  Status s = EnsureDirectory(dir);
+  Status s = EnsureDir(dir);
   if (!s.ok()) return s;
 
   {

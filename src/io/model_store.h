@@ -3,14 +3,15 @@
 // so a search result or competition submission can be re-materialized
 // without retraining.
 //
-// Format (little-endian): magic "AHGM", u32 version, the ModelConfig
-// fields, u32 tensor count, then per tensor: u32 rows, u32 cols, doubles.
+// Format (io/record.h codec, little-endian): magic "AHGM", u32 version, the
+// ModelConfig block, u32 tensor count, then the tensors.
 #ifndef AUTOHENS_IO_MODEL_STORE_H_
 #define AUTOHENS_IO_MODEL_STORE_H_
 
 #include <string>
 #include <vector>
 
+#include "io/record.h"
 #include "models/model.h"
 #include "util/status.h"
 
@@ -21,16 +22,25 @@ struct SavedModel {
   std::vector<Matrix> params;
 };
 
-// Writes `config` + `params` to `path` (overwrites).
+// Atomically replaces `path` with `config` + `params`.
 Status SaveModel(const std::string& path, const ModelConfig& config,
                  const std::vector<Matrix>& params);
 
-// Reads a model saved by SaveModel; validates magic/version and tensor
-// framing. Untrusted input is safe: dimensions are hard-capped, rows*cols is
-// computed overflow-free, and claimed payloads are checked against the bytes
-// remaining in the file, so corruption yields InvalidArgument rather than an
-// oversized allocation.
+// Reads a model saved by SaveModel; validates magic/version, the config
+// (ValidateModelConfig) and tensor framing. Untrusted input is safe:
+// dimensions are hard-capped, rows*cols is computed overflow-free, and
+// claimed payloads are checked against the bytes remaining in the file, so
+// corruption yields InvalidArgument rather than an oversized allocation.
 StatusOr<SavedModel> LoadModel(const std::string& path);
+
+// The ModelConfig block, shared by AHGM and the AHGJ job records: family
+// u32, in_dim/hidden_dim/num_layers i32, dropout f64, heads i32,
+// attention_slope/teleport/gcnii_alpha/gcnii_lambda f64, poly_order i32,
+// seed u64. The reader rejects an unknown family; it does not require
+// in_dim, which job specs leave to be filled in from the graph.
+constexpr size_t kModelConfigBytes = 72;
+void WriteModelConfig(const ModelConfig& config, RecordWriter* w);
+bool ReadModelConfig(RecordReader* r, ModelConfig* config);
 
 }  // namespace ahg
 

@@ -1,281 +1,154 @@
 #include "jobs/checkpoint.h"
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+
+#include "io/model_store.h"
+#include "io/record.h"
 
 namespace ahg::jobs {
 namespace {
 
-constexpr char kMagic[4] = {'A', 'H', 'G', 'J'};
+constexpr char kMagic[] = "AHGJ";
 constexpr uint32_t kFormatVersion = 1;
 constexpr uint32_t kKindSpec = 1;
 constexpr uint32_t kKindCheckpoint = 2;
 constexpr uint32_t kKindTaskSpec = 3;
 constexpr uint32_t kKindTaskCheckpoint = 4;
 
-// Hard caps on untrusted framing, mirroring io/model_store: corruption must
-// fail with InvalidArgument before any allocation, never with a bad_alloc.
-constexpr uint64_t kMaxTensorDim = 1u << 27;
-constexpr uint64_t kMaxTensorElements = 1u << 28;
-constexpr uint64_t kMaxCount = 1u << 20;
-constexpr uint64_t kMaxStringBytes = 1u << 20;
+// Smallest encodings, so a corrupt count is rejected before anything is
+// sized from it: a matrix is its rows/cols header, a candidate its empty
+// name length plus the ModelConfig block.
+constexpr size_t kMatBytes = 8;
+constexpr size_t kCandidateBytes = 8 + kModelConfigBytes;
+// Pool index, then the score's name length, two configs and three doubles.
+constexpr size_t kScoreEntryBytes = 4 + 8 + 2 * kModelConfigBytes + 24;
 
-class Writer {
- public:
-  explicit Writer(std::ofstream& out) : out_(out) {}
-
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { Raw(&v, sizeof(v)); }
-  void I64(int64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Bool(bool v) { U32(v ? 1 : 0); }
-
-  void Str(const std::string& s) {
-    U64(s.size());
-    Raw(s.data(), s.size());
-  }
-
-  void Mat(const Matrix& m) {
-    U32(static_cast<uint32_t>(m.rows()));
-    U32(static_cast<uint32_t>(m.cols()));
-    Raw(m.data(), m.size() * sizeof(double));
-  }
-
-  void MatVec(const std::vector<Matrix>& ms) {
-    U64(ms.size());
-    for (const Matrix& m : ms) Mat(m);
-  }
-
-  void ModelCfg(const ModelConfig& c) {
-    U32(static_cast<uint32_t>(c.family));
-    I32(c.in_dim);
-    I32(c.hidden_dim);
-    I32(c.num_layers);
-    F64(c.dropout);
-    I32(c.heads);
-    F64(c.attention_slope);
-    F64(c.teleport);
-    F64(c.gcnii_alpha);
-    F64(c.gcnii_lambda);
-    I32(c.poly_order);
-    U64(c.seed);
-  }
-
-  void TrainCfg(const TrainConfig& c) {
-    I32(c.max_epochs);
-    I32(c.patience);
-    F64(c.learning_rate);
-    F64(c.weight_decay);
-    F64(c.lr_decay);
-    I32(c.lr_decay_every);
-    U64(c.seed);
-    I32(c.num_threads);
-    Bool(c.pooling);
-    Bool(c.fusion);
-  }
-
-  void Candidate(const CandidateSpec& c) {
-    Str(c.name);
-    ModelCfg(c.config);
-  }
-
-  void Score(const CandidateScore& s) {
-    Str(s.name);
-    ModelCfg(s.config);
-    ModelCfg(s.original_config);
-    F64(s.mean_val_accuracy);
-    F64(s.stddev);
-    F64(s.seconds);
-  }
-
-  void Rng(const RngState& s) {
-    for (uint64_t w : s.s) U64(w);
-    Bool(s.has_spare_normal);
-    F64(s.spare_normal);
-  }
-
-  void Adam(const AdamState& s) {
-    MatVec(s.m);
-    MatVec(s.v);
-    I64(s.step);
-    F64(s.learning_rate);
-  }
-
-  void GradientState(const GradientSearchState& s) {
-    I32(s.epoch);
-    MatVec(s.weight_values);
-    MatVec(s.arch_values);
-    Adam(s.weight_opt);
-    Adam(s.arch_opt);
-    Rng(s.dropout_rng);
-    F64(s.best_val);
-    Mat(s.best_beta_raw);
-    MatVec(s.best_alphas);
-    I32(s.epochs_since_best);
-  }
-
-  bool good() const { return out_.good(); }
-
- private:
-  void Raw(const void* p, size_t n) {
-    out_.write(reinterpret_cast<const char*>(p),
-               static_cast<std::streamsize>(n));
-  }
-
-  std::ofstream& out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::ifstream& in) : in_(in) {
-    in_.seekg(0, std::ios::end);
-    file_size_ = static_cast<uint64_t>(in_.tellg());
-    in_.seekg(0, std::ios::beg);
-  }
-
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool I32(int* v) {
-    int32_t x = 0;
-    if (!Raw(&x, sizeof(x))) return false;
-    *v = static_cast<int>(x);
-    return true;
-  }
-  bool I64(int64_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool Bool(bool* v) {
-    uint32_t x = 0;
-    if (!U32(&x)) return false;
-    *v = x != 0;
-    return true;
-  }
-
-  bool Str(std::string* s) {
-    uint64_t n = 0;
-    if (!U64(&n) || n > kMaxStringBytes || !Fits(n)) return false;
-    s->resize(n);
-    return Raw(s->data(), n);
-  }
-
-  bool Mat(Matrix* m) {
-    uint32_t rows = 0, cols = 0;
-    if (!U32(&rows) || !U32(&cols)) return false;
-    if (rows > kMaxTensorDim || cols > kMaxTensorDim) return false;
-    const uint64_t elements = static_cast<uint64_t>(rows) * cols;
-    if (elements > kMaxTensorElements || !Fits(elements * sizeof(double))) {
-      return false;
-    }
-    *m = Matrix(static_cast<int>(rows), static_cast<int>(cols));
-    return Raw(m->data(), elements * sizeof(double));
-  }
-
-  bool MatVec(std::vector<Matrix>* ms) {
-    uint64_t n = 0;
-    if (!U64(&n) || n > kMaxCount) return false;
-    ms->resize(n);
-    for (auto& m : *ms) {
-      if (!Mat(&m)) return false;
-    }
-    return true;
-  }
-
-  bool ModelCfg(ModelConfig* c) {
-    uint32_t family = 0;
-    if (!U32(&family)) return false;
-    c->family = static_cast<ModelFamily>(family);
-    return I32(&c->in_dim) && I32(&c->hidden_dim) && I32(&c->num_layers) &&
-           F64(&c->dropout) && I32(&c->heads) && F64(&c->attention_slope) &&
-           F64(&c->teleport) && F64(&c->gcnii_alpha) &&
-           F64(&c->gcnii_lambda) && I32(&c->poly_order) && U64(&c->seed);
-  }
-
-  bool TrainCfg(TrainConfig* c) {
-    return I32(&c->max_epochs) && I32(&c->patience) &&
-           F64(&c->learning_rate) && F64(&c->weight_decay) &&
-           F64(&c->lr_decay) && I32(&c->lr_decay_every) && U64(&c->seed) &&
-           I32(&c->num_threads) && Bool(&c->pooling) && Bool(&c->fusion);
-  }
-
-  bool Candidate(CandidateSpec* c) {
-    return Str(&c->name) && ModelCfg(&c->config);
-  }
-
-  bool Score(CandidateScore* s) {
-    return Str(&s->name) && ModelCfg(&s->config) &&
-           ModelCfg(&s->original_config) && F64(&s->mean_val_accuracy) &&
-           F64(&s->stddev) && F64(&s->seconds);
-  }
-
-  bool Rng(RngState* s) {
-    for (uint64_t& w : s->s) {
-      if (!U64(&w)) return false;
-    }
-    return Bool(&s->has_spare_normal) && F64(&s->spare_normal);
-  }
-
-  bool Adam(AdamState* s) {
-    return MatVec(&s->m) && MatVec(&s->v) && I64(&s->step) &&
-           F64(&s->learning_rate);
-  }
-
-  bool GradientState(GradientSearchState* s) {
-    return I32(&s->epoch) && MatVec(&s->weight_values) &&
-           MatVec(&s->arch_values) && Adam(&s->weight_opt) &&
-           Adam(&s->arch_opt) && Rng(&s->dropout_rng) && F64(&s->best_val) &&
-           Mat(&s->best_beta_raw) && MatVec(&s->best_alphas) &&
-           I32(&s->epochs_since_best);
-  }
-
-  bool Count(uint64_t* n) { return U64(n) && *n <= kMaxCount; }
-
- private:
-  bool Raw(void* p, size_t n) {
-    in_.read(reinterpret_cast<char*>(p), static_cast<std::streamsize>(n));
-    return in_.good();
-  }
-
-  bool Fits(uint64_t bytes) {
-    const uint64_t offset = static_cast<uint64_t>(in_.tellg());
-    return offset <= file_size_ && bytes <= file_size_ - offset;
-  }
-
-  std::ifstream& in_;
-  uint64_t file_size_ = 0;
-};
-
-Status OpenForRecord(const std::string& path, uint32_t kind,
-                     std::ofstream* out) {
-  out->open(path, std::ios::binary | std::ios::trunc);
-  if (!out->is_open()) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  out->write(kMagic, sizeof(kMagic));
-  Writer w(*out);
-  w.U32(kFormatVersion);
+RecordWriter StartRecord(uint32_t kind) {
+  RecordWriter w(kMagic, kFormatVersion);
   w.U32(kind);
-  return Status::OK();
+  return w;
 }
 
-Status CheckRecord(std::ifstream& in, const std::string& path, uint32_t kind) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(path + " is not an AHGJ file");
-  }
-  Reader r(in);
-  // Reader's constructor rewinds; skip the magic again.
-  in.seekg(sizeof(kMagic), std::ios::beg);
-  uint32_t version = 0, got_kind = 0;
-  if (!r.U32(&version) || version != kFormatVersion) {
-    return Status::InvalidArgument("unsupported AHGJ version in " + path);
-  }
-  if (!r.U32(&got_kind) || got_kind != kind) {
+StatusOr<RecordReader> OpenRecord(const std::string& path, uint32_t kind) {
+  StatusOr<RecordReader> r = RecordReader::Open(path, kMagic, kFormatVersion);
+  if (!r.ok()) return r;
+  uint32_t got = 0;
+  if (!r.value().U32(&got) || got != kind) {
     return Status::InvalidArgument("wrong AHGJ record kind in " + path);
   }
-  return Status::OK();
+  return r;
+}
+
+void WriteMatVec(const std::vector<Matrix>& ms, RecordWriter* w) {
+  w->U64(ms.size());
+  for (const Matrix& m : ms) w->Mat(m);
+}
+
+bool ReadMatVec(RecordReader* r, std::vector<Matrix>* ms) {
+  uint64_t n = 0;
+  if (!r->Count(&n, kMatBytes)) return false;
+  ms->resize(n);
+  for (Matrix& m : *ms) {
+    if (!r->Mat(&m)) return false;
+  }
+  return true;
+}
+
+void WriteTrainConfig(const TrainConfig& c, RecordWriter* w) {
+  w->I32(c.max_epochs);
+  w->I32(c.patience);
+  w->F64(c.learning_rate);
+  w->F64(c.weight_decay);
+  w->F64(c.lr_decay);
+  w->I32(c.lr_decay_every);
+  w->U64(c.seed);
+  w->I32(c.num_threads);
+  w->Bool(c.pooling);
+  w->Bool(c.fusion);
+}
+
+bool ReadTrainConfig(RecordReader* r, TrainConfig* c) {
+  return r->I32(&c->max_epochs) && r->I32(&c->patience) &&
+         r->F64(&c->learning_rate) && r->F64(&c->weight_decay) &&
+         r->F64(&c->lr_decay) && r->I32(&c->lr_decay_every) &&
+         r->U64(&c->seed) && r->I32(&c->num_threads) &&
+         r->Bool(&c->pooling) && r->Bool(&c->fusion);
+}
+
+void WriteCandidates(const std::vector<CandidateSpec>& cs, RecordWriter* w) {
+  w->U64(cs.size());
+  for (const CandidateSpec& c : cs) {
+    w->Str(c.name);
+    WriteModelConfig(c.config, w);
+  }
+}
+
+bool ReadCandidates(RecordReader* r, std::vector<CandidateSpec>* cs) {
+  uint64_t n = 0;
+  if (!r->Count(&n, kCandidateBytes)) return false;
+  cs->resize(n);
+  for (CandidateSpec& c : *cs) {
+    if (!r->Str(&c.name) || !ReadModelConfig(r, &c.config)) return false;
+  }
+  return true;
+}
+
+void WriteScore(const CandidateScore& s, RecordWriter* w) {
+  w->Str(s.name);
+  WriteModelConfig(s.config, w);
+  WriteModelConfig(s.original_config, w);
+  w->F64(s.mean_val_accuracy);
+  w->F64(s.stddev);
+  w->F64(s.seconds);
+}
+
+bool ReadScore(RecordReader* r, CandidateScore* s) {
+  return r->Str(&s->name) && ReadModelConfig(r, &s->config) &&
+         ReadModelConfig(r, &s->original_config) &&
+         r->F64(&s->mean_val_accuracy) && r->F64(&s->stddev) &&
+         r->F64(&s->seconds);
+}
+
+void WriteAdam(const AdamState& s, RecordWriter* w) {
+  WriteMatVec(s.m, w);
+  WriteMatVec(s.v, w);
+  w->I64(s.step);
+  w->F64(s.learning_rate);
+}
+
+bool ReadAdam(RecordReader* r, AdamState* s) {
+  return ReadMatVec(r, &s->m) && ReadMatVec(r, &s->v) && r->I64(&s->step) &&
+         r->F64(&s->learning_rate);
+}
+
+void WriteGradientState(const GradientSearchState& s, RecordWriter* w) {
+  w->I32(s.epoch);
+  WriteMatVec(s.weight_values, w);
+  WriteMatVec(s.arch_values, w);
+  WriteAdam(s.weight_opt, w);
+  WriteAdam(s.arch_opt, w);
+  for (uint64_t word : s.dropout_rng.s) w->U64(word);
+  w->Bool(s.dropout_rng.has_spare_normal);
+  w->F64(s.dropout_rng.spare_normal);
+  w->F64(s.best_val);
+  w->Mat(s.best_beta_raw);
+  WriteMatVec(s.best_alphas, w);
+  w->I32(s.epochs_since_best);
+}
+
+bool ReadGradientState(RecordReader* r, GradientSearchState* s) {
+  if (!r->I32(&s->epoch) || !ReadMatVec(r, &s->weight_values) ||
+      !ReadMatVec(r, &s->arch_values) || !ReadAdam(r, &s->weight_opt) ||
+      !ReadAdam(r, &s->arch_opt)) {
+    return false;
+  }
+  for (uint64_t& word : s->dropout_rng.s) {
+    if (!r->U64(&word)) return false;
+  }
+  return r->Bool(&s->dropout_rng.has_spare_normal) &&
+         r->F64(&s->dropout_rng.spare_normal) && r->F64(&s->best_val) &&
+         r->Mat(&s->best_beta_raw) && ReadMatVec(r, &s->best_alphas) &&
+         r->I32(&s->epochs_since_best);
 }
 
 }  // namespace
@@ -291,97 +164,72 @@ const char* TaskKindName(TaskKind kind) {
 }
 
 Status SaveTaskSpec(const std::string& path, const TaskJobSpec& spec) {
-  std::ofstream out;
-  Status s = OpenForRecord(path, kKindTaskSpec, &out);
-  if (!s.ok()) return s;
-  Writer w(out);
+  RecordWriter w = StartRecord(kKindTaskSpec);
   w.Str(spec.job_id);
   w.Str(spec.dataset);
   w.U32(static_cast<uint32_t>(spec.kind));
-  w.U64(spec.candidates.size());
-  for (const CandidateSpec& c : spec.candidates) w.Candidate(c);
-  w.TrainCfg(spec.train);
+  WriteCandidates(spec.candidates, &w);
+  WriteTrainConfig(spec.train, &w);
   w.U64(spec.seed);
-  if (!w.good()) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return AtomicWriteFile(path, w.bytes());
 }
 
 StatusOr<TaskJobSpec> LoadTaskSpec(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  Status s = CheckRecord(in, path, kKindTaskSpec);
-  if (!s.ok()) return s;
-  Reader r(in);
-  in.seekg(sizeof(kMagic) + 2 * sizeof(uint32_t), std::ios::beg);
+  StatusOr<RecordReader> opened = OpenRecord(path, kKindTaskSpec);
+  if (!opened.ok()) return opened.status();
+  RecordReader& r = opened.value();
   TaskJobSpec spec;
   uint32_t kind = 0;
-  uint64_t num_candidates = 0;
-  bool ok = r.Str(&spec.job_id) && r.Str(&spec.dataset) && r.U32(&kind) &&
-            r.Count(&num_candidates);
-  if (ok) {
-    spec.kind = static_cast<TaskKind>(kind);
-    spec.candidates.resize(num_candidates);
-    for (auto& c : spec.candidates) {
-      if (!r.Candidate(&c)) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  ok = ok && r.TrainCfg(&spec.train) && r.U64(&spec.seed);
+  const bool ok =
+      r.Str(&spec.job_id) && r.Str(&spec.dataset) && r.U32(&kind) &&
+      kind <= static_cast<uint32_t>(TaskKind::kGraphClassification) &&
+      ReadCandidates(&r, &spec.candidates) && ReadTrainConfig(&r, &spec.train) &&
+      r.U64(&spec.seed) && r.AtEnd();
   if (!ok) {
     return Status::InvalidArgument("truncated or corrupt task spec " + path);
   }
+  spec.kind = static_cast<TaskKind>(kind);
   return spec;
 }
 
 Status SaveTaskCheckpoint(const std::string& path,
                           const TaskJobCheckpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out;
-    Status s = OpenForRecord(tmp, kKindTaskCheckpoint, &out);
-    if (!s.ok()) return s;
-    Writer w(out);
-    w.U64(checkpoint.scores.size());
-    for (const auto& [index, score] : checkpoint.scores) {
-      w.I32(index);
-      w.F64(score);
-    }
-    w.I32(checkpoint.best_index);
-    w.ModelCfg(checkpoint.best_config);
-    w.MatVec(checkpoint.best_params);
-    w.Bool(checkpoint.done);
-    if (!w.good()) return Status::IOError("short write to " + tmp);
+  RecordWriter w = StartRecord(kKindTaskCheckpoint);
+  w.U64(checkpoint.scores.size());
+  for (const auto& [index, score] : checkpoint.scores) {
+    w.I32(index);
+    w.F64(score);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
+  w.I32(checkpoint.best_index);
+  WriteModelConfig(checkpoint.best_config, &w);
+  WriteMatVec(checkpoint.best_params, &w);
+  w.Bool(checkpoint.done);
+  return AtomicWriteFile(path, w.bytes());
 }
 
 StatusOr<TaskJobCheckpoint> LoadTaskCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  Status s = CheckRecord(in, path, kKindTaskCheckpoint);
-  if (!s.ok()) return s;
-  Reader r(in);
-  in.seekg(sizeof(kMagic) + 2 * sizeof(uint32_t), std::ios::beg);
+  StatusOr<RecordReader> opened = OpenRecord(path, kKindTaskCheckpoint);
+  if (!opened.ok()) return opened.status();
+  RecordReader& r = opened.value();
   TaskJobCheckpoint ckpt;
-  uint64_t n = 0;
   const auto fail = [&path] {
     return Status::InvalidArgument("truncated or corrupt task checkpoint " +
                                    path);
   };
-  if (!r.Count(&n)) return fail();
+  uint64_t n = 0;
+  if (!r.Count(&n, 4 + 8)) return fail();  // index, score
   for (uint64_t i = 0; i < n; ++i) {
     int index = 0;
     double score = 0.0;
     if (!r.I32(&index) || !r.F64(&score)) return fail();
     ckpt.scores[index] = score;
   }
-  if (!r.I32(&ckpt.best_index) || !r.ModelCfg(&ckpt.best_config) ||
-      !r.MatVec(&ckpt.best_params) || !r.Bool(&ckpt.done)) {
+  // The winner, if any, must be a scored candidate: TaskJob looks it up.
+  if (!r.I32(&ckpt.best_index) ||
+      (ckpt.best_index != -1 && ckpt.scores.count(ckpt.best_index) == 0) ||
+      !ReadModelConfig(&r, &ckpt.best_config) ||
+      !ReadMatVec(&r, &ckpt.best_params) || !r.Bool(&ckpt.done) ||
+      !r.AtEnd()) {
     return fail();
   }
   return ckpt;
@@ -400,15 +248,11 @@ const char* JobAlgoName(JobAlgo algo) {
 }
 
 Status SaveSpec(const std::string& path, const SearchJobSpec& spec) {
-  std::ofstream out;
-  Status s = OpenForRecord(path, kKindSpec, &out);
-  if (!s.ok()) return s;
-  Writer w(out);
+  RecordWriter w = StartRecord(kKindSpec);
   w.Str(spec.job_id);
   w.Str(spec.dataset);
   w.U32(static_cast<uint32_t>(spec.algo));
-  w.U64(spec.candidates.size());
-  for (const CandidateSpec& c : spec.candidates) w.Candidate(c);
+  WriteCandidates(spec.candidates, &w);
   w.I32(spec.pool_size);
   w.I32(spec.k);
   w.F64(spec.proxy_dataset_ratio);
@@ -417,7 +261,7 @@ Status SaveSpec(const std::string& path, const SearchJobSpec& spec) {
   w.F64(spec.proxy_train_fraction);
   w.F64(spec.proxy_val_fraction);
   w.I32(spec.proxy_num_threads);
-  w.TrainCfg(spec.train);
+  WriteTrainConfig(spec.train, &w);
   w.I32(spec.gradient_update_every);
   w.F64(spec.gradient_arch_learning_rate);
   w.I32(spec.gradient_max_epochs);
@@ -429,120 +273,93 @@ Status SaveSpec(const std::string& path, const SearchJobSpec& spec) {
   w.U64(spec.seed);
   w.F64(spec.time_budget_seconds);
   w.I32(spec.publish_version);
-  if (!w.good()) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return AtomicWriteFile(path, w.bytes());
 }
 
 StatusOr<SearchJobSpec> LoadSpec(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  Status s = CheckRecord(in, path, kKindSpec);
-  if (!s.ok()) return s;
-  Reader r(in);
-  in.seekg(sizeof(kMagic) + 2 * sizeof(uint32_t), std::ios::beg);
+  StatusOr<RecordReader> opened = OpenRecord(path, kKindSpec);
+  if (!opened.ok()) return opened.status();
+  RecordReader& r = opened.value();
   SearchJobSpec spec;
   uint32_t algo = 0;
-  uint64_t num_candidates = 0;
-  bool ok = r.Str(&spec.job_id) && r.Str(&spec.dataset) && r.U32(&algo) &&
-            r.Count(&num_candidates);
-  if (ok) {
-    spec.algo = static_cast<JobAlgo>(algo);
-    spec.candidates.resize(num_candidates);
-    for (auto& c : spec.candidates) {
-      if (!r.Candidate(&c)) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  ok = ok && r.I32(&spec.pool_size) && r.I32(&spec.k) &&
-       r.F64(&spec.proxy_dataset_ratio) && r.I32(&spec.proxy_bagging) &&
-       r.F64(&spec.proxy_model_ratio) && r.F64(&spec.proxy_train_fraction) &&
-       r.F64(&spec.proxy_val_fraction) && r.I32(&spec.proxy_num_threads) &&
-       r.TrainCfg(&spec.train) && r.I32(&spec.gradient_update_every) &&
-       r.F64(&spec.gradient_arch_learning_rate) &&
-       r.I32(&spec.gradient_max_epochs) && r.I32(&spec.gradient_patience) &&
-       r.I32(&spec.gradient_checkpoint_every) &&
-       r.F64(&spec.adaptive_epsilon) && r.F64(&spec.adaptive_gamma) &&
-       r.F64(&spec.adaptive_lambda) && r.U64(&spec.seed) &&
-       r.F64(&spec.time_budget_seconds) && r.I32(&spec.publish_version);
+  const bool ok =
+      r.Str(&spec.job_id) && r.Str(&spec.dataset) && r.U32(&algo) &&
+      algo <= static_cast<uint32_t>(JobAlgo::kGradient) &&
+      ReadCandidates(&r, &spec.candidates) && r.I32(&spec.pool_size) &&
+      r.I32(&spec.k) && r.F64(&spec.proxy_dataset_ratio) &&
+      r.I32(&spec.proxy_bagging) && r.F64(&spec.proxy_model_ratio) &&
+      r.F64(&spec.proxy_train_fraction) && r.F64(&spec.proxy_val_fraction) &&
+      r.I32(&spec.proxy_num_threads) && ReadTrainConfig(&r, &spec.train) &&
+      r.I32(&spec.gradient_update_every) &&
+      r.F64(&spec.gradient_arch_learning_rate) &&
+      r.I32(&spec.gradient_max_epochs) && r.I32(&spec.gradient_patience) &&
+      r.I32(&spec.gradient_checkpoint_every) &&
+      r.F64(&spec.adaptive_epsilon) && r.F64(&spec.adaptive_gamma) &&
+      r.F64(&spec.adaptive_lambda) && r.U64(&spec.seed) &&
+      r.F64(&spec.time_budget_seconds) && r.I32(&spec.publish_version) &&
+      r.AtEnd();
   if (!ok) return Status::InvalidArgument("truncated or corrupt spec " + path);
+  spec.algo = static_cast<JobAlgo>(algo);
   return spec;
 }
 
 Status SaveCheckpoint(const std::string& path,
                       const SearchJobCheckpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out;
-    Status s = OpenForRecord(tmp, kKindCheckpoint, &out);
-    if (!s.ok()) return s;
-    Writer w(out);
-    w.U64(checkpoint.proxy_scores.size());
-    for (const auto& [index, score] : checkpoint.proxy_scores) {
-      w.I32(index);
-      w.Score(score);
-    }
-    w.Bool(checkpoint.pool_done);
-    w.U64(checkpoint.pool.size());
-    for (const CandidateSpec& c : checkpoint.pool) w.Candidate(c);
-    w.U64(checkpoint.adaptive_probes.size());
-    for (const auto& [key, acc] : checkpoint.adaptive_probes) {
-      w.I32(key.first);
-      w.I32(key.second);
-      w.F64(acc);
-    }
-    w.Bool(checkpoint.has_gradient_state);
-    if (checkpoint.has_gradient_state) {
-      w.GradientState(checkpoint.gradient_state);
-    }
-    w.Bool(checkpoint.search_done);
-    w.U64(checkpoint.layers.size());
-    for (const auto& row : checkpoint.layers) {
-      w.U64(row.size());
-      for (int depth : row) w.I32(depth);
-    }
-    w.U64(checkpoint.beta.size());
-    for (double b : checkpoint.beta) w.F64(b);
-    w.U64(checkpoint.member_params.size());
-    for (const auto& [index, params] : checkpoint.member_params) {
-      w.I32(index);
-      w.MatVec(params);
-    }
-    w.Bool(checkpoint.train_done);
-    if (!w.good()) return Status::IOError("short write to " + tmp);
+  RecordWriter w = StartRecord(kKindCheckpoint);
+  w.U64(checkpoint.proxy_scores.size());
+  for (const auto& [index, score] : checkpoint.proxy_scores) {
+    w.I32(index);
+    WriteScore(score, &w);
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename " + tmp + " to " + path);
+  w.Bool(checkpoint.pool_done);
+  WriteCandidates(checkpoint.pool, &w);
+  w.U64(checkpoint.adaptive_probes.size());
+  for (const auto& [key, acc] : checkpoint.adaptive_probes) {
+    w.I32(key.first);
+    w.I32(key.second);
+    w.F64(acc);
   }
-  return Status::OK();
+  w.Bool(checkpoint.has_gradient_state);
+  if (checkpoint.has_gradient_state) {
+    WriteGradientState(checkpoint.gradient_state, &w);
+  }
+  w.Bool(checkpoint.search_done);
+  w.U64(checkpoint.layers.size());
+  for (const auto& row : checkpoint.layers) {
+    w.U64(row.size());
+    for (int depth : row) w.I32(depth);
+  }
+  w.U64(checkpoint.beta.size());
+  for (double b : checkpoint.beta) w.F64(b);
+  w.U64(checkpoint.member_params.size());
+  for (const auto& [index, params] : checkpoint.member_params) {
+    w.I32(index);
+    WriteMatVec(params, &w);
+  }
+  w.Bool(checkpoint.train_done);
+  return AtomicWriteFile(path, w.bytes());
 }
 
 StatusOr<SearchJobCheckpoint> LoadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
-  Status s = CheckRecord(in, path, kKindCheckpoint);
-  if (!s.ok()) return s;
-  Reader r(in);
-  in.seekg(sizeof(kMagic) + 2 * sizeof(uint32_t), std::ios::beg);
+  StatusOr<RecordReader> opened = OpenRecord(path, kKindCheckpoint);
+  if (!opened.ok()) return opened.status();
+  RecordReader& r = opened.value();
   SearchJobCheckpoint ckpt;
   const auto fail = [&path] {
     return Status::InvalidArgument("truncated or corrupt checkpoint " + path);
   };
   uint64_t n = 0;
-  if (!r.Count(&n)) return fail();
+  if (!r.Count(&n, kScoreEntryBytes)) return fail();
   for (uint64_t i = 0; i < n; ++i) {
     int index = 0;
     CandidateScore score;
-    if (!r.I32(&index) || !r.Score(&score)) return fail();
+    if (!r.I32(&index) || !ReadScore(&r, &score)) return fail();
     ckpt.proxy_scores[index] = std::move(score);
   }
-  if (!r.Bool(&ckpt.pool_done) || !r.Count(&n)) return fail();
-  ckpt.pool.resize(n);
-  for (auto& c : ckpt.pool) {
-    if (!r.Candidate(&c)) return fail();
+  if (!r.Bool(&ckpt.pool_done) || !ReadCandidates(&r, &ckpt.pool) ||
+      !r.Count(&n, 4 + 4 + 8)) {  // pool index, depth, accuracy
+    return fail();
   }
-  if (!r.Count(&n)) return fail();
   for (uint64_t i = 0; i < n; ++i) {
     int pool_index = 0, depth = 0;
     double acc = 0.0;
@@ -550,32 +367,33 @@ StatusOr<SearchJobCheckpoint> LoadCheckpoint(const std::string& path) {
     ckpt.adaptive_probes[{pool_index, depth}] = acc;
   }
   if (!r.Bool(&ckpt.has_gradient_state)) return fail();
-  if (ckpt.has_gradient_state && !r.GradientState(&ckpt.gradient_state)) {
+  if (ckpt.has_gradient_state &&
+      !ReadGradientState(&r, &ckpt.gradient_state)) {
     return fail();
   }
-  if (!r.Bool(&ckpt.search_done) || !r.Count(&n)) return fail();
+  if (!r.Bool(&ckpt.search_done) || !r.Count(&n, 8)) return fail();
   ckpt.layers.resize(n);
   for (auto& row : ckpt.layers) {
     uint64_t len = 0;
-    if (!r.Count(&len)) return fail();
+    if (!r.Count(&len, 4)) return fail();
     row.resize(len);
     for (int& depth : row) {
       if (!r.I32(&depth)) return fail();
     }
   }
-  if (!r.Count(&n)) return fail();
+  if (!r.Count(&n, 8)) return fail();
   ckpt.beta.resize(n);
   for (double& b : ckpt.beta) {
     if (!r.F64(&b)) return fail();
   }
-  if (!r.Count(&n)) return fail();
+  if (!r.Count(&n, 4 + 8)) return fail();  // index, tensor count
   for (uint64_t i = 0; i < n; ++i) {
     int index = 0;
     std::vector<Matrix> params;
-    if (!r.I32(&index) || !r.MatVec(&params)) return fail();
+    if (!r.I32(&index) || !ReadMatVec(&r, &params)) return fail();
     ckpt.member_params[index] = std::move(params);
   }
-  if (!r.Bool(&ckpt.train_done)) return fail();
+  if (!r.Bool(&ckpt.train_done) || !r.AtEnd()) return fail();
   return ckpt;
 }
 

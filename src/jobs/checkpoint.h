@@ -1,11 +1,14 @@
 // Binary persistence for the AutoML job service (src/jobs).
 //
-// Two record kinds share one framing ("AHGJ" magic, u32 format version,
-// u32 record kind, payload):
-//   * SearchJobSpec — the immutable definition of a search job, written
-//     once at submission.
-//   * SearchJobCheckpoint — the cumulative progress of a run, rewritten
-//     atomically (tmp + rename) at every checkpoint boundary.
+// Four record kinds share one framing (io/record.h: "AHGJ" magic, u32
+// format version, then u32 record kind and the payload):
+//   * SearchJobSpec / TaskJobSpec — the immutable definition of a job,
+//     written once at submission.
+//   * SearchJobCheckpoint / TaskJobCheckpoint — the cumulative progress of a
+//     run, rewritten at every checkpoint boundary.
+// Every save goes through AtomicWriteFile (tmp + fsync + rename + directory
+// fsync), so a reader, or a run resumed after SIGKILL or power loss mid-write,
+// never observes a half-written record.
 //
 // Everything determinism-critical is stored in raw little-endian binary:
 // doubles round-trip bit-for-bit (no text formatting), so a resumed run
@@ -133,14 +136,12 @@ Status SaveTaskCheckpoint(const std::string& path,
                           const TaskJobCheckpoint& checkpoint);
 StatusOr<TaskJobCheckpoint> LoadTaskCheckpoint(const std::string& path);
 
-// Spec I/O. SaveSpec overwrites; LoadSpec validates magic/version/kind and
+// Spec I/O. Loaders validate magic/version/kind, enum ranges, counts and
 // tensor framing, failing with InvalidArgument on corruption.
 Status SaveSpec(const std::string& path, const SearchJobSpec& spec);
 StatusOr<SearchJobSpec> LoadSpec(const std::string& path);
 
-// Checkpoint I/O. SaveCheckpoint writes to `path + ".tmp"` then renames, so
-// a reader (or a resumed run after SIGKILL mid-write) never observes a
-// half-written checkpoint.
+// Checkpoint I/O.
 Status SaveCheckpoint(const std::string& path,
                       const SearchJobCheckpoint& checkpoint);
 StatusOr<SearchJobCheckpoint> LoadCheckpoint(const std::string& path);

@@ -1,32 +1,15 @@
 #include "jobs/job_store.h"
 
 #include <dirent.h>
-#include <sys/stat.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
+#include "io/record.h"
 #include "util/string_util.h"
 
 namespace ahg::jobs {
 namespace {
-
-Status EnsureDir(const std::string& dir) {
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return stat(path.c_str(), &st) == 0;
-}
 
 // One line per field keeps the file greppable and the parser trivial.
 constexpr char kStateHeader[] = "ahg-job-state\t1";
@@ -65,23 +48,27 @@ std::string JobStore::StatePath(const std::string& job_id) const {
 
 Status JobStore::Init() const { return EnsureDir(root_); }
 
-Status JobStore::CreateJob(const SearchJobSpec& spec) const {
-  if (spec.job_id.empty()) {
+Status JobStore::MakeJobDir(const std::string& job_id) const {
+  if (job_id.empty()) {
     return Status::InvalidArgument("job id must be non-empty");
   }
-  if (spec.job_id.find('/') != std::string::npos ||
-      spec.job_id.find("..") != std::string::npos) {
+  if (job_id.find('/') != std::string::npos ||
+      job_id.find("..") != std::string::npos) {
     return Status::InvalidArgument("job id must not contain '/' or '..'");
   }
   Status s = Init();
   if (!s.ok()) return s;
-  const std::string dir = JobDir(spec.job_id);
-  if (FileExists(dir + "/spec.bin")) {
-    return Status::InvalidArgument("job " + spec.job_id + " already exists");
+  const std::string dir = JobDir(job_id);
+  if (FileExists(dir + "/spec.bin") || FileExists(dir + "/task_spec.bin")) {
+    return Status::InvalidArgument("job " + job_id + " already exists");
   }
-  s = EnsureDir(dir);
+  return EnsureDir(dir);
+}
+
+Status JobStore::CreateJob(const SearchJobSpec& spec) const {
+  Status s = MakeJobDir(spec.job_id);
   if (!s.ok()) return s;
-  s = SaveSpec(dir + "/spec.bin", spec);
+  s = SaveSpec(JobDir(spec.job_id) + "/spec.bin", spec);
   if (!s.ok()) return s;
   return SaveState(spec.job_id, JobState{});
 }
@@ -91,39 +78,39 @@ StatusOr<SearchJobSpec> JobStore::LoadJobSpec(const std::string& job_id) const {
 }
 
 StatusOr<JobState> JobStore::LoadState(const std::string& job_id) const {
-  std::ifstream in(StatePath(job_id));
-  if (!in.is_open()) {
-    return Status::NotFound("no state for job " + job_id);
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != kStateHeader) {
+  StatusOr<std::string> text = ReadFile(StatePath(job_id));
+  if (!text.ok()) return text.status();
+  const std::vector<std::string> lines = StrSplit(text.value(), '\n');
+  if (lines[0] != kStateHeader) {
     return Status::InvalidArgument("bad state header for job " + job_id);
   }
   JobState state;
-  while (std::getline(in, line)) {
-    const auto parts = StrSplit(line, '\t');
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const auto parts = StrSplit(lines[i], '\t');
     if (parts.size() < 2) continue;
+    bool ok = true;
     if (parts[0] == "status") {
-      bool known = false;
+      ok = false;
       for (int code = 0; code <= static_cast<int>(JobStatus::kCancelled);
            ++code) {
         if (parts[1] == JobStatusName(static_cast<JobStatus>(code))) {
           state.status = static_cast<JobStatus>(code);
-          known = true;
+          ok = true;
           break;
         }
       }
-      if (!known) {
-        return Status::InvalidArgument("unknown job status " + parts[1]);
-      }
     } else if (parts[0] == "attempts") {
-      state.attempts = std::stoi(parts[1]);
+      ok = ParseNumber(parts[1], &state.attempts);
     } else if (parts[0] == "checkpoints_written") {
-      state.checkpoints_written = std::stoll(parts[1]);
+      ok = ParseNumber(parts[1], &state.checkpoints_written);
     } else if (parts[0] == "published_version") {
-      state.published_version = std::stoi(parts[1]);
+      ok = ParseNumber(parts[1], &state.published_version);
     } else if (parts[0] == "message") {
       state.message = parts[1];
+    }
+    if (!ok) {
+      return Status::InvalidArgument("bad " + parts[0] + " '" + parts[1] +
+                                     "' in state of job " + job_id);
     }
   }
   return state;
@@ -131,28 +118,17 @@ StatusOr<JobState> JobStore::LoadState(const std::string& job_id) const {
 
 Status JobStore::SaveState(const std::string& job_id,
                            const JobState& state) const {
-  const std::string path = StatePath(job_id);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) {
-      return Status::IOError("cannot write state for job " + job_id);
-    }
-    std::string message = state.message;
-    std::replace(message.begin(), message.end(), '\t', ' ');
-    std::replace(message.begin(), message.end(), '\n', ' ');
-    out << kStateHeader << "\n"
-        << "status\t" << JobStatusName(state.status) << "\n"
-        << "attempts\t" << state.attempts << "\n"
-        << "checkpoints_written\t" << state.checkpoints_written << "\n"
-        << "published_version\t" << state.published_version << "\n"
-        << "message\t" << message << "\n";
-    if (!out.good()) return Status::IOError("short state write for " + job_id);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename state for job " + job_id);
-  }
-  return Status::OK();
+  std::string message = state.message;
+  std::replace(message.begin(), message.end(), '\t', ' ');
+  std::replace(message.begin(), message.end(), '\n', ' ');
+  std::ostringstream out;
+  out << kStateHeader << "\n"
+      << "status\t" << JobStatusName(state.status) << "\n"
+      << "attempts\t" << state.attempts << "\n"
+      << "checkpoints_written\t" << state.checkpoints_written << "\n"
+      << "published_version\t" << state.published_version << "\n"
+      << "message\t" << message << "\n";
+  return AtomicWriteFile(StatePath(job_id), out.str());
 }
 
 Status JobStore::SaveJobCheckpoint(
@@ -170,22 +146,9 @@ bool JobStore::HasCheckpoint(const std::string& job_id) const {
 }
 
 Status JobStore::CreateTaskJob(const TaskJobSpec& spec) const {
-  if (spec.job_id.empty()) {
-    return Status::InvalidArgument("job id must be non-empty");
-  }
-  if (spec.job_id.find('/') != std::string::npos ||
-      spec.job_id.find("..") != std::string::npos) {
-    return Status::InvalidArgument("job id must not contain '/' or '..'");
-  }
-  Status s = Init();
+  Status s = MakeJobDir(spec.job_id);
   if (!s.ok()) return s;
-  const std::string dir = JobDir(spec.job_id);
-  if (FileExists(dir + "/task_spec.bin") || FileExists(dir + "/spec.bin")) {
-    return Status::InvalidArgument("job " + spec.job_id + " already exists");
-  }
-  s = EnsureDir(dir);
-  if (!s.ok()) return s;
-  s = SaveTaskSpec(dir + "/task_spec.bin", spec);
+  s = SaveTaskSpec(JobDir(spec.job_id) + "/task_spec.bin", spec);
   if (!s.ok()) return s;
   return SaveState(spec.job_id, JobState{});
 }

@@ -1,4 +1,5 @@
-// Durable on-disk home of the AutoML job service. One directory per job:
+// Durable on-disk home of the AutoML job service. One directory per job,
+// every file in it written through io/record.h's AtomicWriteFile:
 //
 //   <root>/<job_id>/
 //     spec.bin        immutable SearchJobSpec (jobs/checkpoint.h framing)
@@ -56,7 +57,9 @@ class JobStore {
 
   StatusOr<SearchJobSpec> LoadJobSpec(const std::string& job_id) const;
   StatusOr<JobState> LoadState(const std::string& job_id) const;
-  // Atomic (tmp + rename) so a concurrent reader never sees a torn state.
+  // Atomic (io/record.h AtomicWriteFile), so a concurrent reader never
+  // sees a torn state. LoadState rejects unknown statuses and malformed
+  // numbers with InvalidArgument.
   Status SaveState(const std::string& job_id, const JobState& state) const;
 
   Status SaveJobCheckpoint(const std::string& job_id,
@@ -92,6 +95,9 @@ class JobStore {
 
  private:
   std::string StatePath(const std::string& job_id) const;
+  // Validates a new job's id and creates its directory. Fails if a search or
+  // task job of that id already exists.
+  Status MakeJobDir(const std::string& job_id) const;
 
   const std::string root_;
 };

@@ -17,6 +17,7 @@
 #include "graph/graph.h"
 #include "nn/parameter_store.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace ahg {
 
@@ -49,6 +50,9 @@ enum class ModelFamily {
   kAgnn,
 };
 
+constexpr uint32_t kNumModelFamilies =
+    static_cast<uint32_t>(ModelFamily::kAgnn) + 1;
+
 const char* ModelFamilyName(ModelFamily family);
 
 // Architecture hyper-parameters. A single struct keeps zoo factories
@@ -67,6 +71,18 @@ struct ModelConfig {
   int poly_order = 3;            // TAGCN / ChebNet polynomial order
   uint64_t seed = 1;             // weight-init seed (GSE varies this)
 };
+
+// OK when BuildModel accepts `config`: a known family, in_dim set, and
+// positive hidden_dim, num_layers, heads and poly_order. Configs read from
+// disk pass through here before anything is built from them.
+Status ValidateModelConfig(const ModelConfig& config);
+
+// OK when `params` are the weights of BuildModel(config), in store order,
+// followed by a classifier head: a hidden_dim x num_classes weight and a
+// 1 x num_classes bias. This is the layout TrainedEnsemble members and
+// registry models are saved in.
+Status ValidateHeadedModel(const ModelConfig& config,
+                           const std::vector<Matrix>& params, int num_classes);
 
 class GnnModel {
  public:

@@ -1,15 +1,10 @@
 #include "serve/model_registry.h"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <mutex>
+#include <sstream>
 #include <utility>
 
+#include "io/record.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/string_util.h"
@@ -29,14 +24,6 @@ std::string ModelFileName(int version) {
   return StrFormat("model_v%d.ahgm", version);
 }
 
-Status EnsureDir(const std::string& dir) {
-  if (mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("cannot create " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
-}
-
 struct ManifestRow {
   int version = 0;
   std::string file;
@@ -45,33 +32,30 @@ struct ManifestRow {
 
 // Parses `dir`/registry.tsv. NotFound when the manifest does not exist.
 StatusOr<std::vector<ManifestRow>> ReadManifest(const std::string& dir) {
-  std::ifstream in(ManifestPath(dir));
-  if (!in.is_open()) {
-    return Status::NotFound("no " + std::string(kManifestName) + " in " + dir);
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty registry manifest in " + dir);
-  }
+  StatusOr<std::string> text = ReadFile(ManifestPath(dir));
+  if (!text.ok()) return text.status();
+  const std::vector<std::string> lines = StrSplit(text.value(), '\n');
   {
-    const auto header = StrSplit(StrTrim(line), '\t');
+    const auto header = StrSplit(StrTrim(lines[0]), '\t');
+    int version = 0;
     if (header.size() != 2 || header[0] != kManifestMagic ||
-        std::atoi(header[1].c_str()) != kManifestVersion) {
+        !ParseNumber(header[1], &version) || version != kManifestVersion) {
       return Status::InvalidArgument("bad registry manifest header in " + dir);
     }
   }
   std::vector<ManifestRow> rows;
-  while (std::getline(in, line)) {
-    if (StrTrim(line).empty()) continue;
-    const auto parts = StrSplit(StrTrim(line), '\t');
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const std::string line = StrTrim(lines[i]);
+    if (line.empty()) continue;
+    const auto parts = StrSplit(line, '\t');
     if (parts.size() != 3) {
       return Status::InvalidArgument("malformed registry row: " + line);
     }
     ManifestRow row;
-    row.version = std::atoi(parts[0].c_str());
     row.file = parts[1];
-    row.num_classes = std::atoi(parts[2].c_str());
-    if (row.version <= 0 || row.file.empty() || row.num_classes <= 0) {
+    if (!ParseNumber(parts[0], &row.version) ||
+        !ParseNumber(parts[2], &row.num_classes) || row.version <= 0 ||
+        row.file.empty() || row.num_classes <= 0) {
       return Status::InvalidArgument("invalid registry row: " + line);
     }
     rows.push_back(std::move(row));
@@ -81,22 +65,12 @@ StatusOr<std::vector<ManifestRow>> ReadManifest(const std::string& dir) {
 
 Status WriteManifest(const std::string& dir,
                      const std::vector<ManifestRow>& rows) {
-  const std::string tmp = ManifestPath(dir) + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out.is_open()) return Status::IOError("cannot write " + tmp);
-    out << kManifestMagic << "\t" << kManifestVersion << "\n";
-    for (const ManifestRow& row : rows) {
-      out << row.version << "\t" << row.file << "\t" << row.num_classes
-          << "\n";
-    }
-    if (!out.good()) return Status::IOError("short write to " + tmp);
+  std::ostringstream out;
+  out << kManifestMagic << "\t" << kManifestVersion << "\n";
+  for (const ManifestRow& row : rows) {
+    out << row.version << "\t" << row.file << "\t" << row.num_classes << "\n";
   }
-  if (std::rename(tmp.c_str(), ManifestPath(dir).c_str()) != 0) {
-    return Status::IOError("cannot commit manifest in " + dir + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
+  return AtomicWriteFile(ManifestPath(dir), out.str());
 }
 
 }  // namespace
@@ -105,58 +79,7 @@ Status ValidateServableModel(const ServableModel& model) {
   if (model.version <= 0) {
     return Status::InvalidArgument("model version must be positive");
   }
-  if (model.num_classes <= 0) {
-    return Status::InvalidArgument("num_classes must be positive");
-  }
-  if (model.config.in_dim <= 0) {
-    return Status::InvalidArgument("model config lacks in_dim");
-  }
-  if (model.config.hidden_dim <= 0 || model.config.num_layers <= 0 ||
-      model.config.heads <= 0 || model.config.poly_order <= 0) {
-    return Status::InvalidArgument("model config has degenerate dimensions");
-  }
-  if (static_cast<int>(model.config.family) < 0 ||
-      static_cast<int>(model.config.family) >
-          static_cast<int>(ModelFamily::kAgnn)) {
-    return Status::InvalidArgument("unknown model family in config");
-  }
-  if (model.params.size() < 3) {
-    return Status::InvalidArgument(
-        "servable model needs zoo weights plus a 2-tensor head");
-  }
-  // The architecture's own parameter shapes, from a throwaway build.
-  std::unique_ptr<GnnModel> reference = BuildModel(model.config);
-  const std::vector<Var>& expected = reference->params()->params();
-  if (model.params.size() != expected.size() + 2) {
-    return Status::InvalidArgument(StrFormat(
-        "parameter count mismatch: file has %d tensors, %s-%dL needs %d + 2",
-        static_cast<int>(model.params.size()),
-        ModelFamilyName(model.config.family), model.config.num_layers,
-        static_cast<int>(expected.size())));
-  }
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (model.params[i].rows() != expected[i]->value.rows() ||
-        model.params[i].cols() != expected[i]->value.cols()) {
-      return Status::InvalidArgument(
-          StrFormat("tensor %d shape mismatch: %dx%d vs expected %dx%d",
-                    static_cast<int>(i), model.params[i].rows(),
-                    model.params[i].cols(), expected[i]->value.rows(),
-                    expected[i]->value.cols()));
-    }
-  }
-  const Matrix& w = model.head_weight();
-  const Matrix& b = model.head_bias();
-  if (w.rows() != model.config.hidden_dim || w.cols() != model.num_classes) {
-    return Status::InvalidArgument(
-        StrFormat("head weight is %dx%d, expected %dx%d", w.rows(), w.cols(),
-                  model.config.hidden_dim, model.num_classes));
-  }
-  if (b.rows() != 1 || b.cols() != model.num_classes) {
-    return Status::InvalidArgument(
-        StrFormat("head bias is %dx%d, expected 1x%d", b.rows(), b.cols(),
-                  model.num_classes));
-  }
-  return Status::OK();
+  return ValidateHeadedModel(model.config, model.params, model.num_classes);
 }
 
 Status ModelRegistry::Refresh() {

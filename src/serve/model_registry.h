@@ -12,9 +12,10 @@
 // tuning_v<N>.ahgt kernel-tuning profile left by older publishers is never
 // opened.
 //
-// Publish() writes a model file and rewrites the manifest atomically
-// (tmp + rename), so a live registry never observes a half-written
-// manifest. Refresh() re-reads the manifest, loads and validates versions
+// Publish() writes the model file, then rewrites the manifest, each through
+// io/record.h's AtomicWriteFile (tmp + fsync + rename + directory fsync).
+// The manifest row is the commit point, so a live registry never observes a
+// half-written manifest or a row whose model file is missing. Refresh() re-reads the manifest, loads and validates versions
 // it has not seen, and hot-swaps the active version (highest number) under
 // a writer lock; Active()/Version() take reader locks and hand out
 // shared_ptrs, so in-flight batches keep serving the version they started
@@ -47,9 +48,10 @@ struct ServableModel {
   const Matrix& head_bias() const { return params[params.size() - 1]; }
 };
 
-// Structural validation: the parameter list must materialize the configured
-// architecture (shape-by-shape against a freshly built model) and end in a
-// hidden_dim x num_classes head plus 1 x num_classes bias.
+// A positive version plus ValidateHeadedModel: the parameter list must
+// materialize the configured architecture (shape-by-shape against a freshly
+// built model) and end in a hidden_dim x num_classes head plus
+// 1 x num_classes bias.
 Status ValidateServableModel(const ServableModel& model);
 
 class ModelRegistry {

@@ -358,7 +358,33 @@ TEST(JobStoreTest, DuplicateCreateFails) {
   JobStore store(FreshRoot("dup"));
   ASSERT_TRUE(store.CreateJob(MakeSpec("j", JobAlgo::kGradient)).ok());
   EXPECT_FALSE(store.CreateJob(MakeSpec("j", JobAlgo::kAdaptive)).ok());
-  EXPECT_EQ(store.ListJobs(), (std::vector<std::string>{"j"}));
+  // Search and task jobs share one id space, in both directions.
+  TaskJobSpec task;
+  task.job_id = "j";
+  EXPECT_FALSE(store.CreateTaskJob(task).ok());
+  task.job_id = "t";
+  ASSERT_TRUE(store.CreateTaskJob(task).ok());
+  EXPECT_FALSE(store.CreateJob(MakeSpec("t", JobAlgo::kGradient)).ok());
+  EXPECT_EQ(store.ListJobs(), (std::vector<std::string>{"j", "t"}));
+}
+
+// One corrupt state.tsv is a Status for that job, never an exception that
+// takes down the whole queue's recovery.
+TEST(JobStoreTest, CorruptStateIsAStatusNotACrash) {
+  for (const char* bad_line :
+       {"attempts\tabc", "attempts\t99999999999", "published_version\t1x",
+        "checkpoints_written\t99999999999999999999", "status\tzombie"}) {
+    JobStore store(FreshRoot("corrupt_state"));
+    ASSERT_TRUE(store.CreateJob(MakeSpec("bad", JobAlgo::kGradient)).ok());
+    {
+      std::ofstream out(store.JobDir("bad") + "/state.tsv", std::ios::trunc);
+      out << "ahg-job-state\t1\nstatus\trunning\n" << bad_line << "\n";
+    }
+    auto state = store.LoadState("bad");
+    ASSERT_FALSE(state.ok()) << bad_line;
+    EXPECT_EQ(state.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_FALSE(store.RecoverInterrupted().ok()) << bad_line;
+  }
 }
 
 TEST(JobStoreTest, StateRoundTripAndRecovery) {

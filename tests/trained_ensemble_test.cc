@@ -1,5 +1,10 @@
 #include "core/trained_ensemble.h"
 
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "graph/sampling.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
@@ -78,6 +83,61 @@ TEST(TrainedEnsembleTest, SaveLoadPreservesPredictions) {
   EXPECT_NEAR(loaded.value().beta()[0], 0.7, 1e-12);
   Matrix after = loaded.value().PredictProba(g);
   EXPECT_TRUE(AllClose(before, after, 1e-12));
+}
+
+// A resumed job predicts from the saved ensemble, so beta must survive the
+// manifest exactly, not to six significant digits.
+TEST(TrainedEnsembleTest, SaveLoadIsBitwiseWithNonTerminatingBeta) {
+  Graph g = TestGraph(10);
+  Rng rng(11);
+  DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
+  TrainedEnsemble ensemble = TrainedEnsemble::Train(
+      TinyPool(), {{1}, {2}}, {1.0 / 3.0, 2.0 / 3.0}, g, split, FastTrain(),
+      12);
+  const Matrix before = ensemble.PredictProba(g);
+
+  const std::string dir = "/tmp/ahg_trained_ensemble_thirds";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(ensemble.Save(dir).ok());
+  auto loaded = TrainedEnsemble::Load(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().beta(), ensemble.beta());
+  const Matrix after = loaded.value().PredictProba(g);
+  ASSERT_EQ(before.size(), after.size());
+  EXPECT_EQ(std::memcmp(before.data(), after.data(),
+                        before.size() * sizeof(double)),
+            0);
+}
+
+// A member whose family byte is corrupt must fail the load, not abort in
+// BuildModel at the first forward.
+TEST(TrainedEnsembleTest, LoadRejectsCorruptMemberFamily) {
+  Graph g = TestGraph(13);
+  Rng rng(14);
+  DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
+  TrainedEnsemble ensemble = TrainedEnsemble::Train(
+      TinyPool(), {{1}, {1}}, {0.5, 0.5}, g, split, FastTrain(), 15);
+  const std::string dir = "/tmp/ahg_trained_ensemble_family";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(ensemble.Save(dir).ok());
+
+  const std::string member = dir + "/member_0.ahgm";
+  std::string bytes;
+  {
+    std::ifstream in(member, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  constexpr size_t kFamilyOffset = 8;  // after the magic and the version
+  ASSERT_GT(bytes.size(), kFamilyOffset);
+  bytes[kFamilyOffset] = static_cast<char>(bytes[kFamilyOffset] ^ 0xFF);
+  {
+    std::ofstream out(member, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  auto loaded = TrainedEnsemble::Load(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(TrainedEnsembleTest, LoadRejectsMissingDirectory) {
