@@ -103,6 +103,9 @@ class GraphSnapshot {
   // null when the snapshot was built from an unreordered graph and never
   // re-reordered. Extended with identity entries on AddNode.
   const NodePermutation* permutation() const { return perm_.get(); }
+  std::shared_ptr<const NodePermutation> permutation_ptr() const {
+    return perm_;
+  }
 
   // External-id boundary helpers (identity when unreordered).
   int ToInternal(int external_id) const {
@@ -137,10 +140,12 @@ class GraphSnapshot {
 
   // From-scratch static Graph with this snapshot's topology, features and
   // labels — the independent rebuild the stream example and tests compare
-  // against. On a reordered snapshot the result carries the same
-  // permutation (external graph rebuilt, then re-permuted), so its CSR
-  // caches keep the rank-order invariant and a cold engine on it serves
-  // bitwise identically to the incremental path.
+  // against, and the lazy serving graph StreamingServer::PublishTo hands an
+  // engine (built only when a query misses the published states). On a
+  // reordered snapshot the result carries the same permutation (external
+  // graph rebuilt, then re-permuted), so its CSR caches keep the rank-order
+  // invariant and a cold engine on it serves bitwise identically to the
+  // incremental path.
   Graph MaterializeGraph() const;
 
   // Recomputes the layout from the CURRENT logical topology expressed in

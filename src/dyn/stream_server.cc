@@ -182,17 +182,19 @@ Status StreamingServer::PublishTo(serve::InferenceEngine* engine) {
         StrFormat("engine generation %d is ahead of snapshot version %d",
                   static_cast<int>(current), static_cast<int>(target - 1)));
   }
-  if (current < target) {
-    auto graph = std::make_shared<const Graph>(s->snap->MaterializeGraph());
-    Status swapped = engine->SwapGraph(graph.get(), target);
-    if (!swapped.ok()) return swapped;
-    // The engine holds a raw pointer; keep this and every prior published
-    // graph alive so in-flight batches that resolved the old pointer drain
-    // safely (publishes are checkpoint-grained, so the list stays short).
-    retired_graphs_.push_back(published_graph_);
-    published_graph_ = std::move(graph);
+  if (current == target) {
+    return engine->InstallHiddenStates(model_.version, s->hidden);
   }
-  return engine->InstallHiddenStates(model_.version, s->hidden);
+  // No Graph is built here: this model version is served from the seeded
+  // states, and only a cache miss (another model version) materializes the
+  // snapshot, once per generation. The builder pins the copy-on-write
+  // snapshot, which is freed with the engine's last reference to it.
+  std::shared_ptr<const GraphSnapshot> snap = s->snap;
+  auto graph = std::make_shared<const serve::ServingGraph>(
+      snap->num_nodes(), snap->feature_dim(), snap->permutation_ptr(),
+      [snap] { return snap->MaterializeGraph(); });
+  return engine->SwapGraph(std::move(graph), target, model_.version,
+                           s->hidden);
 }
 
 }  // namespace ahg::dyn

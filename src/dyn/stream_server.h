@@ -11,11 +11,13 @@
 // publish retargets later queries while in-flight ones finish against the
 // version they started on.
 //
-// PublishTo() bridges into the static serving stack: it materializes the
-// current snapshot as a Graph, SwapGraph()s the InferenceEngine onto it
-// (keyed by the snapshot version) and installs the incrementally refreshed
-// hidden states into the engine's PropagationCache, so the first post-swap
-// query pays a row gather instead of a full forward.
+// PublishTo() bridges into the static serving stack without building a
+// Graph: it SwapGraph()s the InferenceEngine onto a lazy ServingGraph over
+// the current snapshot (keyed by the snapshot version) and seeds the
+// engine's PropagationCache with the incrementally refreshed hidden states
+// before the swap lands, so every query for the stream's model version
+// pays a row gather. Only a query for another model version misses; it
+// materializes the snapshot, once per published generation.
 //
 // Metrics (process-wide registry): dyn.batches, dyn.mutations_applied,
 // dyn.incremental_refreshes, dyn.full_refreshes, dyn.rows_refreshed
@@ -85,11 +87,12 @@ class StreamingServer {
   std::shared_ptr<const Matrix> hidden() const;
   uint64_t version() const;
 
-  // Materializes the current snapshot, swaps `engine` onto it (generation =
-  // snapshot version + 1, since engines start at generation 0 and versions
-  // must strictly increase) and installs the refreshed hidden states. The
-  // materialized graph is owned by this server and kept alive until the
-  // next PublishTo or destruction.
+  // Swaps `engine` onto the current snapshot (generation = snapshot
+  // version + 1, since engines start at generation 0 and versions must
+  // strictly increase) with the refreshed hidden states seeded, or only
+  // reinstalls the states when the engine is already on this version.
+  // Builds no Graph; the engine holds the snapshot until its last request
+  // against it returns.
   Status PublishTo(serve::InferenceEngine* engine);
 
   const serve::ServableModel& model() const { return model_; }
@@ -111,10 +114,6 @@ class StreamingServer {
 
   std::mutex apply_mu_;  // serializes mutator-side work
   std::unique_ptr<IncrementalPropagator> propagator_;  // under apply_mu_
-  std::shared_ptr<const Graph> published_graph_;       // under apply_mu_
-  // Previously published graphs, kept alive for engine batches still
-  // holding their raw pointer (see PublishTo).
-  std::vector<std::shared_ptr<const Graph>> retired_graphs_;
 
   mutable std::mutex state_mu_;  // guards the published pointer only
   std::shared_ptr<const State> state_;

@@ -63,8 +63,9 @@ class EngineShard {
   Status WarmVersion(int version);
 
   // Dynamic-graph bridge. AttachStream binds a tenant to its streaming
-  // server; PublishStream materializes the stream's latest snapshot into
-  // the tenant's engine (SwapGraph + InstallHiddenStates).
+  // server; PublishStream swaps the tenant's engine onto the stream's
+  // latest snapshot with its hidden states seeded (StreamingServer::
+  // PublishTo; no graph is built).
   Status AttachStream(const std::string& tenant, dyn::StreamingServer* stream);
   dyn::StreamingServer* stream(const std::string& tenant) const;
   Status PublishStream(const std::string& tenant);

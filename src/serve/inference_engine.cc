@@ -2,10 +2,12 @@
 
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 #include "autodiff/ops.h"
 #include "graph/reorder.h"
 #include "nn/linear.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/pool.h"
 #include "util/string_util.h"
@@ -23,10 +25,50 @@ Matrix ApplyClassifierHead(const Matrix& hidden_rows,
   return RowSoftmax(logits);
 }
 
+namespace {
+
+const Graph& NonNull(const Graph* graph) {
+  AHG_CHECK(graph != nullptr);
+  return *graph;
+}
+
+}  // namespace
+
+ServingGraph::ServingGraph(const Graph* graph)
+    : num_nodes_(NonNull(graph).num_nodes()),
+      feature_dim_(graph->feature_dim()),
+      perm_(graph->permutation_ptr()),
+      borrowed_(graph) {}
+
+ServingGraph::ServingGraph(int num_nodes, int feature_dim,
+                           std::shared_ptr<const NodePermutation> perm,
+                           std::function<Graph()> build)
+    : num_nodes_(num_nodes),
+      feature_dim_(feature_dim),
+      perm_(std::move(perm)),
+      build_(std::move(build)) {
+  AHG_CHECK(build_ != nullptr);
+}
+
+const Graph& ServingGraph::Get() const {
+  if (borrowed_ != nullptr) return *borrowed_;
+  std::call_once(built_once_, [this] {
+    AHG_TRACE_SPAN_ARG("serve/graph_build", num_nodes_);
+    built_ = std::make_unique<const Graph>(build_());
+    AHG_CHECK(built_->num_nodes() == num_nodes_ &&
+              built_->feature_dim() == feature_dim_ &&
+              built_->permutation() == perm_.get());
+    static obs::Counter* const builds =
+        obs::MetricsRegistry::Global().GetCounter("serve.graph_builds");
+    builds->Increment();
+  });
+  return *built_;
+}
+
 InferenceEngine::InferenceEngine(const Graph* graph,
                                  const EngineOptions& options,
                                  ServeStats* stats)
-    : graph_(graph),
+    : graph_(std::make_shared<const ServingGraph>(graph)),
       own_cache_(options.cache_byte_budget),
       cache_(options.shared_cache != nullptr ? options.shared_cache
                                              : &own_cache_),
@@ -34,43 +76,55 @@ InferenceEngine::InferenceEngine(const Graph* graph,
       stats_(stats),
       pooling_(options.pooling),
       fusion_(options.fusion) {
-  AHG_CHECK(graph != nullptr);
   AHG_CHECK(scope_.find('/') == std::string::npos);
 }
 
-StatusOr<std::shared_ptr<const Matrix>> InferenceEngine::HiddenStates(
+StatusOr<InferenceEngine::Resolved> InferenceEngine::Resolve(
     const ServableModel& model) {
   // Covers the miss-path frozen forward; flags are thread-local, so this
   // applies on whichever request thread runs the compute.
   ScopedMemPlane mem_plane(pooling_, fusion_);
-  // One consistent (graph, generation) pair for the whole request; a
-  // concurrent SwapGraph retargets later requests, never this one.
-  const Graph* graph;
+  // One (graph, generation) pin for the whole request: validation, id
+  // translation and any miss-path forward all see the same graph, and a
+  // concurrent SwapGraph retargets later requests, never this one. The hit
+  // lookup shares the pin's lock, so it cannot miss on a generation a swap
+  // retired between the two.
+  Resolved out;
   uint64_t generation;
+  std::string key;
   {
     std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    graph = graph_;
+    out.graph = graph_;
     generation = graph_generation_;
+    if (model.config.in_dim != out.graph->feature_dim()) {
+      return Status::InvalidArgument(StrFormat(
+          "model consumes %d-dim features, serving graph has %d-dim",
+          model.config.in_dim, out.graph->feature_dim()));
+    }
+    // Published versions are immutable and the generation pins the
+    // topology, so (generation, version) identifies the propagation product.
+    key = PropagationKey(GraphId(scope_, generation), model.version);
+    out.hidden = cache_->Lookup(key);
   }
-  if (model.config.in_dim != graph->feature_dim()) {
-    return Status::InvalidArgument(
-        StrFormat("model consumes %d-dim features, serving graph has %d-dim",
-                  model.config.in_dim, graph->feature_dim()));
-  }
-  // Published versions are immutable and the generation pins the topology,
-  // so (generation, version) identifies the propagation product.
-  const std::string key =
-      PropagationKey(GraphId(scope_, generation), model.version);
   bool computed = false;
-  std::shared_ptr<const Matrix> hidden =
-      cache_->GetOrCompute(key, [graph, &model, &computed] {
-        computed = true;
-        std::unique_ptr<GnnModel> zoo = BuildModel(model.config);
-        std::vector<Matrix> weights(model.params.begin(),
-                                    model.params.end() - 2);
-        zoo->params()->Restore(weights);
-        return zoo->ForwardInference(*graph, graph->features());
-      });
+  if (out.hidden == nullptr) {
+    const ServingGraph* graph = out.graph.get();
+    out.hidden = cache_->GetOrCompute(key, [graph, &model, &computed] {
+      computed = true;
+      const Graph& g = graph->Get();
+      std::unique_ptr<GnnModel> zoo = BuildModel(model.config);
+      std::vector<Matrix> weights(model.params.begin(),
+                                  model.params.end() - 2);
+      zoo->params()->Restore(weights);
+      return zoo->ForwardInference(g, g.features());
+    });
+    if (computed) {
+      // A swap that retired this generation mid-compute has already
+      // invalidated its keys; drop the late entry rather than park it.
+      std::shared_lock<std::shared_mutex> lock(graph_mu_);
+      if (graph_generation_ != generation) cache_->Invalidate(key);
+    }
+  }
   if (obs::TracingEnabled()) {
     // Instant-style marker (the lookup itself is sub-microsecond); the
     // miss's compute cost shows up as the enclosed serve/cache_compute span.
@@ -86,7 +140,7 @@ StatusOr<std::shared_ptr<const Matrix>> InferenceEngine::HiddenStates(
     }
     stats_->SetCacheBytes(cache_->current_bytes());
   }
-  return hidden;
+  return out;
 }
 
 StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
@@ -94,30 +148,22 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
   AHG_TRACE_SPAN_ARG("serve/predict_nodes",
                      static_cast<int64_t>(nodes.size()));
   ScopedMemPlane mem_plane(pooling_, fusion_);
-  auto hidden = HiddenStates(model);
-  if (!hidden.ok()) return hidden.status();
-  const Matrix& h = *hidden.value();
-  // Query ids are external; hidden rows live in the serving graph's
-  // (possibly reordered) internal order. Translate once here — the same
-  // benign swap race as the row-count validation below, since a reordered
-  // graph swap republishes matching hidden states with it.
-  const NodePermutation* perm;
-  {
-    std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    perm = graph_->permutation();
-  }
-  // Validate against the hidden-state matrix the request resolved, so the
-  // answer is self-consistent even when a swap lands mid-request.
+  auto resolved = Resolve(model);
+  if (!resolved.ok()) return resolved.status();
+  const ServingGraph& graph = *resolved.value().graph;
+  const Matrix& h = *resolved.value().hidden;
   for (int node : nodes) {
-    if (node < 0 || node >= h.rows()) {
-      return Status::InvalidArgument(
-          StrFormat("node id %d out of range [0, %d)", node, h.rows()));
+    if (node < 0 || node >= graph.num_nodes()) {
+      return Status::InvalidArgument(StrFormat(
+          "node id %d out of range [0, %d)", node, graph.num_nodes()));
     }
   }
+  // Query ids are external; hidden rows live in the pinned graph's
+  // (possibly reordered) internal order.
   Matrix rows(static_cast<int>(nodes.size()), h.cols());
   for (size_t i = 0; i < nodes.size(); ++i) {
     std::memcpy(rows.Row(static_cast<int>(i)),
-                h.Row(ToInternalId(perm, nodes[i])),
+                h.Row(ToInternalId(graph.permutation(), nodes[i])),
                 static_cast<size_t>(h.cols()) * sizeof(double));
   }
   return ApplyClassifierHead(rows, model);
@@ -125,31 +171,31 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
 
 StatusOr<Matrix> InferenceEngine::PredictAll(const ServableModel& model) {
   ScopedMemPlane mem_plane(pooling_, fusion_);
-  auto hidden = HiddenStates(model);
-  if (!hidden.ok()) return hidden.status();
-  Matrix probs = ApplyClassifierHead(*hidden.value(), model);
-  const NodePermutation* perm;
-  {
-    std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    perm = graph_->permutation();
-  }
+  auto resolved = Resolve(model);
+  if (!resolved.ok()) return resolved.status();
+  Matrix probs = ApplyClassifierHead(*resolved.value().hidden, model);
   // Row order is an external contract: row e is node e's probabilities. On
   // a reordered graph, gather the internally ordered rows back out.
-  if (perm != nullptr && probs.rows() == perm->num_nodes()) {
-    probs = GatherRows(probs, perm->to_internal);
-  }
+  const NodePermutation* perm = resolved.value().graph->permutation();
+  if (perm != nullptr) probs = GatherRows(probs, perm->to_internal);
   return probs;
 }
 
 Status InferenceEngine::Warm(const ServableModel& model) {
-  return HiddenStates(model).status();
+  return Resolve(model).status();
 }
 
-Status InferenceEngine::SwapGraph(const Graph* graph, uint64_t generation) {
+Status InferenceEngine::SwapGraph(std::shared_ptr<const ServingGraph> graph,
+                                  uint64_t generation, int seed_version,
+                                  std::shared_ptr<const Matrix> seed_hidden) {
   if (graph == nullptr) {
     return Status::InvalidArgument("SwapGraph: null graph");
   }
-  uint64_t retired;
+  if (seed_hidden != nullptr && seed_hidden->rows() != graph->num_nodes()) {
+    return Status::InvalidArgument(
+        StrFormat("seeded hidden states have %d rows, graph has %d nodes",
+                  seed_hidden->rows(), graph->num_nodes()));
+  }
   {
     std::unique_lock<std::shared_mutex> lock(graph_mu_);
     if (generation <= graph_generation_) {
@@ -158,18 +204,26 @@ Status InferenceEngine::SwapGraph(const Graph* graph, uint64_t generation) {
                     static_cast<long long>(generation),
                     static_cast<long long>(graph_generation_)));
     }
-    retired = graph_generation_;
-    graph_ = graph;
+    // Seed before the flip: no query can see the new generation without
+    // its states. Products of the retired topology must never answer a new
+    // query; in-flight requests keep what they resolved alive.
+    if (seed_hidden != nullptr) {
+      cache_->Put(PropagationKey(GraphId(scope_, generation), seed_version),
+                  std::move(seed_hidden));
+    }
+    const uint64_t retired = graph_generation_;
+    graph_.swap(graph);
     graph_generation_ = generation;
+    cache_->InvalidateGraph(GraphId(scope_, retired));
   }
+  // `graph` now holds the retired graph; unless a request still pins it, it
+  // is freed here, outside the lock.
+  graph.reset();
   if (obs::TracingEnabled()) {
     obs::TraceRecorder& recorder = obs::TraceRecorder::Instance();
     recorder.Emit("serve/graph_swap", recorder.NowMicros(), 0,
                   static_cast<int64_t>(generation));
   }
-  // Products of the retired topology must never answer a new query;
-  // in-flight requests that already resolved a shared_ptr keep it alive.
-  cache_->InvalidateGraph(GraphId(scope_, retired));
   if (stats_ != nullptr) stats_->SetCacheBytes(cache_->current_bytes());
   return Status::OK();
 }
@@ -179,20 +233,18 @@ Status InferenceEngine::InstallHiddenStates(
   if (hidden == nullptr) {
     return Status::InvalidArgument("InstallHiddenStates: null hidden states");
   }
-  const Graph* graph;
-  uint64_t generation;
   {
+    // Held shared across the Put, so a concurrent swap cannot retire the
+    // generation between the check and the insert.
     std::shared_lock<std::shared_mutex> lock(graph_mu_);
-    graph = graph_;
-    generation = graph_generation_;
+    if (hidden->rows() != graph_->num_nodes()) {
+      return Status::InvalidArgument(
+          StrFormat("hidden states have %d rows, serving graph has %d nodes",
+                    hidden->rows(), graph_->num_nodes()));
+    }
+    cache_->Put(PropagationKey(GraphId(scope_, graph_generation_), version),
+                std::move(hidden));
   }
-  if (hidden->rows() != graph->num_nodes()) {
-    return Status::InvalidArgument(
-        StrFormat("hidden states have %d rows, serving graph has %d nodes",
-                  hidden->rows(), graph->num_nodes()));
-  }
-  cache_->Put(PropagationKey(GraphId(scope_, generation), version),
-              std::move(hidden));
   if (stats_ != nullptr) stats_->SetCacheBytes(cache_->current_bytes());
   return Status::OK();
 }
@@ -200,11 +252,6 @@ Status InferenceEngine::InstallHiddenStates(
 uint64_t InferenceEngine::graph_generation() const {
   std::shared_lock<std::shared_mutex> lock(graph_mu_);
   return graph_generation_;
-}
-
-const Graph& InferenceEngine::graph() const {
-  std::shared_lock<std::shared_mutex> lock(graph_mu_);
-  return *graph_;
 }
 
 Matrix InferenceEngine::TrainingPathProbs(const ServableModel& model,

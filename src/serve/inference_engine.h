@@ -14,7 +14,9 @@
 #define AUTOHENS_SERVE_INFERENCE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <vector>
 
@@ -60,10 +62,52 @@ struct EngineOptions {
   std::string cache_scope;
 };
 
+// The graph an engine serves, as the engine's requests see it: node count,
+// feature width and the external -> internal id permutation are known up
+// front, while the Graph itself — which only a cache-miss forward needs —
+// is either borrowed from a caller or built at most once, on the first
+// Get(). The streaming server publishes every snapshot this way, so a
+// publish whose hidden states are seeded into the cache builds nothing.
+// Immutable once constructed; Get() is thread-safe.
+class ServingGraph {
+ public:
+  // Borrows `graph`, which must outlive every holder of this object.
+  explicit ServingGraph(const Graph* graph);
+
+  // Lazy: `build` runs on the first Get() and must return a graph with
+  // `num_nodes` nodes, `feature_dim`-wide features and permutation `perm`
+  // (null = identity layout). Each build bumps the `serve.graph_builds`
+  // counter.
+  ServingGraph(int num_nodes, int feature_dim,
+               std::shared_ptr<const NodePermutation> perm,
+               std::function<Graph()> build);
+
+  ServingGraph(const ServingGraph&) = delete;
+  ServingGraph& operator=(const ServingGraph&) = delete;
+
+  int num_nodes() const { return num_nodes_; }
+  int feature_dim() const { return feature_dim_; }
+  const NodePermutation* permutation() const { return perm_.get(); }
+
+  const Graph& Get() const;
+
+ private:
+  const int num_nodes_;
+  const int feature_dim_;
+  const std::shared_ptr<const NodePermutation> perm_;
+  const std::function<Graph()> build_;
+  const Graph* const borrowed_ = nullptr;
+  mutable std::once_flag built_once_;
+  mutable std::unique_ptr<const Graph> built_;
+};
+
 class InferenceEngine : public NodePredictor {
  public:
-  // `graph` must outlive the engine. `stats` is optional; when set, cache
-  // hits/misses and the pinned byte count are reported there.
+  // Serves `graph` at generation 0. It is borrowed: it must outlive the
+  // engine, or at least the first SwapGraph and every request started
+  // before that swap.
+  // `stats` is optional; when set, cache hits/misses and the pinned byte
+  // count are reported there.
   InferenceEngine(const Graph* graph, const EngineOptions& options,
                   ServeStats* stats = nullptr);
 
@@ -83,20 +127,22 @@ class InferenceEngine : public NodePredictor {
   // startup) without computing head outputs.
   Status Warm(const ServableModel& model);
 
-  // Atomically retargets the engine at a new serving graph (a materialized
+  // Atomically retargets the engine at a new serving graph (a published
   // dynamic-graph snapshot) and invalidates every cached product of the old
-  // generation. `generation` must be strictly greater than the current one
-  // and `graph` must outlive the engine. In-flight batches are not blocked:
-  // they finish against the graph + hidden-state shared_ptrs they already
-  // resolved (the caller keeps the old graph alive until they drain), while
-  // every later query keys the cache by the new generation.
-  Status SwapGraph(const Graph* graph, uint64_t generation);
+  // generation. `generation` must be strictly greater than the current one.
+  // When `seed_hidden` is set (num_nodes x hidden_dim for `graph`), it is
+  // cached as (generation, `seed_version`)'s product before the flip, so no
+  // query ever sees the new generation without it. Each request pins the
+  // (graph, generation) pair once: in-flight requests finish against the
+  // graph they started on, which is freed when the last of them returns.
+  Status SwapGraph(std::shared_ptr<const ServingGraph> graph,
+                   uint64_t generation, int seed_version = 0,
+                   std::shared_ptr<const Matrix> seed_hidden = nullptr);
 
   // Seeds the cache for (current generation, `version`) with hidden states
   // computed elsewhere — the dynamic path installs its incrementally
-  // patched H^(L) here so the first post-swap query pays a row gather, not
-  // a full forward. `hidden` must be num_nodes x hidden_dim for the current
-  // graph.
+  // patched H^(L) here so a query pays a row gather, not a full forward.
+  // `hidden` must be num_nodes x hidden_dim for the current graph.
   Status InstallHiddenStates(int version,
                              std::shared_ptr<const Matrix> hidden);
 
@@ -106,7 +152,6 @@ class InferenceEngine : public NodePredictor {
   // The cache this engine resolves against: the shared one when
   // EngineOptions::shared_cache was set, the private one otherwise.
   const PropagationCache& cache() const { return *cache_; }
-  const Graph& graph() const;
 
   // Comparator/baseline: rebuilds the autodiff model + head and runs the
   // tape-building eval forward over the whole graph (exactly what training
@@ -116,14 +161,20 @@ class InferenceEngine : public NodePredictor {
                                   const Graph& graph);
 
  private:
-  // Cached H^(L) for (graph generation, model.version).
-  StatusOr<std::shared_ptr<const Matrix>> HiddenStates(
-      const ServableModel& model);
+  // One request's view: the graph it pinned and the cached H^(L) for
+  // (that graph's generation, model.version), in the graph's internal order.
+  struct Resolved {
+    std::shared_ptr<const ServingGraph> graph;
+    std::shared_ptr<const Matrix> hidden;
+  };
+  StatusOr<Resolved> Resolve(const ServableModel& model);
 
-  // Guards the (graph, generation) pair; queries take it shared for the
-  // duration of one pointer read, so a swap never blocks behind a batch.
+  // Guards the (graph, generation) pair. Queries hold it shared only to pin
+  // the pair and look the product up, so a swap never blocks behind a
+  // batch's compute, and a swap's invalidation never lands between a
+  // query's pin and its cache lookup.
   mutable std::shared_mutex graph_mu_;
-  const Graph* graph_;
+  std::shared_ptr<const ServingGraph> graph_;
   uint64_t graph_generation_ = 0;
   PropagationCache own_cache_;
   PropagationCache* const cache_;  // &own_cache_ or options.shared_cache

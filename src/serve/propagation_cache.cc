@@ -115,6 +115,16 @@ void PropagationCache::EvictLocked(const std::string& keep) {
   }
 }
 
+std::shared_ptr<const Matrix> PropagationCache::Lookup(
+    const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || !it->second.ready) return nullptr;
+  ++hits_;
+  it->second.last_used = ++tick_;
+  return it->second.future.get();
+}
+
 void PropagationCache::Put(const std::string& key,
                            std::shared_ptr<const Matrix> value) {
   AHG_CHECK(value != nullptr);

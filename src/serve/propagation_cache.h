@@ -69,6 +69,11 @@ class PropagationCache {
   std::shared_ptr<const Matrix> GetOrCompute(
       const std::string& key, const std::function<Matrix()>& compute);
 
+  // The entry for `key` if it is computed, else null (and nothing counted
+  // or inserted): the non-blocking hit path a caller can take under its own
+  // lock before falling back to GetOrCompute.
+  std::shared_ptr<const Matrix> Lookup(const std::string& key);
+
   // Inserts (or replaces) `key` with an already-computed value — the
   // patch-in-place path: the dynamic-graph refresh computes the new H^(L)
   // incrementally and publishes it here without a compute callback.

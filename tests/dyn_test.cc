@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -90,9 +91,10 @@ Mutation RandomMutation(const GraphSnapshot& snap, Rng* rng) {
     }
     if (kind < 7) {  // remove a random existing edge
       const int u = static_cast<int>(rng->UniformInt(n));
-      const DeltaCsr::RowRef row = snap.raw_adjacency().Row(u);
+      const DeltaCsr::RowRef row =
+          snap.raw_adjacency().Row(snap.ToInternal(u));
       if (row.nnz == 0) continue;
-      const int v = row.cols[rng->UniformInt(row.nnz)];
+      const int v = snap.ToExternal(row.cols[rng->UniformInt(row.nnz)]);
       return Mutation::RemoveEdge(u, v);
     }
     if (kind < 9) {  // feature update
@@ -539,10 +541,226 @@ TEST(InferenceEngineTest, SwapGraphRequiresIncreasingGenerations) {
   Graph graph = SmallGraph(73);
   Graph other = SmallGraph(74);
   serve::InferenceEngine engine(&graph, serve::EngineOptions{});
-  EXPECT_FALSE(engine.SwapGraph(&other, 0).ok());
-  EXPECT_TRUE(engine.SwapGraph(&other, 2).ok());
-  EXPECT_FALSE(engine.SwapGraph(&graph, 2).ok());
+  auto borrow = [](const Graph& g) {
+    return std::make_shared<const serve::ServingGraph>(&g);
+  };
+  EXPECT_FALSE(engine.SwapGraph(borrow(other), 0).ok());
+  EXPECT_TRUE(engine.SwapGraph(borrow(other), 2).ok());
+  EXPECT_FALSE(engine.SwapGraph(borrow(graph), 2).ok());
+  EXPECT_FALSE(engine.SwapGraph(nullptr, 3).ok());
   EXPECT_EQ(engine.graph_generation(), 2u);
+}
+
+int64_t GraphBuilds() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("serve.graph_builds")
+      ->Value();
+}
+
+// One mutator batch of a single random edit (a batch of several could
+// remove one edge twice), applied.
+void ApplyRandomMutation(StreamingServer* server, Rng* rng) {
+  server->Submit(RandomMutation(*server->snapshot(), rng));
+  auto stats = server->ApplyPending();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+}
+
+// Readers query the engine while the mutator streams edge churn that trips
+// compaction, and with it an RCM re-reorder, again and again. Each request
+// pins one (graph, generation) view, so its id translation always matches
+// the hidden states it gathers from: every answer is bitwise one the stream
+// itself gave at some published version, never old rows read through a new
+// permutation.
+TEST(StreamingServerTest, EngineAnswersAreAPublishedVersionAcrossReorders) {
+  Graph graph = SmallGraph(79);
+  serve::ServableModel model = MakeServable(graph, 5);
+  StreamOptions options;
+  options.reorder = ReorderStrategy::kRcm;
+  options.reorder_seed = 3;
+  auto server_or = StreamingServer::Create(graph, model, options);
+  ASSERT_TRUE(server_or.ok());
+  StreamingServer& server = *server_or.value();
+  serve::InferenceEngine engine(&graph, serve::EngineOptions{});
+
+  const std::vector<int> fixed = {0, 5, 11, 17, 23, 29, 35, 41, 47};
+  std::mutex answers_mu;
+  std::vector<Matrix> answers;
+  auto record = [&] {
+    auto answer = server.PredictNodes(fixed);
+    ASSERT_TRUE(answer.ok());
+    std::lock_guard<std::mutex> lock(answers_mu);
+    answers.push_back(std::move(answer).value());
+  };
+  record();
+  ASSERT_TRUE(server.PublishTo(&engine).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0}, unmatched{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      do {
+        auto probs = engine.PredictNodes(model, fixed);
+        ASSERT_TRUE(probs.ok()) << probs.status().ToString();
+        std::lock_guard<std::mutex> lock(answers_mu);
+        bool matched = false;
+        for (const Matrix& answer : answers) {
+          matched = matched || BitwiseEqual(probs.value(), answer);
+        }
+        if (!matched) unmatched.fetch_add(1);
+        reads.fetch_add(1);
+      } while (!stop.load());
+    });
+  }
+  Rng rng(21);
+  int reorders = 0;
+  for (int step = 0; step < 150; ++step) {
+    const uint64_t before = server.version();
+    ApplyRandomMutation(&server, &rng);
+    // A re-reorder is one extra version step on top of the batch's.
+    if (server.version() == before + 2) ++reorders;
+    record();
+    ASSERT_TRUE(server.PublishTo(&engine).ok());
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GE(reorders, 2);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(unmatched.load(), 0);
+}
+
+// The stream's own model version is always served from the states PublishTo
+// seeds, so no publish — and no read racing one — builds a Graph.
+TEST(StreamingServerTest, PublishesAtTheStreamVersionBuildNoGraph) {
+  Graph graph = SmallGraph(83);
+  serve::ServableModel model = MakeServable(graph, 2);
+  StreamOptions options;
+  options.reorder = ReorderStrategy::kRcm;
+  auto server_or = StreamingServer::Create(graph, model, options);
+  ASSERT_TRUE(server_or.ok());
+  StreamingServer& server = *server_or.value();
+  serve::InferenceEngine engine(&graph, serve::EngineOptions{});
+  ASSERT_TRUE(server.PublishTo(&engine).ok());
+
+  const int64_t builds_before = GraphBuilds();
+  const int64_t misses_before = engine.cache().misses();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Rng reader_rng(100 + t);
+      do {
+        const int node = static_cast<int>(
+            reader_rng.UniformInt(graph.num_nodes()));
+        auto probs = engine.PredictNodes(model, {node});
+        ASSERT_TRUE(probs.ok()) << probs.status().ToString();
+      } while (!stop.load());
+    });
+  }
+  Rng rng(33);
+  for (int publish = 0; publish < 200; ++publish) {
+    ApplyRandomMutation(&server, &rng);
+    ASSERT_TRUE(server.PublishTo(&engine).ok());
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(engine.graph_generation(), server.version() + 1);
+  EXPECT_EQ(GraphBuilds(), builds_before);
+  EXPECT_EQ(engine.cache().misses(), misses_before);
+}
+
+// Another model version (a rollout) misses, materializes the published
+// snapshot once for the whole generation, and answers bitwise like a cold
+// engine on the from-scratch rebuild — unreordered and under RCM.
+class LazyServingGraphTest
+    : public ::testing::TestWithParam<ReorderStrategy> {};
+
+TEST_P(LazyServingGraphTest, OtherVersionsBuildOneGraphPerGeneration) {
+  Graph graph = SmallGraph(89);
+  serve::ServableModel model = MakeServable(graph, 1);
+  StreamOptions options;
+  options.reorder = GetParam();
+  auto server_or = StreamingServer::Create(graph, model, options);
+  ASSERT_TRUE(server_or.ok());
+  StreamingServer& server = *server_or.value();
+  serve::InferenceEngine engine(&graph, serve::EngineOptions{});
+
+  Rng rng(41);
+  for (int step = 0; step < 30; ++step) ApplyRandomMutation(&server, &rng);
+  ASSERT_EQ(server.snapshot()->permutation() != nullptr,
+            GetParam() != ReorderStrategy::kNone);
+  ASSERT_TRUE(server.PublishTo(&engine).ok());
+
+  const serve::ServableModel rollout =
+      MakeServable(graph, 2, ModelFamily::kGcn, /*seed=*/29);
+  const serve::ServableModel sgc =
+      MakeServable(graph, 3, ModelFamily::kSgc, /*seed=*/31);
+  std::vector<int> nodes;
+  for (int i = 0; i < graph.num_nodes(); i += 4) nodes.push_back(i);
+  const int64_t builds_before = GraphBuilds();
+  auto lazy_nodes = engine.PredictNodes(rollout, nodes);
+  auto lazy_all = engine.PredictAll(rollout);
+  auto lazy_sgc = engine.PredictAll(sgc);
+  ASSERT_TRUE(lazy_nodes.ok()) << lazy_nodes.status().ToString();
+  ASSERT_TRUE(lazy_all.ok());
+  ASSERT_TRUE(lazy_sgc.ok());
+  EXPECT_EQ(GraphBuilds(), builds_before + 1);
+
+  Graph rebuilt = server.snapshot()->MaterializeGraph();
+  serve::InferenceEngine cold(&rebuilt, serve::EngineOptions{});
+  auto cold_nodes = cold.PredictNodes(rollout, nodes);
+  auto cold_all = cold.PredictAll(rollout);
+  auto cold_sgc = cold.PredictAll(sgc);
+  ASSERT_TRUE(cold_nodes.ok());
+  ASSERT_TRUE(cold_all.ok());
+  ASSERT_TRUE(cold_sgc.ok());
+  EXPECT_TRUE(BitwiseEqual(lazy_nodes.value(), cold_nodes.value()));
+  EXPECT_TRUE(BitwiseEqual(lazy_all.value(), cold_all.value()));
+  EXPECT_TRUE(BitwiseEqual(lazy_sgc.value(), cold_sgc.value()));
+  // The stream's version still answers from its seeded states.
+  auto seeded = engine.PredictAll(model);
+  auto cold_seeded = cold.PredictAll(model);
+  ASSERT_TRUE(seeded.ok());
+  ASSERT_TRUE(cold_seeded.ok());
+  EXPECT_TRUE(BitwiseEqual(seeded.value(), cold_seeded.value()));
+  EXPECT_EQ(GraphBuilds(), builds_before + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, LazyServingGraphTest,
+                         ::testing::Values(ReorderStrategy::kNone,
+                                           ReorderStrategy::kRcm));
+
+// The engine is the only holder of a published snapshot once the stream has
+// moved on, so swapping past it frees it: memory stays bounded by the live
+// version, however long the stream runs.
+TEST(StreamingServerTest, RetiredSnapshotsAreFreedAfterTheSwap) {
+  Graph graph = SmallGraph(97);
+  serve::ServableModel model = MakeServable(graph, 1);
+  auto server_or = StreamingServer::Create(graph, model);
+  ASSERT_TRUE(server_or.ok());
+  StreamingServer& server = *server_or.value();
+  serve::InferenceEngine engine(&graph, serve::EngineOptions{});
+  const serve::ServableModel rollout =
+      MakeServable(graph, 2, ModelFamily::kGcn, /*seed=*/29);
+
+  Rng rng(43);
+  ApplyRandomMutation(&server, &rng);
+  ASSERT_TRUE(server.PublishTo(&engine).ok());
+  std::weak_ptr<const GraphSnapshot> published = server.snapshot();
+  // Build this generation's Graph too, so its lifetime is covered.
+  ASSERT_TRUE(engine.Warm(rollout).ok());
+
+  ApplyRandomMutation(&server, &rng);
+  EXPECT_FALSE(published.expired());  // still the engine's serving graph
+  ASSERT_TRUE(server.PublishTo(&engine).ok());
+  EXPECT_TRUE(published.expired());
+
+  for (int step = 0; step < 3; ++step) {
+    ApplyRandomMutation(&server, &rng);
+    ASSERT_TRUE(server.PublishTo(&engine).ok());
+  }
+  std::weak_ptr<const GraphSnapshot> latest = server.snapshot();
+  EXPECT_FALSE(latest.expired());
 }
 
 TEST(PropagationCacheTest, PutInvalidateGraphAndMetricsMirror) {
@@ -565,6 +783,17 @@ TEST(PropagationCacheTest, PutInvalidateGraphAndMetricsMirror) {
   cache.Put(serve::PropagationKey(serve::GraphId(1), 1),
             std::make_shared<const Matrix>(4, 4));
   EXPECT_EQ(cache.num_entries(), 3);
+
+  // Lookup returns a computed entry and counts the hit; a missing key
+  // yields null and counts nothing.
+  const int64_t hits_before = cache.hits();
+  const int64_t misses_before = cache.misses();
+  EXPECT_EQ(cache.Lookup(serve::PropagationKey(serve::GraphId(0), 1)),
+            value);
+  EXPECT_EQ(cache.Lookup(serve::PropagationKey(serve::GraphId(2), 1)),
+            nullptr);
+  EXPECT_EQ(cache.hits(), hits_before + 1);
+  EXPECT_EQ(cache.misses(), misses_before);
 
   cache.InvalidateGraph(serve::GraphId(0));
   EXPECT_EQ(cache.num_entries(), 1);
