@@ -9,10 +9,11 @@
 //   2. replays a seeded zipfian query mix and checks every answer bitwise
 //      against a lone single-engine reference,
 //   3. rolls the fleet to version 2 mid-replay (atomic pin flip),
-//   4. streams a mutation batch (edge adds + feature updates) through
-//      SubmitMutation/PublishStream — the delta routes through the plan
-//      with per-stage halo exchange — and re-verifies bitwise against a
-//      cold engine on the mutated graph.
+//   4. streams a fixed sequence of cut-edge batches (one new cut edge and
+//      one feature update each) through SubmitMutation/PublishStream — each
+//      delta routes through the plan with per-stage halo exchange, appends
+//      halo locals, and together they overflow a part's row growth block —
+//      and re-verifies bitwise against a cold engine on the mutated graph.
 //
 // Usage:
 //   autohens_partition [--shards N] [--nodes V] [--queries Q] [--seed S]
@@ -40,12 +41,18 @@
 #include "graph/reorder.h"
 #include "graph/synthetic.h"
 #include "nn/linear.h"
+#include "obs/metrics.h"
+#include "partition/partitioned_engine.h"
 #include "partition/plan.h"
 #include "serve/inference_engine.h"
 #include "serve/model_registry.h"
 #include "util/rng.h"
 
 namespace {
+
+// Cut-edge batches streamed after the replay: each appends at least one
+// local to part 0, more than the engine's 64-row growth block.
+constexpr int kChurnBatches = 80;
 
 const char* FlagValue(int argc, char** argv, const char* name,
                       const char* fallback) {
@@ -195,41 +202,57 @@ int Main(int argc, char** argv) {
               "%d bitwise mismatches\n",
               queries, flipped_at, mismatches);
 
-  // Stream a mutation batch through the plan and re-verify against a cold
-  // engine on the mutated graph.
-  std::vector<double> feat(static_cast<size_t>(graph.feature_dim()), 0.25);
-  std::vector<ahg::dyn::Mutation> batch = {
-      ahg::dyn::Mutation::AddEdge(1, graph.num_nodes() / 2),
-      ahg::dyn::Mutation::AddEdge(2, graph.num_nodes() - 1),
-      ahg::dyn::Mutation::UpdateFeatures(0, feat),
-      ahg::dyn::Mutation::UpdateFeatures(graph.num_nodes() / 3, feat),
-  };
-  for (const ahg::dyn::Mutation& m : batch) {
-    auto seq = fabric.SubmitMutation(ahg::fabric::kDefaultTenant, m);
-    if (!seq.ok()) {
-      std::fprintf(stderr, "submit: %s\n", seq.status().ToString().c_str());
-      return 1;
-    }
-  }
-  ahg::Status published = fabric.PublishStream(ahg::fabric::kDefaultTenant);
-  if (!published.ok()) {
-    std::fprintf(stderr, "publish stream: %s\n",
-                 published.ToString().c_str());
-    return 1;
-  }
-  std::printf("streamed %zu mutations through the plan (snapshot v%llu, "
-              "%lld halo rows exchanged so far)\n",
-              batch.size(),
-              static_cast<unsigned long long>(
-                  fabric.partitioned_engine()->snapshot_version()),
-              static_cast<long long>(
-                  fabric.partitioned_engine()->rows_exchanged()));
-
+  // Stream cut-edge batches through the plan and re-verify against a cold
+  // engine on the mutated graph. Each batch joins a part-0 node to a node
+  // part 0 does not hold yet, so every batch appends a halo local to part 0
+  // and the batches overflow its row growth block.
   auto snap = ahg::dyn::GraphSnapshot::FromGraph(graph);
   if (!snap.ok()) return 1;
-  auto next = snap.value().Apply(batch);
-  if (!next.ok()) return 1;
-  ahg::Graph mutated = next.value().first.MaterializeGraph();
+  ahg::dyn::GraphSnapshot current = std::move(snap).value();
+  ahg::partition::PartitionedEngine& engine = *fabric.partitioned_engine();
+  const int part0_locals = plan.parts[0].num_local();
+  std::vector<double> feat(static_cast<size_t>(graph.feature_dim()), 0.25);
+  for (int b = 0; b < kChurnBatches; ++b) {
+    int u = 0, v = 0;
+    do {
+      u = static_cast<int>(node_rng.UniformInt(graph.num_nodes()));
+      v = static_cast<int>(node_rng.UniformInt(graph.num_nodes()));
+    } while (engine.OwnerOf(u).value() != 0 ||
+             plan.parts[0].local_of.count(current.ToInternal(v)) > 0);
+    feat[0] = 0.01 * b;
+    const std::vector<ahg::dyn::Mutation> batch = {
+        ahg::dyn::Mutation::AddEdge(u, v),
+        ahg::dyn::Mutation::UpdateFeatures(v, feat),
+    };
+    for (const ahg::dyn::Mutation& m : batch) {
+      auto seq = fabric.SubmitMutation(ahg::fabric::kDefaultTenant, m);
+      if (!seq.ok()) {
+        std::fprintf(stderr, "submit: %s\n", seq.status().ToString().c_str());
+        return 1;
+      }
+    }
+    ahg::Status published = fabric.PublishStream(ahg::fabric::kDefaultTenant);
+    if (!published.ok()) {
+      std::fprintf(stderr, "publish stream: %s\n",
+                   published.ToString().c_str());
+      return 1;
+    }
+    auto next = current.Apply(batch);
+    if (!next.ok()) return 1;
+    current = std::move(next).value().first;
+  }
+  std::printf("streamed %d cut-edge batches through the plan (snapshot "
+              "v%llu, %lld halo rows exchanged so far); part 0 grew from %d "
+              "to %d locals in %lld block growths\n",
+              kChurnBatches,
+              static_cast<unsigned long long>(engine.snapshot_version()),
+              static_cast<long long>(engine.rows_exchanged()), part0_locals,
+              plan.parts[0].num_local(),
+              static_cast<long long>(ahg::obs::MetricsRegistry::Global()
+                                         .GetCounter("partition.part_grows")
+                                         ->Value()));
+
+  ahg::Graph mutated = current.MaterializeGraph();
   ahg::serve::InferenceEngine cold(&mutated, ahg::serve::EngineOptions{});
   auto mref = cold.PredictAll(*registry.Version(2));
   if (!mref.ok()) return 1;

@@ -177,13 +177,9 @@ std::future<serve::QueryResult> ServingFabric::Query(int node,
   if (partitioned_) {
     // Route by the plan's ownership map, not the hash ring: the owning
     // part is the only one holding the node's final hidden row.
-    const std::vector<int>& part_of = partitioned_engine_->plan().part_of;
-    if (node < 0 || node >= static_cast<int>(part_of.size())) {
-      return FailedFuture(Status::InvalidArgument(
-          StrFormat("Query: node %d outside [0, %d)", node,
-                    static_cast<int>(part_of.size()))));
-    }
-    const int part = part_of[node];
+    StatusOr<int> owner = partitioned_engine_->OwnerOf(node);
+    if (!owner.ok()) return FailedFuture(owner.status());
+    const int part = owner.value();
     serve::RequestBatcher& batcher = *part_batchers_[part];
     if (options_.router_queue_limit > 0 &&
         batcher.queue_depth() >= options_.router_queue_limit) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "dyn/stages.h"
@@ -13,6 +12,14 @@
 #include "util/string_util.h"
 
 namespace ahg::partition {
+
+namespace {
+
+// Row block by which a part's resident matrices and local CSR shape grow
+// (about 16 KB per 32-wide matrix).
+constexpr int kGrowRows = 64;
+
+}  // namespace
 
 PartitionedEngine::PartitionedEngine(PartitionPlan plan, const Graph& graph)
     : plan_(std::move(plan)),
@@ -95,9 +102,9 @@ int64_t PartitionedEngine::PartResidentBytes(int p) const {
 void PartitionedEngine::RecomputeLocked(VersionState* vs) {
   const int S = vs->core.num_stages();
   vs->states.clear();
-  for (const PartitionPlan::Part& part : plan_.parts) {
-    vs->states.emplace_back(
-        S, Matrix(part.num_local(), vs->core.config().hidden_dim));
+  for (const Matrix& feats : feats_) {
+    vs->states.emplace_back(S,
+                            Matrix(feats.rows(), vs->core.config().hidden_dim));
   }
   for (int s = 1; s <= S; ++s) RunStageLocked(vs, s, nullptr, {});
 }
@@ -108,11 +115,12 @@ void PartitionedEngine::RunStageLocked(VersionState* vs, int s,
   const int P = plan_.num_parts;
   for (int p = 0; p < P; ++p) {
     const PartitionPlan::Part& part = plan_.parts[p];
-    std::vector<int> rows;  // owned rows of `level`, ascending local == global
+    std::vector<int> rows;  // owned rows of `level`, ascending local id
     if (level != nullptr) {
       for (int g : *level) {
         if (plan_.part_of[g] == p) rows.push_back(part.local_of.at(g));
       }
+      std::sort(rows.begin(), rows.end());
     }
     vs->core.ComputeRows(s, part.adj, feats_[p],
                          level != nullptr ? rows : part.owned_locals,
@@ -155,25 +163,36 @@ Status PartitionedEngine::WarmLocked(const serve::ServableModel& model) {
   return Status::OK();
 }
 
+StatusOr<int> PartitionedEngine::InternalIdLocked(int node) const {
+  const int n = static_cast<int>(plan_.part_of.size());
+  if (node < 0 || node >= n) {
+    return Status::InvalidArgument(
+        StrFormat("node %d outside [0, %d)", node, n));
+  }
+  // Query ids are external; plan globals are internal (see perm_).
+  return perm_ != nullptr && node < perm_->num_nodes()
+             ? perm_->to_internal[node]
+             : node;
+}
+
+StatusOr<int> PartitionedEngine::OwnerOf(int node) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  StatusOr<int> g = InternalIdLocked(node);
+  if (!g.ok()) return g.status();
+  return plan_.part_of[g.value()];
+}
+
 StatusOr<Matrix> PartitionedEngine::GatherAndHead(
     const VersionState& vs, const serve::ServableModel& model,
     const std::vector<int>& nodes) const {
-  const int n = static_cast<int>(plan_.part_of.size());
   Matrix hidden(static_cast<int>(nodes.size()), vs.core.config().hidden_dim);
   for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i] < 0 || nodes[i] >= n) {
-      return Status::InvalidArgument(
-          StrFormat("node %d outside [0, %d)", nodes[i], n));
-    }
-    // Query ids are external; plan globals are internal (see perm_).
-    const int g = perm_ != nullptr && nodes[i] < perm_->num_nodes()
-                      ? perm_->to_internal[nodes[i]]
-                      : nodes[i];
-    const int p = plan_.part_of[g];
-    const PartitionPlan::Part& part = plan_.parts[p];
+    StatusOr<int> g = InternalIdLocked(nodes[i]);
+    if (!g.ok()) return g.status();
+    const int p = plan_.part_of[g.value()];
     const Matrix& final_state = vs.states[p].back();
     std::memcpy(hidden.Row(static_cast<int>(i)),
-                final_state.Row(part.local_of.at(g)),
+                final_state.Row(plan_.parts[p].local_of.at(g.value())),
                 static_cast<size_t>(hidden.cols()) * sizeof(double));
   }
   return serve::ApplyClassifierHead(hidden, model);
@@ -238,7 +257,7 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   // from cut-edge creation; appended rows count — their off-part neighbors
   // become halo of the part that received them). Sorted ascending per part.
   std::vector<std::vector<int>> additions(P);
-  std::vector<std::vector<int>> new_halo(P);
+  std::vector<int> forced;  // new halo nodes, see step 6
   for (int g = n_old; g < n_new; ++g) {
     additions[plan_.part_of[g]].push_back(g);
   }
@@ -250,95 +269,59 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
       if (plan_.parts[p].local_of.count(c) == 0) additions[p].push_back(c);
     }
   }
+
+  // 3. Append every addition after the part's existing locals; no local
+  // ever moves. Resident matrices and the local CSR shape grow a block of
+  // kGrowRows rows at a time, so an append copies nothing until its block
+  // fills. New rows start zero and get their values from the snapshot
+  // (features), the dirty recompute (owned states) or the forced halo
+  // delivery (halo states).
   bool structural = false;
   for (int p = 0; p < P; ++p) {
-    std::sort(additions[p].begin(), additions[p].end());
-    additions[p].erase(std::unique(additions[p].begin(), additions[p].end()),
-                       additions[p].end());
-    if (!additions[p].empty()) structural = true;
-    for (int g : additions[p]) {
-      if (plan_.part_of[g] != p) new_halo[p].push_back(g);
-    }
-  }
-
-  // 3. Apply the structural change per part: append when every addition is
-  // larger than the current largest local (keeps the ascending-global local
-  // numbering without renumbering); otherwise rebuild the part — re-merge
-  // the local universe and move every resident matrix by global id.
-  std::vector<uint8_t> rebuilt(P, 0);
-  for (int p = 0; p < P; ++p) {
-    if (additions[p].empty()) continue;
+    std::vector<int>& added = additions[p];
+    if (added.empty()) continue;
+    structural = true;
+    std::sort(added.begin(), added.end());
+    added.erase(std::unique(added.begin(), added.end()), added.end());
     PartitionPlan::Part& part = plan_.parts[p];
-    std::vector<int> moved_to(part.num_local());  // old local -> new local
-    const bool append_only =
-        part.locals.empty() || additions[p].front() > part.locals.back();
-    if (append_only) {
-      std::iota(moved_to.begin(), moved_to.end(), 0);
-      for (int g : additions[p]) {
-        const int l = part.num_local();
-        part.locals.push_back(g);
-        part.local_of.emplace(g, l);
-        const bool owned = plan_.part_of[g] == p;
-        part.owned.push_back(owned ? 1 : 0);
-        if (owned) {
-          part.owned_locals.push_back(l);
-        } else {
-          part.halo_globals.push_back(g);
-        }
-      }
-      part.adj.Grow(part.num_local(), part.num_local());
-    } else {
-      // Rebuild path: a new halo node falls between existing locals, so the
-      // whole local id space shifts.
-      rebuilt[p] = 1;
-      const std::vector<int> old_locals = std::move(part.locals);
-      part.Relayout(p, old_locals, additions[p], plan_.part_of,
-                    [&gadj](int g) { return gadj.Row(g); });
-      for (size_t l = 0; l < old_locals.size(); ++l) {
-        moved_to[l] = part.local_of.at(old_locals[l]);
-      }
+    for (int g : added) {
+      const bool owned = plan_.part_of[g] == p;
+      if (!owned) forced.push_back(g);
+      part.Append(g, owned);
     }
-    // Old rows are carried over by global id; rows new to the part start
-    // zero and get their values from the snapshot (features), the dirty
-    // recompute (owned states) or the forced halo delivery (halo states).
-    const int n_local = part.num_local();
-    feats_[p] = RemapRows(feats_[p], moved_to, n_local);
-    for (int g : additions[p]) {
+    if (part.num_local() > feats_[p].rows()) {
+      const int rows = (part.num_local() / kGrowRows + 1) * kGrowRows;
+      feats_[p] = GrowRows(feats_[p], rows);
+      for (auto& [version, vs] : versions_) {
+        (void)version;
+        for (Matrix& state : vs.states[p]) state = GrowRows(state, rows);
+      }
+      part.adj.Grow(rows, rows);
+      obs::MetricsRegistry::Global()
+          .GetCounter("partition.part_grows")
+          ->Increment(1);
+    }
+    for (int g : added) {
       std::memcpy(feats_[p].Row(part.local_of.at(g)), snap.FeatureRow(g),
                   static_cast<size_t>(feature_dim_) * sizeof(double));
     }
-    for (auto& [version, vs] : versions_) {
-      (void)version;
-      for (Matrix& state : vs.states[p]) {
-        state = RemapRows(state, moved_to, n_local);
-      }
-    }
+    // The new locals need ranks before step 4 patches rows that use them.
+    part.SetColRank(perm_.get());
   }
 
-  // Parts whose local universe changed need a fresh column-rank vector so
-  // DeltaCsr's ascending-rank invariant keeps holding locally (rank of
-  // local l = external id of its global; identity when unreordered).
-  if (perm_ != nullptr) {
-    for (int p = 0; p < P; ++p) {
-      if (!additions[p].empty()) plan_.parts[p].SetColRank(*perm_);
-    }
-  }
-
-  // 4. Patch dirty adjacency rows on their owning part (rebuilt parts are
-  // already fresh). The override copies the global row's stored entry order
-  // (ascending rank), which column remapping preserves.
+  // 4. Patch dirty adjacency rows on their owning part. The override copies
+  // the global row's stored entry order (ascending rank), which column
+  // remapping preserves.
   for (int g : delta.dirty_adj_rows) {
-    const int p = plan_.part_of[g];
-    if (rebuilt[p]) continue;
-    PartitionPlan::Part& part = plan_.parts[p];
-    const int l = part.local_of.at(g);
+    PartitionPlan::Part& part = plan_.parts[plan_.part_of[g]];
     const dyn::DeltaCsr::RowRef row = gadj.Row(g);
     std::vector<int> cols(row.nnz);
     std::vector<double> vals(row.vals, row.vals + row.nnz);
     for (int64_t e = 0; e < row.nnz; ++e) {
       cols[e] = part.local_of.at(row.cols[e]);
     }
-    part.adj.OverrideRow(l, std::move(cols), std::move(vals));
+    part.adj.OverrideRow(part.local_of.at(g), std::move(cols),
+                         std::move(vals));
   }
 
   // 5. Dirty feature rows land on EVERY part holding the row (owner or
@@ -364,22 +347,21 @@ Status PartitionedEngine::ApplyDelta(const dyn::GraphSnapshot& snap,
   // hidden states it has never received. For GCN every such node is in
   // every dirty level (its adjacency row changed), but SGC's Z level is
   // feature-dirty only — so the union is forced into every post set.
-  std::vector<int> forced;
-  for (int p = 0; p < P; ++p) {
-    forced.insert(forced.end(), new_halo[p].begin(), new_halo[p].end());
-  }
   std::sort(forced.begin(), forced.end());
   forced.erase(std::unique(forced.begin(), forced.end()), forced.end());
 
   // 7. Refresh every warmed version through the stage core's dirty levels.
-  for (auto& [version, vs] : versions_) {
-    (void)version;
-    const dyn::RefreshStats refreshed = vs.core.RefreshDirty(
-        gadj, delta, dyn::kFullRefreshFraction,
-        [&](int s, const std::vector<int>& level) {
-          RunStageLocked(&vs, s, &level, forced);
-        });
-    if (!refreshed.incremental) RecomputeLocked(&vs);
+  {
+    AHG_TRACE_SPAN("partition/refresh");
+    for (auto& [version, vs] : versions_) {
+      (void)version;
+      const dyn::RefreshStats refreshed = vs.core.RefreshDirty(
+          gadj, delta, dyn::kFullRefreshFraction,
+          [&](int s, const std::vector<int>& level) {
+            RunStageLocked(&vs, s, &level, forced);
+          });
+      if (!refreshed.incremental) RecomputeLocked(&vs);
+    }
   }
 
   for (PartitionPlan::Part& part : plan_.parts) part.adj.MaybeCompact();

@@ -9,12 +9,12 @@
 // stage core (dyn/stages.h) — the one the incremental propagator drives
 // over a whole snapshot — over its owned rows, and after each stage the
 // boundary rows cross the HaloExchange in a fixed merge order. Because
-// each part's local universe is numbered in ascending global id (see
-// plan.h), local adjacency rows preserve the global entry order, the
-// subset-exact kernels reproduce the global rows bitwise, and a query
-// answered here is memcmp-identical to the lone engine — the conformance
-// matrix partition_test asserts across synthetic families, part counts,
-// and thread counts.
+// every local column carries its global node's rank and every local row
+// keeps the global row's stored entry order (see plan.h), the subset-exact
+// kernels reproduce the global rows bitwise whatever the local numbering,
+// and a query answered here is memcmp-identical to the lone engine — the
+// conformance matrix partition_test asserts across synthetic families,
+// part counts, and thread counts.
 //
 // Families: the ones dyn::StageCore::Supports admits (kGcn, kSgc).
 // Everything else, and layer tensors of the wrong count or shape, is
@@ -23,11 +23,14 @@
 // Dynamic graphs: ApplyDelta routes a mutation batch through the plan —
 // adjacency rows are patched copy-on-write on their owning part, new nodes
 // are appended to the least-loaded part, new halo dependencies are
-// materialized, and each resident model version is refreshed by the stage
-// core's dirty-level loop (dyn::StageCore::RefreshDirty) with per-stage
-// dirty halo exchange. Orphaned halo rows (references removed by edge
-// deletions) are kept; they are unused and merely occupy their row until a
-// rebuild.
+// appended to the consumer part's locals, and each resident model version
+// is refreshed by the stage core's dirty-level loop
+// (dyn::StageCore::RefreshDirty) with per-stage dirty halo exchange. Local
+// numbering is append-only, so a batch never renumbers or moves a part.
+// The resident matrices (features, per-version states) and the local CSR
+// shape grow in fixed row blocks; rows past num_local() are unused slack.
+// Orphaned halo rows (references removed by edge deletions) live for the
+// engine's lifetime: at most one row per new cut endpoint.
 #ifndef AUTOHENS_PARTITION_PARTITIONED_ENGINE_H_
 #define AUTOHENS_PARTITION_PARTITIONED_ENGINE_H_
 
@@ -81,6 +84,12 @@ class PartitionedEngine : public serve::NodePredictor {
   Status ApplyDelta(const dyn::GraphSnapshot& snap,
                     const dyn::BatchDelta& delta);
 
+  // Part owning external node id `node` (InvalidArgument when out of
+  // range). Safe beside ApplyDelta; serving routes through this, never
+  // through plan().
+  StatusOr<int> OwnerOf(int node) const;
+
+  // Unsynchronized: read it only while no ApplyDelta can run.
   const PartitionPlan& plan() const { return plan_; }
   int num_parts() const { return plan_.num_parts; }
   // Snapshot version the parts currently reflect (0 = the Create graph).
@@ -113,6 +122,8 @@ class PartitionedEngine : public serve::NodePredictor {
   // and the whole boundary.
   void RunStageLocked(VersionState* vs, int s, const std::vector<int>* level,
                       const std::vector<int>& forced);
+  // Internal id of external node id `node`, or InvalidArgument.
+  StatusOr<int> InternalIdLocked(int node) const;
   StatusOr<Matrix> GatherAndHead(const VersionState& vs,
                                  const serve::ServableModel& model,
                                  const std::vector<int>& nodes) const;
@@ -129,7 +140,9 @@ class PartitionedEngine : public serve::NodePredictor {
   int feature_dim_ = 0;
   int num_classes_ = 0;
   uint64_t snapshot_version_ = 0;
-  std::vector<Matrix> feats_;  // [part] n_local x feature_dim, halo included
+  // [part] features, halo included; rows() is the part's row capacity (at
+  // least n_local), which every state and the local CSR shape share.
+  std::vector<Matrix> feats_;
   std::map<int, VersionState> versions_;
 };
 

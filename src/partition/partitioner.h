@@ -7,7 +7,7 @@
 // Rng(seed + level)-shuffled visit order of the matching pass, so the same
 // (graph, num_parts, seed) triple produces byte-identical assignments on
 // every run and at every thread-pool size — the property the partition
-// plan's Serialize() determinism test memcmps.
+// plan's Fingerprint() determinism test compares.
 //
 // Quality is reported, not assumed: edge-cut fraction (cut edges / total
 // edges, self loops excluded) and balance factor (heaviest part over ideal

@@ -1,6 +1,7 @@
 #include "partition/plan.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -28,16 +29,16 @@ PartitionPlan Materialize(const Graph& graph, std::vector<int> part_of,
   plan.parts.resize(num_parts);
 
   // Owned sets in ascending global order.
+  std::vector<std::vector<int>> owned(num_parts);
   for (int g = 0; g < graph.num_nodes(); ++g) {
-    plan.parts[plan.part_of[g]].locals.push_back(g);
+    owned[plan.part_of[g]].push_back(g);
   }
   for (int p = 0; p < num_parts; ++p) {
     PartitionPlan::Part& part = plan.parts[p];
-    const std::vector<int> owned_globals = part.locals;  // so far: owned only
     // Halo = off-part columns referenced by any owned row. Collect, sort,
-    // dedup; merged with the owned set this defines the local universe.
+    // dedup; merged with the owned set this is the initial local universe.
     std::vector<int> halo;
-    for (int g : owned_globals) {
+    for (int g : owned[p]) {
       for (int64_t e = adj.row_ptr()[g]; e < adj.row_ptr()[g + 1]; ++e) {
         const int c = adj.col_idx()[e];
         if (plan.part_of[c] != p) halo.push_back(c);
@@ -46,73 +47,61 @@ PartitionPlan Materialize(const Graph& graph, std::vector<int> part_of,
     std::sort(halo.begin(), halo.end());
     halo.erase(std::unique(halo.begin(), halo.end()), halo.end());
     plan.halo_nodes_total += static_cast<int64_t>(halo.size());
+    std::vector<int> merged;
+    std::merge(owned[p].begin(), owned[p].end(), halo.begin(), halo.end(),
+               std::back_inserter(merged));
+    for (int g : merged) part.Append(g, plan.part_of[g] == p);
 
-    part.Relayout(p, owned_globals, halo, plan.part_of, [&adj](int g) {
-      const int64_t begin = adj.row_ptr()[g];
-      return dyn::DeltaCsr::RowRef{adj.col_idx().data() + begin,
-                                   adj.values().data() + begin,
-                                   adj.row_ptr()[g + 1] - begin};
-    });
-    if (graph.permutation() != nullptr) part.SetColRank(*graph.permutation());
+    // Local CSR: owned rows replicate the global kSymNorm rows verbatim
+    // with columns remapped (halo rows stay empty), entry order copied as
+    // stored — a column re-sort would change the FP accumulation sequence.
+    const int n_local = part.num_local();
+    std::vector<int64_t> row_ptr(n_local + 1, 0);
+    for (int l : part.owned_locals) {
+      const int g = part.locals[l];
+      row_ptr[l + 1] = adj.row_ptr()[g + 1] - adj.row_ptr()[g];
+    }
+    for (int l = 0; l < n_local; ++l) row_ptr[l + 1] += row_ptr[l];
+    std::vector<int> col_idx(row_ptr[n_local]);
+    std::vector<double> values(row_ptr[n_local]);
+    for (int l : part.owned_locals) {
+      const int g = part.locals[l];
+      int64_t at = row_ptr[l];
+      for (int64_t e = adj.row_ptr()[g]; e < adj.row_ptr()[g + 1]; ++e) {
+        col_idx[at] = part.local_of.at(adj.col_idx()[e]);
+        values[at++] = adj.values()[e];
+      }
+    }
+    part.adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
+        SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
+                                   std::move(col_idx), std::move(values))));
+    part.SetColRank(graph.permutation());
   }
   return plan;
 }
 
 }  // namespace
 
-void PartitionPlan::Part::Relayout(
-    int p, const std::vector<int>& a, const std::vector<int>& b,
-    const std::vector<int>& part_of,
-    const std::function<dyn::DeltaCsr::RowRef(int g)>& global_row) {
-  locals.clear();
-  std::merge(a.begin(), a.end(), b.begin(), b.end(),
-             std::back_inserter(locals));
-  const int n_local = num_local();
-  owned.assign(n_local, 0);
-  owned_locals.clear();
-  halo_globals.clear();
-  local_of.clear();
-  local_of.reserve(n_local);
-  for (int l = 0; l < n_local; ++l) {
-    const int g = locals[l];
-    local_of.emplace(g, l);
-    if (part_of[g] == p) {
-      owned[l] = 1;
-      owned_locals.push_back(l);
-    } else {
-      halo_globals.push_back(g);
-    }
+void PartitionPlan::Part::Append(int g, bool is_owned) {
+  const int l = num_local();
+  locals.push_back(g);
+  local_of.emplace(g, l);
+  owned.push_back(is_owned ? 1 : 0);
+  if (is_owned) {
+    owned_locals.push_back(l);
+  } else {
+    halo_globals.insert(
+        std::upper_bound(halo_globals.begin(), halo_globals.end(), g), g);
   }
-
-  // Local CSR: owned rows replicate the global kSymNorm rows verbatim with
-  // columns remapped (halo rows stay empty), entry order copied as stored —
-  // so the SpMM accumulation order, and with it bitwise conformance,
-  // survives partitioning on plain AND locality-reordered graphs (where
-  // stored order is ascending external, not ascending internal, and a
-  // column re-sort would change the FP accumulation sequence).
-  std::vector<int64_t> row_ptr(n_local + 1, 0);
-  for (int l : owned_locals) row_ptr[l + 1] = global_row(locals[l]).nnz;
-  for (int l = 0; l < n_local; ++l) row_ptr[l + 1] += row_ptr[l];
-  std::vector<int> col_idx(row_ptr[n_local]);
-  std::vector<double> values(row_ptr[n_local]);
-  for (int l : owned_locals) {
-    const dyn::DeltaCsr::RowRef row = global_row(locals[l]);
-    int64_t at = row_ptr[l];
-    for (int64_t e = 0; e < row.nnz; ++e, ++at) {
-      col_idx[at] = local_of.at(row.cols[e]);
-      values[at] = row.vals[e];
-    }
-  }
-  adj = dyn::DeltaCsr(std::make_shared<const SparseMatrix>(
-      SparseMatrix::FromCsrParts(n_local, n_local, std::move(row_ptr),
-                                 std::move(col_idx), std::move(values))));
 }
 
-void PartitionPlan::Part::SetColRank(const NodePermutation& perm) {
+void PartitionPlan::Part::SetColRank(const NodePermutation* perm) {
   auto rank = std::make_shared<std::vector<int>>(num_local());
   for (int l = 0; l < num_local(); ++l) {
     const int g = locals[l];
-    (*rank)[l] = g < perm.num_nodes() ? perm.to_external[g] : g;
+    (*rank)[l] = perm != nullptr && g < perm->num_nodes()
+                     ? perm->to_external[g]
+                     : g;
   }
   adj.SetColRank(std::move(rank));
 }
@@ -149,9 +138,8 @@ StatusOr<PartitionPlan> PartitionPlan::BuildFromAssignment(
                      metrics);
 }
 
-std::string PartitionPlan::Serialize() const {
+std::string PartitionPlan::Fingerprint() const {
   std::ostringstream os;
-  os << "ahg-partition-plan 1\n";
   os << "nodes " << part_of.size() << " parts " << num_parts << " seed "
      << seed << "\n";
   os << "metrics " << metrics.total_edges << " " << metrics.cut_edges << " "
@@ -162,8 +150,11 @@ std::string PartitionPlan::Serialize() const {
   os << "\n";
   for (int p = 0; p < num_parts; ++p) {
     const Part& part = parts[p];
+    std::vector<int> owned_globals;
+    for (int l : part.owned_locals) owned_globals.push_back(part.locals[l]);
+    std::sort(owned_globals.begin(), owned_globals.end());
     os << "part " << p << " owned";
-    for (int l : part.owned_locals) os << " " << part.locals[l];
+    for (int g : owned_globals) os << " " << g;
     os << " halo";
     for (int g : part.halo_globals) os << " " << g;
     os << "\n";

@@ -3,28 +3,31 @@
 //
 // Per part, the plan holds a local node universe and a local CSR:
 //  - locals: the part's owned nodes plus its halo (ghost) nodes — every
-//    off-part node referenced by an owned node's adjacency row — listed in
-//    ascending GLOBAL id. Local id = rank in this list. This "merged
-//    global-order" numbering is the key bitwise-conformance decision:
-//    ascending-local equals ascending-global, so a local adjacency row
-//    lists exactly the entries of the global row in the same order, and
-//    the per-row SpMM kernels (fixed ascending-entry accumulation) produce
-//    owned rows bitwise identical to the lone-engine product.
-//  - adj: an n_local x n_local DeltaCsr. Owned rows replicate the global
-//    kSymNorm rows with columns remapped to local ids; halo rows are empty
-//    (a part never computes a halo node — it receives its hidden states
-//    through the HaloExchange). DeltaCsr so dynamic mutation batches patch
-//    individual rows copy-on-write, same as the single-engine path.
+//    off-part node referenced by an owned node's adjacency row. Local id =
+//    position in this list. Materialization lists them in ascending global
+//    id; after that the numbering is append-only (Append): a node new to
+//    the part takes the next local id and no existing local ever moves.
+//  - adj: the local DeltaCsr. Owned rows replicate the global kSymNorm
+//    rows with columns remapped to local ids, entries in the global row's
+//    stored order; halo rows are empty (a part never computes a halo node —
+//    it receives its hidden states through the HaloExchange). Bitwise
+//    conformance rests on the rank-order invariant, not on the numbering:
+//    every local column carries a rank (SetColRank) equal to its global
+//    node's rank in the global CSR, so a local row accumulates exactly the
+//    global row's entries in the same order, and the per-row SpMM kernels
+//    give owned rows bitwise identical to the lone-engine product. The
+//    shape may exceed num_local(): the engine grows it in row blocks, and
+//    no entry references the slack rows. DeltaCsr so dynamic mutation
+//    batches patch individual rows copy-on-write, as on the single engine.
 //
-// Plans are deterministic byte-for-byte: Build runs the seeded partitioner
+// Plans are deterministic: Build runs the seeded partitioner
 // (single-threaded) and every derived structure is assembled by sorted
-// traversal, so Serialize() output is identical across runs and thread
-// counts for the same (graph, num_parts, seed).
+// traversal, so Fingerprint() is identical across runs and thread counts
+// for the same (graph, num_parts, seed).
 #ifndef AUTOHENS_PARTITION_PLAN_H_
 #define AUTOHENS_PARTITION_PLAN_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,37 +41,31 @@ namespace ahg::partition {
 
 struct PartitionPlan {
   struct Part {
-    // Local -> global id, ascending; locals.size() = n_local.
+    // Local -> global id; locals.size() = n_local. Append-only.
     std::vector<int> locals;
     // owned[l] != 0 iff locals[l] is owned (not halo) here.
     std::vector<uint8_t> owned;
     // Local ids of owned nodes, ascending (the rows this part computes).
     std::vector<int> owned_locals;
-    // Global ids of halo nodes, ascending.
+    // Global ids of halo nodes, ascending (HaloExchange routes by it).
     std::vector<int> halo_globals;
     // Global -> local for this part's universe only.
     std::unordered_map<int, int> local_of;
-    // n_local x n_local local adjacency (see file comment).
+    // Local adjacency, at least n_local x n_local (see file comment).
     dyn::DeltaCsr adj;
 
     int num_local() const { return static_cast<int>(locals.size()); }
     int num_owned() const { return static_cast<int>(owned_locals.size()); }
     int num_halo() const { return static_cast<int>(halo_globals.size()); }
 
-    // Re-derives part p from its local universe — the merge of the
-    // disjoint ascending global-id lists `a` and `b` — under the assignment
-    // `part_of`: every field above, with owned adjacency rows copied from
-    // `global_row(g)`. Shared by plan materialization and the engine's part
-    // rebuild.
-    void Relayout(int p, const std::vector<int>& a, const std::vector<int>& b,
-                  const std::vector<int>& part_of,
-                  const std::function<dyn::DeltaCsr::RowRef(int g)>&
-                      global_row);
+    // Gives global g the next local id, as an owned or a halo node. Does
+    // not touch adj.
+    void Append(int g, bool is_owned);
 
-    // Local column rank = external id of the local's global node under
-    // `perm` (nodes appended past it keep their id), so DeltaCsr's
-    // ascending-rank invariant keeps holding part-locally.
-    void SetColRank(const NodePermutation& perm);
+    // Column rank of local l = rank of its global node in the global CSR:
+    // the external id under `perm` (nodes appended past it keep their id),
+    // the global id itself when `perm` is null. Call after Append.
+    void SetColRank(const NodePermutation* perm);
   };
 
   int num_parts = 0;
@@ -90,10 +87,10 @@ struct PartitionPlan {
                                                      std::vector<int> part_of,
                                                      int num_parts);
 
-  // Canonical text form ("ahg-partition-plan 1"): assignment, metrics, and
-  // per-part owned/halo lists. Byte-identical for identical plans — the
-  // determinism tests memcmp this.
-  std::string Serialize() const;
+  // Canonical text form of the assignment, metrics, and per-part sorted
+  // owned/halo global sets — independent of local numbering. Identical for
+  // identical plans; the determinism tests compare it.
+  std::string Fingerprint() const;
 };
 
 }  // namespace ahg::partition

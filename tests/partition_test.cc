@@ -13,11 +13,16 @@
 //    P in {1,2,4} x kernel threads in {1,4};
 //  - dynamic conformance: after streamed mutation batches ApplyDelta keeps
 //    every warmed version bitwise equal to a cold engine on the
-//    materialized snapshot graph;
+//    materialized snapshot graph, and under cut-edge churn on plain and
+//    RCM-reordered graphs the local numbering stays append-only and every
+//    owned row stays in ascending column rank;
 //  - fabric integration: ServePartitioned serves bitwise like the
 //    replicated mode, survives a mid-traffic Rollout, routes mutations
-//    through the plan, and rejects unsupported model families.
+//    through the plan, rejects unsupported model families, and routes
+//    queries by external id beside concurrent ApplyDelta appends.
 // The suite runs under TSan and ASan in CI.
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -25,21 +30,25 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dyn/mutation.h"
 #include "dyn/snapshot.h"
 #include "dyn/stages.h"
 #include "fabric/fabric.h"
+#include "graph/reorder.h"
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
 #include "nn/linear.h"
+#include "obs/metrics.h"
 #include "partition/halo_exchange.h"
 #include "partition/partitioned_engine.h"
 #include "partition/partitioner.h"
 #include "partition/plan.h"
 #include "serve/inference_engine.h"
 #include "serve/model_registry.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace ahg::partition {
@@ -98,7 +107,7 @@ TEST(PartitionerTest, DeterministicAcrossRunsAndThreadCounts) {
     for (int run = 0; run < 2; ++run) {
       auto plan = PartitionPlan::Build(graph, 4, options);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      const std::string serialized = plan.value().Serialize();
+      const std::string serialized = plan.value().Fingerprint();
       if (reference.empty()) {
         reference = serialized;
       } else {
@@ -113,7 +122,7 @@ TEST(PartitionerTest, DeterministicAcrossRunsAndThreadCounts) {
   other.seed = 43;
   auto replan = PartitionPlan::Build(graph, 4, other);
   ASSERT_TRUE(replan.ok());
-  EXPECT_NE(replan.value().Serialize(), reference);
+  EXPECT_NE(replan.value().Fingerprint(), reference);
 }
 
 TEST(PartitionerTest, PartsAreNonEmptyBalancedAndCutFractionSane) {
@@ -432,6 +441,111 @@ TEST(PartitionDynamicTest, ApplyDeltaMatchesColdEngineOnMaterializedGraph) {
   }
 }
 
+// Every batch adds one cut edge whose endpoints are both new to the other
+// endpoint's part, plus one feature update; every tenth batch also appends
+// a node. So every batch appends locals, and part 0 gains more locals than
+// one growth block holds.
+TEST(PartitionDynamicTest, CutEdgeChurnIsAppendOnlyAndBitwise) {
+  constexpr int kBatches = 80;
+  constexpr int kGrowRows = 64;  // partitioned_engine.cc's growth block
+  const Graph plain = Sbm(81, 400, 5, 3.0);
+  const Graph rcm = ReorderGraph(plain, ReorderStrategy::kRcm, 81);
+  obs::Counter* grows =
+      obs::MetricsRegistry::Global().GetCounter("partition.part_grows");
+  for (const Graph* graph : {&plain, &rcm}) {
+    serve::ServableModel gcn = MakeServable(*graph, 1, ModelFamily::kGcn, 91);
+    serve::ServableModel sgc = MakeServable(*graph, 2, ModelFamily::kSgc, 92);
+    for (int parts : {2, 4}) {
+      SCOPED_TRACE(std::string(graph == &rcm ? "rcm" : "plain") + " parts " +
+                   std::to_string(parts));
+      auto engine_or = PartitionedEngine::Create(*graph, parts);
+      ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+      PartitionedEngine& engine = *engine_or.value();
+      ASSERT_TRUE(engine.Warm(gcn).ok());
+      ASSERT_TRUE(engine.Warm(sgc).ok());
+      auto snap_or = dyn::GraphSnapshot::FromGraph(*graph);
+      ASSERT_TRUE(snap_or.ok()) << snap_or.status().ToString();
+      dyn::GraphSnapshot current = std::move(snap_or).value();
+      const PartitionPlan& plan = engine.plan();
+      const int part0_locals = plan.parts[0].num_local();
+      const int64_t grows0 = grows->Value();
+      Rng rng(static_cast<uint64_t>(parts));
+      std::vector<double> feat(static_cast<size_t>(graph->feature_dim()));
+
+      for (int b = 0; b < kBatches; ++b) {
+        SCOPED_TRACE("batch " + std::to_string(b));
+        const int n = current.num_nodes();
+        const int other = 1 + b % (parts - 1);
+        auto owner = [&](int node) { return engine.OwnerOf(node).value(); };
+        auto holds = [&](int part, int node) {
+          return plan.parts[part].local_of.count(current.ToInternal(node)) > 0;
+        };
+        int u = 0, v = 0;
+        do {
+          u = static_cast<int>(rng.UniformInt(n));
+          v = static_cast<int>(rng.UniformInt(n));
+        } while (owner(u) != 0 || owner(v) != other || holds(0, v) ||
+                 holds(other, u));
+        for (double& f : feat) f = rng.Normal();
+        std::vector<dyn::Mutation> batch = {
+            dyn::Mutation::AddEdge(u, v),
+            dyn::Mutation::UpdateFeatures(static_cast<int>(rng.UniformInt(n)),
+                                          feat)};
+        if (b % 10 == 9) {
+          batch.push_back(dyn::Mutation::AddNode(feat));
+          batch.push_back(
+              dyn::Mutation::AddEdge(n, static_cast<int>(rng.UniformInt(n))));
+        }
+        std::vector<std::vector<int>> before;
+        for (const PartitionPlan::Part& part : plan.parts) {
+          before.push_back(part.locals);
+        }
+        auto next = current.Apply(batch);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        auto [applied, delta] = std::move(next).value();
+        ASSERT_TRUE(engine.ApplyDelta(applied, delta).ok());
+        current = std::move(applied);
+
+        for (int p = 0; p < parts; ++p) {
+          const PartitionPlan::Part& part = plan.parts[p];
+          // Append-only: every global keeps its local id.
+          ASSERT_GE(part.locals.size(), before[p].size());
+          EXPECT_TRUE(std::equal(before[p].begin(), before[p].end(),
+                                 part.locals.begin()))
+              << "part " << p << " renumbered";
+          EXPECT_TRUE(std::is_sorted(part.halo_globals.begin(),
+                                     part.halo_globals.end()));
+          // Rank order: each owned row ascends strictly in column rank.
+          ASSERT_NE(part.adj.col_rank(), nullptr);
+          for (int l : part.owned_locals) {
+            const dyn::DeltaCsr::RowRef row = part.adj.Row(l);
+            for (int64_t k = 1; k < row.nnz; ++k) {
+              EXPECT_LT(part.adj.RankOf(row.cols[k - 1]),
+                        part.adj.RankOf(row.cols[k]));
+            }
+          }
+        }
+        EXPECT_GT(plan.parts[0].num_local(), before[0].size());
+        EXPECT_GT(plan.parts[other].num_local(), before[other].size());
+
+        Graph rebuilt = current.MaterializeGraph();
+        serve::InferenceEngine reference(&rebuilt, serve::EngineOptions{});
+        for (const serve::ServableModel* model : {&gcn, &sgc}) {
+          auto expected = reference.PredictAll(*model);
+          ASSERT_TRUE(expected.ok());
+          auto got = engine.PredictNodes(*model, AllNodes(rebuilt.num_nodes()));
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(MatricesBitwiseEqual(got.value(), expected.value()))
+              << "version " << model->version;
+        }
+      }
+      // Part 0 filled at least one whole growth block.
+      EXPECT_GT(plan.parts[0].num_local() - part0_locals, kGrowRows);
+      EXPECT_GE(grows->Value() - grows0, 2);
+    }
+  }
+}
+
 // --- Fabric integration ----------------------------------------------------
 
 std::string FreshDir(const std::string& name) {
@@ -579,6 +693,72 @@ TEST(PartitionedFabricTest, MutationsRouteThroughThePlan) {
         << "node " << node;
   }
   EXPECT_EQ(fabric.partitioned_engine()->snapshot_version(), 1u);
+}
+
+// Query resolves a node's owner under the engine lock, so it may run
+// beside ApplyDelta appending nodes to the ownership map (TSan checks
+// this), and it translates external ids on a reordered graph.
+TEST(PartitionedFabricTest, QueryRoutesByExternalIdBesideAppends) {
+  const Graph graph =
+      ReorderGraph(Sbm(67, 80, 5, 4.0), ReorderStrategy::kRcm, 67);
+  serve::ServableModel v1 = MakeServable(graph, 1, ModelFamily::kGcn, 77);
+  auto registry = RegistryWith(FreshDir("partition_fabric_route"), {v1});
+  fabric::FabricOptions options;
+  options.num_shards = 2;
+  options.batcher = TestBatcher(1);
+  fabric::ServingFabric fabric(options);
+  ASSERT_TRUE(fabric.ServePartitioned(&graph, registry.get()).ok());
+  ASSERT_TRUE(fabric.Rollout(1).ok());
+  PartitionedEngine& engine = *fabric.partitioned_engine();
+
+  // Nodes owned by part 0 are answered by part 0's batcher only.
+  std::vector<int> owned0;
+  for (int node = 0; node < graph.num_nodes(); ++node) {
+    StatusOr<int> owner = engine.OwnerOf(node);
+    ASSERT_TRUE(owner.ok());
+    EXPECT_EQ(owner.value(),
+              engine.plan().part_of[graph.permutation()->to_internal[node]]);
+    if (owner.value() == 0) owned0.push_back(node);
+  }
+  const int64_t completed0 = fabric.part_stats(0).Snapshot().completed;
+  for (int node : owned0) {
+    ASSERT_TRUE(fabric.Query(node).get().status.ok());
+  }
+  EXPECT_EQ(fabric.part_stats(0).Snapshot().completed - completed0,
+            static_cast<int64_t>(owned0.size()));
+  EXPECT_EQ(engine.OwnerOf(-1).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(engine.OwnerOf(graph.num_nodes()).status().code(),
+            Status::Code::kInvalidArgument);
+
+  // One reader beside 200 AddNode + AddEdge publishes.
+  constexpr int kAppends = 200;
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    for (int node = 0; !done.load(); node = (node + 7) % graph.num_nodes()) {
+      if (!fabric.Query(node).get().status.ok()) ++failures;
+    }
+  });
+  std::vector<double> feat(static_cast<size_t>(graph.feature_dim()), 0.5);
+  for (int i = 0; i < kAppends; ++i) {
+    const int added = graph.num_nodes() + i;
+    ASSERT_TRUE(fabric
+                    .SubmitMutation(fabric::kDefaultTenant,
+                                    dyn::Mutation::AddNode(feat))
+                    .ok());
+    ASSERT_TRUE(fabric
+                    .SubmitMutation(fabric::kDefaultTenant,
+                                    dyn::Mutation::AddEdge(
+                                        added, i % graph.num_nodes()))
+                    .ok());
+    ASSERT_TRUE(fabric.PublishStream(fabric::kDefaultTenant).ok());
+  }
+  done = true;
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(engine.OwnerOf(graph.num_nodes() + kAppends - 1).ok());
+  fabric.Drain();
 }
 
 TEST(PartitionedFabricTest, RolloutRejectsUnsupportedFamilyWithoutFlip) {
