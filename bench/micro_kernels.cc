@@ -7,8 +7,9 @@
 // Accepts --trace-out FILE / --metrics-out FILE in addition to the standard
 // google-benchmark flags (ours are stripped before benchmark::Initialize,
 // which rejects flags it does not know). --json-out FILE switches to a
-// deterministic measurement suite (GEMM/SpMM ns/op plus the GCN train step
-// with the memory plane off and on) and writes the BENCH_kernels.json
+// deterministic measurement suite (GEMM/SpMM ns/op, GEMMs on dropout,
+// bag-of-words and ReLU-head operands, plus the GCN train step with the
+// memory plane off and on) and writes the BENCH_kernels.json
 // schema the perf-smoke CI job diffs against.
 #include <benchmark/benchmark.h>
 
@@ -301,6 +302,49 @@ double MeasureNsPerOp(int reps, const std::function<void()>& op) {
   return 1e9 * best;
 }
 
+// Gaussian entries, each kept with probability `keep` and exactly zero
+// otherwise (a dropout mask, a ReLU output or a bag-of-words row).
+Matrix MaskedGaussian(int rows, int cols, double keep, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const double v = rng->Normal(0.0, 1.0);
+    m.data()[i] = rng->Bernoulli(keep) ? v : 0.0;
+  }
+  return m;
+}
+
+// The GEMM shapes a search job's training step produces, where the zero
+// share of the left operand decides the kernel's walk: the dropped-out
+// 12000x48 input features against a 48x8 layer (forward MatMul and the
+// weight gradient MatMulTransA), a 1.3%-dense bag-of-words feature matrix,
+// and the narrow 12000x8 ReLU output against a 8x16 head.
+struct ZeroShapeTimes {
+  double dropout_ns = 0.0;
+  double dropout_ta_ns = 0.0;
+  double bow_ns = 0.0;
+  double head_ns = 0.0;
+};
+
+ZeroShapeTimes MeasureZeroShapes(Rng* rng) {
+  const Matrix dropped = MaskedGaussian(12000, 48, 0.5, rng);
+  const Matrix w = Matrix::Gaussian(48, 8, 1.0, rng);
+  const Matrix grad = Matrix::Gaussian(12000, 8, 1.0, rng);
+  const Matrix bow = MaskedGaussian(2708, 1433, 0.013, rng);
+  const Matrix bow_w = Matrix::Gaussian(1433, 64, 1.0, rng);
+  const Matrix hidden = MaskedGaussian(12000, 8, 0.5, rng);
+  const Matrix head = Matrix::Gaussian(8, 16, 1.0, rng);
+  ZeroShapeTimes t;
+  t.dropout_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMul(dropped, w)); });
+  t.dropout_ta_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMulTransA(dropped, grad)); });
+  t.bow_ns =
+      MeasureNsPerOp(9, [&] { benchmark::DoNotOptimize(MatMul(bow, bow_w)); });
+  t.head_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMul(hidden, head)); });
+  return t;
+}
+
 bool WriteKernelsJson(const std::string& path) {
   Rng rng(21);
   Matrix a = Matrix::Gaussian(1024, 64, 1.0, &rng);
@@ -324,6 +368,7 @@ bool WriteKernelsJson(const std::string& path) {
       MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
   const double spmm_ns =
       MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(adj.Spmm(x)); });
+  const ZeroShapeTimes zero_shapes = MeasureZeroShapes(&rng);
 
   // The memory-plane comparison (baseline vs pooled) is pinned to the
   // scalar tier so its speedup stays comparable to the committed baseline
@@ -357,6 +402,10 @@ bool WriteKernelsJson(const std::string& path) {
                "{\n"
                "  \"matmul_1024x64x64_ns_op\": %.0f,\n"
                "  \"spmm_3000n_64c_ns_op\": %.0f,\n"
+               "  \"matmul_dropout_12000x48x8_ns_op\": %.0f,\n"
+               "  \"matmul_ta_dropout_12000x48x8_ns_op\": %.0f,\n"
+               "  \"matmul_bow_2708x1433x64_ns_op\": %.0f,\n"
+               "  \"matmul_head_12000x8x16_ns_op\": %.0f,\n"
                "  \"kernel_tier\": \"%s\",\n"
                "  \"simd\": {\n"
                "    \"matmul_scalar_ns_op\": %.0f,\n"
@@ -377,7 +426,9 @@ bool WriteKernelsJson(const std::string& path) {
                "    \"alloc_reduction\": %.4f\n"
                "  }\n"
                "}\n",
-               matmul_ns, spmm_ns, tier_name, matmul_scalar_ns,
+               matmul_ns, spmm_ns, zero_shapes.dropout_ns,
+               zero_shapes.dropout_ta_ns, zero_shapes.bow_ns,
+               zero_shapes.head_ns, tier_name, matmul_scalar_ns,
                matmul_ns > 0.0 ? matmul_scalar_ns / matmul_ns : 0.0,
                spmm_scalar_ns, spmm_ns > 0.0 ? spmm_scalar_ns / spmm_ns : 0.0,
                baseline.ns_op,

@@ -264,13 +264,25 @@ Var Dropout(const Var& a, double p, bool training, Rng* rng) {
   if (!training || p <= 0.0) return a;
   AHG_CHECK_LT(p, 1.0);
   const double keep_scale = 1.0 / (1.0 - p);
-  Matrix mask(a->rows(), a->cols());
+  // The mask is kept only when a backward will read it; the constant
+  // feature matrix every zoo model drops never needs one.
+  Matrix mask;
+  if (a->requires_grad) mask = Matrix(a->rows(), a->cols());
   Matrix out(a->rows(), a->cols());
-  for (int64_t i = 0; i < out.size(); ++i) {
-    const double m = rng->Bernoulli(p) ? 0.0 : keep_scale;
-    mask.data()[i] = m;
-    out.data()[i] = a->value.data()[i] * m;
+  const int64_t size = out.size();
+  const double* in = a->value.data();
+  double* dst = out.data();
+  double* mk = mask.data();
+  // One pass over a local copy of the generator, written back afterwards:
+  // its state stays in registers, and the draws (one per element, in
+  // element order) are exactly those of rng->Bernoulli(p) per element.
+  Rng local = *rng;
+  for (int64_t i = 0; i < size; ++i) {
+    const double m = local.Bernoulli(p) ? 0.0 : keep_scale;
+    if (mk != nullptr) mk[i] = m;
+    dst[i] = in[i] * m;
   }
+  *rng = local;
   return MakeOpNode(std::move(out), {a},
                     [a, mask = std::move(mask)](const Node& n) {
                       if (!a->requires_grad) return;

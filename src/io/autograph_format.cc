@@ -1,7 +1,7 @@
 #include "io/autograph_format.h"
 
 #include <fstream>
-#include <sstream>
+#include <functional>
 #include <unordered_set>
 
 #include "io/record.h"
@@ -26,17 +26,49 @@ Status OpenForRead(const std::string& path, std::ifstream* in) {
   return Status::OK();
 }
 
-StatusOr<std::vector<int>> ReadIndexFile(const std::string& path) {
+// Every field of a dataset file is parsed with ParseNumber, so a malformed
+// or hostile file yields InvalidArgument naming the file and line instead
+// of an exception.
+Status LineError(const std::string& path, int line, const std::string& what) {
+  return Status::InvalidArgument(path + ":" + std::to_string(line) + ": " +
+                                 what);
+}
+
+// Calls row(fields, line) for every non-blank line of `path`, split on
+// `delim` with each field trimmed; stops at the first error.
+Status ForEachRow(
+    const std::string& path, char delim,
+    const std::function<Status(const std::vector<std::string>&, int)>& row) {
   std::ifstream in;
   Status s = OpenForRead(path, &in);
   if (!s.ok()) return s;
-  std::vector<int> indices;
   std::string line;
-  while (std::getline(in, line)) {
-    line = StrTrim(line);
-    if (line.empty()) continue;
-    indices.push_back(std::stoi(line));
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
+    if (StrTrim(line).empty()) continue;
+    std::vector<std::string> fields = StrSplit(line, delim);
+    for (std::string& field : fields) field = StrTrim(field);
+    if (s = row(fields, line_no); !s.ok()) return s;
   }
+  return Status::OK();
+}
+
+// One node index in [0, num_nodes) per line.
+StatusOr<std::vector<int>> ReadIndexFile(const std::string& path,
+                                         int num_nodes) {
+  std::vector<int> indices;
+  Status s = ForEachRow(path, '\t', [&](const auto& fields, int line) {
+    int node = 0;
+    if (fields.size() != 1 || !ParseNumber(fields[0], &node)) {
+      return LineError(path, line, "expected one node index");
+    }
+    if (node < 0 || node >= num_nodes) {
+      return LineError(path, line, "node index outside [0, " +
+                                       std::to_string(num_nodes) + ")");
+    }
+    indices.push_back(node);
+    return Status::OK();
+  });
+  if (!s.ok()) return s;
   return indices;
 }
 
@@ -100,107 +132,98 @@ Status WriteAutographDataset(const std::string& dir, const Graph& graph,
 StatusOr<AutographDataset> ReadAutographDataset(const std::string& dir) {
   AutographDataset ds;
 
-  auto train = ReadIndexFile(dir + "/train_node_id.txt");
-  if (!train.ok()) return train.status();
-  ds.train_nodes = std::move(train.value());
-  auto test = ReadIndexFile(dir + "/test_node_id.txt");
-  if (!test.ok()) return test.status();
-  ds.test_nodes = std::move(test.value());
-
   int n_class = 0;
-  {
-    std::ifstream in;
-    Status s = OpenForRead(dir + "/config.yml", &in);
-    if (!s.ok()) return s;
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto parts = StrSplit(line, ':');
-      if (parts.size() != 2) continue;
-      const std::string key = StrTrim(parts[0]);
-      const std::string value = StrTrim(parts[1]);
-      if (key == "time_budget") ds.time_budget_seconds = std::stod(value);
-      if (key == "n_class") n_class = std::stoi(value);
-      if (key == "directed") ds.directed = std::stoi(value) != 0;
+  const std::string config_path = dir + "/config.yml";
+  Status s = ForEachRow(config_path, ':', [&](const auto& parts, int line) {
+    if (parts.size() != 2) return Status::OK();
+    const std::string& key = parts[0];
+    bool parsed = true;
+    if (key == "time_budget") {
+      parsed = ParseNumber(parts[1], &ds.time_budget_seconds);
+    } else if (key == "n_class") {
+      parsed = ParseNumber(parts[1], &n_class);
+    } else if (key == "directed") {
+      int directed = 0;
+      parsed = ParseNumber(parts[1], &directed);
+      ds.directed = directed != 0;
     }
-    if (n_class <= 0) {
-      return Status::InvalidArgument("config.yml missing n_class");
-    }
+    return parsed ? Status::OK() : LineError(config_path, line, "bad " + key);
+  });
+  if (!s.ok()) return s;
+  if (n_class <= 0) {
+    return Status::InvalidArgument("config.yml missing n_class");
   }
 
   // Features determine the node count.
   std::vector<std::vector<double>> feature_rows;
-  {
-    std::ifstream in;
-    Status s = OpenForRead(dir + "/feature.tsv", &in);
-    if (!s.ok()) return s;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (StrTrim(line).empty()) continue;
-      const auto parts = StrSplit(line, '\t');
-      if (parts.size() < 2) {
-        return Status::InvalidArgument("malformed feature row: " + line);
-      }
-      const int idx = std::stoi(parts[0]);
-      if (idx != static_cast<int>(feature_rows.size())) {
-        return Status::InvalidArgument(
-            "feature.tsv rows must be dense and ordered");
-      }
-      std::vector<double> row;
-      row.reserve(parts.size() - 1);
-      for (size_t i = 1; i < parts.size(); ++i) {
-        row.push_back(std::stod(parts[i]));
-      }
-      feature_rows.push_back(std::move(row));
+  const std::string feature_path = dir + "/feature.tsv";
+  s = ForEachRow(feature_path, '\t', [&](const auto& parts, int line) {
+    if (parts.size() < 2) return LineError(feature_path, line, "no features");
+    int idx = 0;
+    if (!ParseNumber(parts[0], &idx) ||
+        idx != static_cast<int>(feature_rows.size())) {
+      return LineError(feature_path, line,
+                       "rows must be dense and ordered by node index");
     }
-    if (feature_rows.empty()) {
-      return Status::InvalidArgument("feature.tsv is empty");
+    if (!feature_rows.empty() && parts.size() != feature_rows[0].size() + 1) {
+      return LineError(feature_path, line,
+                       "expected " + std::to_string(feature_rows[0].size()) +
+                           " features");
     }
+    std::vector<double> row(parts.size() - 1);
+    for (size_t i = 1; i < parts.size(); ++i) {
+      if (!ParseNumber(parts[i], &row[i - 1])) {
+        return LineError(feature_path, line, "bad feature value");
+      }
+    }
+    feature_rows.push_back(std::move(row));
+    return Status::OK();
+  });
+  if (!s.ok()) return s;
+  if (feature_rows.empty()) {
+    return Status::InvalidArgument("feature.tsv is empty");
   }
   const int n = static_cast<int>(feature_rows.size());
 
+  auto train = ReadIndexFile(dir + "/train_node_id.txt", n);
+  if (!train.ok()) return train.status();
+  ds.train_nodes = std::move(train.value());
+  auto test = ReadIndexFile(dir + "/test_node_id.txt", n);
+  if (!test.ok()) return test.status();
+  ds.test_nodes = std::move(test.value());
+
   std::vector<Edge> edges;
-  {
-    std::ifstream in;
-    Status s = OpenForRead(dir + "/edge.tsv", &in);
-    if (!s.ok()) return s;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (StrTrim(line).empty()) continue;
-      const auto parts = StrSplit(line, '\t');
-      if (parts.size() != 3) {
-        return Status::InvalidArgument("malformed edge row: " + line);
-      }
-      Edge e;
-      e.src = std::stoi(parts[0]);
-      e.dst = std::stoi(parts[1]);
-      e.weight = std::stod(parts[2]);
-      if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
-        return Status::InvalidArgument("edge endpoint out of range: " + line);
-      }
-      edges.push_back(e);
+  const std::string edge_path = dir + "/edge.tsv";
+  s = ForEachRow(edge_path, '\t', [&](const auto& parts, int line) {
+    Edge e;
+    if (parts.size() != 3 || !ParseNumber(parts[0], &e.src) ||
+        !ParseNumber(parts[1], &e.dst) || !ParseNumber(parts[2], &e.weight)) {
+      return LineError(edge_path, line, "expected src, dst, weight");
     }
-  }
+    if (e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n) {
+      return LineError(edge_path, line, "edge endpoint out of range");
+    }
+    edges.push_back(e);
+    return Status::OK();
+  });
+  if (!s.ok()) return s;
 
   std::vector<int> labels(n, -1);
-  {
-    std::ifstream in;
-    Status s = OpenForRead(dir + "/train_label.tsv", &in);
-    if (!s.ok()) return s;
-    std::string line;
-    while (std::getline(in, line)) {
-      if (StrTrim(line).empty()) continue;
-      const auto parts = StrSplit(line, '\t');
-      if (parts.size() != 2) {
-        return Status::InvalidArgument("malformed label row: " + line);
-      }
-      const int node = std::stoi(parts[0]);
-      const int label = std::stoi(parts[1]);
-      if (node < 0 || node >= n || label < 0 || label >= n_class) {
-        return Status::InvalidArgument("label row out of range: " + line);
-      }
-      labels[node] = label;
+  const std::string label_path = dir + "/train_label.tsv";
+  s = ForEachRow(label_path, '\t', [&](const auto& parts, int line) {
+    int node = 0;
+    int label = 0;
+    if (parts.size() != 2 || !ParseNumber(parts[0], &node) ||
+        !ParseNumber(parts[1], &label)) {
+      return LineError(label_path, line, "expected node, label");
     }
-  }
+    if (node < 0 || node >= n || label < 0 || label >= n_class) {
+      return LineError(label_path, line, "label row out of range");
+    }
+    labels[node] = label;
+    return Status::OK();
+  });
+  if (!s.ok()) return s;
 
   StatusOr<Graph> graph =
       Graph::CreateChecked(n, std::move(edges), ds.directed,

@@ -12,7 +12,9 @@ namespace {
 
 bool CpuHasAvx2() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  // The SIMD TUs also count nonzero lanes with POPCNT.
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("popcnt") != 0;
 #else
   return false;
 #endif
@@ -20,8 +22,10 @@ bool CpuHasAvx2() {
 
 bool CpuHasAvx512() {
 #if defined(__x86_64__) || defined(__i386__)
-  // The AVX-512 TU uses foundation + VL (256-bit forms) + DQ double ops.
-  return __builtin_cpu_supports("avx512f") != 0 &&
+  // The AVX-512 TU uses foundation + VL (256-bit forms) + DQ double ops,
+  // and POPCNT.
+  return __builtin_cpu_supports("popcnt") != 0 &&
+         __builtin_cpu_supports("avx512f") != 0 &&
          __builtin_cpu_supports("avx512vl") != 0 &&
          __builtin_cpu_supports("avx512dq") != 0;
 #else

@@ -30,10 +30,26 @@ struct TierOps {
   Tier tier;
 
   // GEMM k-panel: crow[j] += sum_{k < kc, arow[k] != 0} arow[k]*b[k*ldb+j]
-  // for j in [0, n), k ascending per element, zero a-entries skipped
-  // (matches the scalar GEMM exactly, including its +/-0.0 behavior).
+  // for j in [0, n), k ascending per element. Zero a-entries (+0.0 and
+  // -0.0; NaN is nonzero) add no term, so a zero opposite an inf or NaN in
+  // b leaves crow finite, and an acc of -0.0 keeps its sign. The scalar
+  // reference skips them with a branch. Dropout makes about half of a
+  // training step's a-entries zero at random, which a branch mispredicts,
+  // so the SIMD tiers skip them without one: each panel of a is counted
+  // first; one at least 1/4 nonzero walks every k with the add masked off
+  // (AVX-512) or blended off (AVX2) at zero entries, and a sparser one
+  // walks only its nonzero k, compacted into a stack index list. Both walks
+  // add the same terms in the same order, so they are bitwise-equal to
+  // each other and to the scalar tier; the choice is internal.
   void (*gemm_panel)(const double* arow, int kc, const double* b, int64_t ldb,
                      int n, double* crow);
+
+  // Rank-1 update over rows: c[i*ldc + j] += a[i] * b[j] for j in [0, n),
+  // for every i in [0, m) with a[i] != 0 (the axpy of each such row, with
+  // zero a-entries skipped exactly as gemm_panel skips them, by the same
+  // two branch-free walks). One call per row of A in A^T * B.
+  void (*ger_rows)(const double* a, int m, const double* b, int n, double* c,
+                   int64_t ldc);
 
   // One CSR row times a dense block: yrow[c] = sum_e values[e] *
   // x[cols[e]*ldx + c] for c in [0, n), entries ascending per element.

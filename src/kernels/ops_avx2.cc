@@ -1,6 +1,6 @@
 // AVX2 tier: 4-lane double vectors, multiply and add kept separate (no FMA
-// — this TU is compiled with -mavx2 -ffp-contract=off and without -mfma),
-// scalar tails identical to the reference. Vector lanes are independent
+// — this TU is compiled with -mavx2 -mpopcnt -ffp-contract=off and without
+// -mfma), tails identical to the reference. Vector lanes are independent
 // output elements, so per-element accumulation order matches ops_scalar.cc
 // exactly and results are bitwise identical to it.
 #include "kernels/kernel_ops.h"
@@ -11,45 +11,193 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 namespace ahg::kernels {
 namespace {
 
-// NV = number of 4-wide accumulators held across the k panel.
-template <int NV>
-inline void GemmPanelBlock(const double* arow, int kc, const double* b,
-                           int64_t ldb, double* crow) {
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_loadu_pd(crow + 4 * v);
-  for (int k = 0; k < kc; ++k) {
-    const double aik = arow[k];
-    if (aik == 0.0) continue;
-    const __m256d av = _mm256_set1_pd(aik);
-    const double* brow = b + static_cast<int64_t>(k) * ldb;
-    for (int v = 0; v < NV; ++v) {
-      acc[v] = _mm256_add_pd(acc[v],
-                             _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4 * v)));
-    }
+// Zero-skip without a branch (contract in kernel_ops.h), as in the
+// AVX-512 tier: each kWalkPanel-entry panel of a is counted, then walked
+// densely with the add blended off where the a-entry is zero, or — when
+// fewer than a quarter are nonzero — over its compacted nonzero indices.
+constexpr int kWalkPanel = 128;
+
+// Number of nonzero entries of a[0..len) (NaN counts, +-0.0 does not).
+inline int CountNonzero(const double* a, int len) {
+  const __m256d zero = _mm256_setzero_pd();
+  int nnz = 0;
+  int i = 0;
+  for (; i + 4 <= len; i += 4) {
+    nnz += __builtin_popcount(_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(a + i), zero, _CMP_NEQ_UQ)));
   }
-  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(crow + 4 * v, acc[v]);
+  for (; i < len; ++i) nnz += a[i] != 0.0;
+  return nnz;
 }
 
-// 16 output columns per block, then 8- and 4-wide remainders.
-void GemmPanelAvx2(const double* arow, int kc, const double* b, int64_t ldb,
-                   int n, double* crow) {
-  int j = 0;
-  for (; j + 16 <= n; j += 16) GemmPanelBlock<4>(arow, kc, b + j, ldb, crow + j);
-  for (; j + 8 <= n; j += 8) GemmPanelBlock<2>(arow, kc, b + j, ldb, crow + j);
-  for (; j + 4 <= n; j += 4) GemmPanelBlock<1>(arow, kc, b + j, ldb, crow + j);
-  // Scalar remainder: k outer, j inner, zero-skip — the reference tail.
-  if (j < n) {
-    for (int k = 0; k < kc; ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b + static_cast<int64_t>(k) * ldb;
-      for (int jj = j; jj < n; ++jj) crow[jj] += aik * brow[jj];
+// Ascending indices of the nonzero entries, by a branch-free store.
+inline void CompactNonzero(const double* a, int len, int* idx) {
+  int count = 0;
+  for (int i = 0; i < len; ++i) {
+    idx[count] = i;
+    count += a[i] != 0.0;
+  }
+}
+
+// Lane mask for the first `len` (< 4) columns of a remainder block.
+inline __m256i TailMask(int len) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(len),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+// Column loads/stores; kTail touches only the cm lanes.
+template <bool kTail>
+inline __m256d LoadCols(const double* p, __m256i cm) {
+  if constexpr (kTail) return _mm256_maskload_pd(p, cm);
+  return _mm256_loadu_pd(p);
+}
+
+template <bool kTail>
+inline void StoreCols(double* p, __m256i cm, __m256d v) {
+  if constexpr (kTail) {
+    _mm256_maskstore_pd(p, cm, v);
+  } else {
+    _mm256_storeu_pd(p, v);
+  }
+}
+
+// acc + a*b, blended back to acc where a == 0 on the dense walk (a blend,
+// not an and-mask: acc + (+0.0) would turn an acc of -0.0 into +0.0).
+template <bool kDense>
+inline __m256d AddTerm(__m256d acc, __m256d av, __m256d nz, __m256d bv) {
+  const __m256d sum = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
+  if constexpr (kDense) return _mm256_blendv_pd(acc, sum, nz);
+  return sum;
+}
+
+// One GEMM column block of NV 4-wide accumulators held across the walk
+// (kTail: NV == 1 and only the cm lanes exist). The v loops here and in
+// GerBlock are unrolled explicitly: -O2 leaves NV = 4 rolled and spills
+// the vectors to the stack.
+template <int NV, bool kDense, bool kTail>
+inline void PanelBlock(const double* a, const int* idx, int count,
+                       const double* b, int64_t ldb, __m256i cm,
+                       double* crow) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d acc[NV];
+  #pragma GCC unroll 4
+  for (int v = 0; v < NV; ++v) acc[v] = LoadCols<kTail>(crow + 4 * v, cm);
+  for (int t = 0; t < count; ++t) {
+    const int k = kDense ? t : idx[t];
+    const __m256d av = _mm256_set1_pd(a[k]);
+    const __m256d nz = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
+    const double* brow = b + static_cast<int64_t>(k) * ldb;
+    #pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      acc[v] = AddTerm<kDense>(acc[v], av, nz,
+                               LoadCols<kTail>(brow + 4 * v, cm));
     }
   }
+  #pragma GCC unroll 4
+  for (int v = 0; v < NV; ++v) StoreCols<kTail>(crow + 4 * v, cm, acc[v]);
+}
+
+// One rank-1 column block: NV 4-wide vectors of b stay in registers while
+// the walk visits rows of c.
+template <int NV, bool kDense, bool kTail>
+inline void GerBlock(const double* a, const int* idx, int count,
+                     const double* b, __m256i cm, double* c, int64_t ldc) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d bv[NV];
+  #pragma GCC unroll 4
+  for (int v = 0; v < NV; ++v) bv[v] = LoadCols<kTail>(b + 4 * v, cm);
+  for (int t = 0; t < count; ++t) {
+    const int i = kDense ? t : idx[t];
+    const __m256d av = _mm256_set1_pd(a[i]);
+    const __m256d nz = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
+    double* crow = c + static_cast<int64_t>(i) * ldc;
+    #pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) {
+      StoreCols<kTail>(crow + 4 * v, cm,
+                       AddTerm<kDense>(LoadCols<kTail>(crow + 4 * v, cm), av,
+                                       nz, bv[v]));
+    }
+  }
+}
+
+// 16 columns per block, then 8, 4 and one lane-masked remainder.
+template <bool kDense>
+inline void PanelColumns(const double* a, const int* idx, int count,
+                         const double* b, int64_t ldb, int n, double* crow) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    PanelBlock<4, kDense, false>(a, idx, count, b + j, ldb, all, crow + j);
+  }
+  for (; j + 8 <= n; j += 8) {
+    PanelBlock<2, kDense, false>(a, idx, count, b + j, ldb, all, crow + j);
+  }
+  for (; j + 4 <= n; j += 4) {
+    PanelBlock<1, kDense, false>(a, idx, count, b + j, ldb, all, crow + j);
+  }
+  if (j < n) {
+    PanelBlock<1, kDense, true>(a, idx, count, b + j, ldb, TailMask(n - j),
+                                crow + j);
+  }
+}
+
+template <bool kDense>
+inline void GerColumns(const double* a, const int* idx, int count,
+                       const double* b, int n, double* c, int64_t ldc) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  int j = 0;
+  for (; j + 16 <= n; j += 16) {
+    GerBlock<4, kDense, false>(a, idx, count, b + j, all, c + j, ldc);
+  }
+  for (; j + 8 <= n; j += 8) {
+    GerBlock<2, kDense, false>(a, idx, count, b + j, all, c + j, ldc);
+  }
+  for (; j + 4 <= n; j += 4) {
+    GerBlock<1, kDense, false>(a, idx, count, b + j, all, c + j, ldc);
+  }
+  if (j < n) {
+    GerBlock<1, kDense, true>(a, idx, count, b + j, TailMask(n - j), c + j,
+                              ldc);
+  }
+}
+
+// Walks a[0..len) panel by panel: walk(begin, dense, idx, count) runs
+// either the dense walk (dense is std::true_type, idx null, count = panel
+// length) or the compacted one over `count` nonzero indices in idx.
+template <typename Walk>
+inline void ForEachPanel(const double* a, int len, Walk walk) {
+  for (int begin = 0; begin < len; begin += kWalkPanel) {
+    const int n = std::min(kWalkPanel, len - begin);
+    const int nnz = CountNonzero(a + begin, n);
+    if (4 * nnz >= n) {
+      walk(begin, std::true_type(), nullptr, n);
+    } else if (nnz > 0) {
+      int idx[kWalkPanel];
+      CompactNonzero(a + begin, n, idx);
+      walk(begin, std::false_type(), idx, nnz);
+    }
+  }
+}
+
+void GemmPanelAvx2(const double* arow, int kc, const double* b, int64_t ldb,
+                   int n, double* crow) {
+  ForEachPanel(arow, kc, [&](int k0, auto dense, const int* idx, int count) {
+    PanelColumns<dense>(arow + k0, idx, count,
+                        b + static_cast<int64_t>(k0) * ldb, ldb, n, crow);
+  });
+}
+
+void GerRowsAvx2(const double* a, int m, const double* b, int n, double* c,
+                 int64_t ldc) {
+  ForEachPanel(a, m, [&](int i0, auto dense, const int* idx, int count) {
+    GerColumns<dense>(a + i0, idx, count, b, n,
+                      c + static_cast<int64_t>(i0) * ldc, ldc);
+  });
 }
 
 template <int NV>
@@ -222,6 +370,7 @@ void CWiseMulAvx2(const double* a, const double* b, int64_t n, double* out) {
 constexpr TierOps kAvx2OpsTable = {
     Tier::kAvx2,
     GemmPanelAvx2,
+    GerRowsAvx2,
     SpmmRowAvx2,
     Dot4Avx2,
     RowMaxAvx2,

@@ -38,6 +38,16 @@ void GemmPanelScalar(const double* arow, int kc, const double* b, int64_t ldb,
   }
 }
 
+void GerRowsScalar(const double* a, int m, const double* b, int n, double* c,
+                   int64_t ldc) {
+  for (int i = 0; i < m; ++i) {
+    const double ai = a[i];
+    if (ai == 0.0) continue;
+    double* crow = c + static_cast<int64_t>(i) * ldc;
+    for (int j = 0; j < n; ++j) crow[j] += ai * b[j];
+  }
+}
+
 void SpmmRowScalar(const double* values, const int* cols, int64_t nnz,
                    const double* x, int64_t ldx, int n, double* yrow) {
   int c = 0;
@@ -122,6 +132,7 @@ void CWiseMulScalar(const double* a, const double* b, int64_t n, double* out) {
 constexpr TierOps kScalarOps = {
     Tier::kScalar,
     GemmPanelScalar,
+    GerRowsScalar,
     SpmmRowScalar,
     Dot4Scalar,
     RowMaxScalar,

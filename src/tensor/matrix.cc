@@ -218,15 +218,13 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
     for (int64_t p = begin; p < end; ++p) {
       Matrix& local = partial[p];
       const int64_t k_end = std::min(n, (p + 1) * kReduceChunk);
+      // Rank-1 update local[i][:] += a[k][i] * b[k][:] for every nonzero
+      // a[k][i]: one ger_rows call per row of a, so each local entry still
+      // accumulates k in ascending order.
       for (int64_t k = p * kReduceChunk; k < k_end; ++k) {
-        const double* arow = a.Row(static_cast<int>(k));
-        const double* brow = b.Row(static_cast<int>(k));
-        for (int i = 0; i < a.cols(); ++i) {
-          const double aki = arow[i];
-          if (aki == 0.0) continue;
-          // Rank-1 update local[i][:] += aki * brow — an axpy.
-          ops.axpy_inplace(local.Row(i), aki, brow, b.cols());
-        }
+        ops.ger_rows(a.Row(static_cast<int>(k)), a.cols(),
+                     b.Row(static_cast<int>(k)), b.cols(), local.data(),
+                     b.cols());
       }
     }
   });

@@ -15,30 +15,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = RotL(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = RotL(state_[3], 45);
-  return result;
-}
-
-double Rng::Uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {
@@ -73,8 +54,6 @@ double Rng::Normal() {
 double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
-
-bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5a5a5a5a5ULL); }
 

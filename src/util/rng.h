@@ -25,11 +25,23 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // Next raw 64-bit value.
-  uint64_t Next();
+  // Next raw 64-bit value. Inline (with Uniform and Bernoulli) so a
+  // per-element draw loop such as Dropout's mask keeps the state in
+  // registers instead of calling out per element.
+  uint64_t Next() {
+    const uint64_t result = RotL(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = RotL(state_[3], 45);
+    return result;
+  }
 
-  // Uniform double in [0, 1).
-  double Uniform();
+  // Uniform double in [0, 1): the 53 high bits of Next().
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   // Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
@@ -42,7 +54,7 @@ class Rng {
   double Normal(double mean, double stddev);
 
   // True with probability p.
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) { return Uniform() < p; }
 
   // Derives an independent generator; deterministic given this Rng's state.
   Rng Fork();
@@ -65,6 +77,8 @@ class Rng {
   void RestoreState(const RngState& state);
 
  private:
+  static uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
   bool has_spare_normal_ = false;
   double spare_normal_ = 0.0;

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 
 #include "autodiff/ops.h"
 #include "autodiff/variable.h"
@@ -97,6 +98,54 @@ TEST(OpsForwardTest, DropoutTrainPreservesMeanRoughly) {
   Var x = MakeConstant(Matrix::Constant(1, 20000, 1.0));
   Var y = Dropout(x, 0.3, /*training=*/true, &rng);
   EXPECT_NEAR(y->value.Sum() / 20000.0, 1.0, 0.03);
+}
+
+// Dropout draws one rng.Bernoulli(p) per element in element order, whether
+// or not the input requires grad (only then is the mask kept), and leaves
+// the generator exactly where that reference loop does.
+TEST(OpsForwardTest, DropoutMatchesReferenceBernoulliLoop) {
+  const double p = 0.4;
+  const double keep_scale = 1.0 / (1.0 - p);
+  Rng data_rng(5);
+  Matrix xm(37, 11);
+  for (int64_t i = 0; i < xm.size(); ++i) {
+    xm.data()[i] = data_rng.Normal(0.0, 1.0);
+  }
+  xm.data()[3] = -0.0;
+  for (const bool requires_grad : {false, true}) {
+    Rng ref_rng(77);
+    Matrix ref_out(xm.rows(), xm.cols());
+    Matrix ref_mask(xm.rows(), xm.cols());
+    for (int64_t i = 0; i < xm.size(); ++i) {
+      ref_mask.data()[i] = ref_rng.Bernoulli(p) ? 0.0 : keep_scale;
+      ref_out.data()[i] = xm.data()[i] * ref_mask.data()[i];
+    }
+
+    Rng rng(77);
+    Var x = requires_grad ? MakeParam(xm) : MakeConstant(xm);
+    Var y = Dropout(x, p, /*training=*/true, &rng);
+    const size_t bytes = static_cast<size_t>(xm.size()) * sizeof(double);
+    EXPECT_EQ(std::memcmp(y->value.data(), ref_out.data(), bytes), 0)
+        << "requires_grad " << requires_grad;
+    EXPECT_EQ(y->requires_grad, requires_grad);
+    EXPECT_EQ(rng.Next(), ref_rng.Next()) << "requires_grad " << requires_grad;
+    if (!requires_grad) continue;
+
+    // d(sum(y * w))/dx = w * mask, element for element.
+    Matrix wm(xm.rows(), xm.cols());
+    for (int64_t i = 0; i < wm.size(); ++i) {
+      wm.data()[i] = data_rng.Normal(0.0, 1.0);
+    }
+    Backward(SumAll(CWiseMul(y, MakeConstant(wm))));
+    Matrix ref_grad(xm.rows(), xm.cols());
+    for (int64_t i = 0; i < xm.size(); ++i) {
+      ref_grad.data()[i] = 0.0 + wm.data()[i] * ref_mask.data()[i];
+    }
+    ASSERT_FALSE(x->grad.empty());
+    for (int64_t i = 0; i < xm.size(); ++i) {
+      EXPECT_EQ(x->grad.data()[i], ref_grad.data()[i]) << "index " << i;
+    }
+  }
 }
 
 TEST(OpsForwardTest, ConcatColsLaysOutParts) {

@@ -604,5 +604,59 @@ TEST(FormatFuzzTest, TextManifests) {
         [&] { return NodePermutation::Deserialize(ReadAll(perm)).status(); }});
 }
 
+// The KDD Cup dataset layout is read from user-supplied files: every file
+// of it goes through the same mutations, and the loader must return a
+// Status (never throw or abort) for each.
+TEST(FormatFuzzTest, AutographDataset) {
+  SyntheticConfig cfg;
+  cfg.num_nodes = 10;
+  cfg.num_classes = 3;
+  cfg.feature_dim = 2;
+  cfg.avg_degree = 2.0;
+  cfg.weighted = true;
+  cfg.seed = 7;
+  const Graph g = GenerateSbmGraph(cfg);
+  Rng rng(8);
+  const DataSplit split = RandomSplit(g, 0.5, 0.0, &rng);
+  const std::string dir = FreshDir("fuzz_autograph");
+  ASSERT_TRUE(
+      WriteAutographDataset(dir, g, split.train, split.test, 60.0).ok());
+  for (const char* file : {"config.yml", "feature.tsv", "train_node_id.txt",
+                           "test_node_id.txt", "edge.tsv",
+                           "train_label.tsv"}) {
+    Fuzz({file, dir + "/" + file, 16, false,
+          [&] { return ReadAutographDataset(dir).status(); }});
+  }
+}
+
+TEST(AutographFormatTest, ParseErrorNamesFileAndLine) {
+  const std::string dir = FreshDir("autograph_lines");
+  Graph g = Graph::Create(2, {{0, 1, 1.0}}, false,
+                          Matrix::Constant(2, 2, 1.0), {0, 1}, 2);
+  ASSERT_TRUE(WriteAutographDataset(dir, g, {0}, {1}, 60.0).ok());
+  WriteRaw(dir + "/feature.tsv", "0\t1\t1\n\n1\t1\tx1\n");
+  auto read = ReadAutographDataset(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(read.status().message().find("feature.tsv:3"), std::string::npos)
+      << read.status().ToString();
+
+  // A feature row with a column missing is an error, not an abort.
+  WriteRaw(dir + "/feature.tsv", "0\t1\t1\n1\t1\n");
+  read = ReadAutographDataset(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("feature.tsv:2"), std::string::npos)
+      << read.status().ToString();
+
+  // So is a training node outside the graph.
+  WriteRaw(dir + "/feature.tsv", "0\t1\t1\n1\t1\t1\n");
+  WriteRaw(dir + "/train_node_id.txt", "0\n2\n");
+  read = ReadAutographDataset(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_NE(read.status().message().find("train_node_id.txt:2"),
+            std::string::npos)
+      << read.status().ToString();
+}
+
 }  // namespace
 }  // namespace ahg

@@ -1,8 +1,10 @@
 // Kernel backend tests: 64-byte allocation alignment on every Matrix path,
 // the bitwise-identity matrix across dispatch tiers x odd shapes x thread
 // counts, and odd-shape edge cases.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,12 +28,15 @@ using kernels::Tier;
 using kernels::TierOps;
 using kernels::TierSupported;
 
-// ~10% exact zeros so the GEMM zero-skip path is exercised.
-Matrix RandomMatrix(int rows, int cols, uint64_t seed) {
+// A `zero_frac` share of exact zeros (default ~10%) so the GEMM zero-skip
+// is exercised; half of them are -0.0.
+Matrix RandomMatrix(int rows, int cols, uint64_t seed,
+                    double zero_frac = 0.1) {
   Rng rng(seed);
   Matrix m(rows, cols);
   for (int64_t i = 0; i < m.size(); ++i) {
-    m.data()[i] = rng.Bernoulli(0.1) ? 0.0 : rng.Normal(0.0, 1.0);
+    m.data()[i] = rng.Bernoulli(zero_frac) ? (i % 2 == 0 ? 0.0 : -0.0)
+                                           : rng.Normal(0.0, 1.0);
   }
   return m;
 }
@@ -170,6 +175,135 @@ TEST(BitwiseTest, DenseOpsMatchScalarAcrossTiersShapesThreads) {
                 << "log_softmax " << m << "x" << k;
           }
         }
+      }
+    }
+  }
+}
+
+// The SIMD GEMM and rank-1 kernels walk each a-panel either densely (add
+// masked off at zero entries) or over its compacted nonzero indices, chosen
+// at 1/4 density. Sweep the zero share through both walks and the switch,
+// with reduction lengths below one vector, across the 128-entry panel and
+// with every column remainder.
+TEST(BitwiseTest, GemmZeroDensitySweepMatchesScalar) {
+  const std::vector<Tier> tiers = SupportedSimdTiers();
+  ScopedMinParallelWork grain(1);
+  uint64_t seed = 900;
+  for (const double zero_frac : {0.0, 0.1, 0.5, 0.7, 0.8, 0.95, 1.0}) {
+    for (const int k : {3, 7, 12, 130, 257}) {
+      for (const int m : {1, 9, 40}) {
+        for (const int n : {1, 3, 8, 13, 37}) {
+          const Matrix a = RandomMatrix(m, k, seed++, zero_frac);
+          const Matrix b = RandomMatrix(k, n, seed++);
+          // A^T * B reduces over m rows; each row of a is one rank-1
+          // update across k rows of the result.
+          const Matrix bt = RandomMatrix(m, n, seed++);
+          Matrix base_mm, base_ta;
+          {
+            ScopedTier scalar(Tier::kScalar);
+            base_mm = MatMul(a, b);
+            base_ta = MatMulTransA(a, bt);
+          }
+          for (const Tier tier : tiers) {
+            for (const int threads : {1, 4}) {
+              ScopedTier t(tier);
+              ScopedNumThreads nt(threads);
+              EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
+                  << "matmul " << m << "x" << k << "x" << n << " zeros "
+                  << zero_frac << " tier " << kernels::TierName(tier)
+                  << " threads " << threads;
+              EXPECT_TRUE(BitwiseEqual(MatMulTransA(a, bt), base_ta))
+                  << "matmul_ta " << m << "x" << k << "x" << n << " zeros "
+                  << zero_frac << " tier " << kernels::TierName(tier)
+                  << " threads " << threads;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Every row with exactly z nonzeros for z around len/4, so both walks run
+// at the switch itself, in one panel and straddling two.
+TEST(BitwiseTest, GemmWalkSwitchAtQuarterDensityMatchesScalar) {
+  for (const int k : {4, 8, 12, 64, 130}) {
+    const int quarter = (k + 3) / 4;
+    for (int z = std::max(0, quarter - 2); z <= std::min(k, quarter + 2);
+         ++z) {
+      Rng rng(static_cast<uint64_t>(k * 100 + z));
+      Matrix a(6, k);
+      for (int r = 0; r < a.rows(); ++r) {
+        std::vector<int> nonzero = rng.SampleWithoutReplacement(k, z);
+        for (const int c : nonzero) a(r, c) = rng.Normal(0.0, 1.0);
+      }
+      const Matrix b = RandomMatrix(k, 11, 1000 + k);
+      const Matrix bt = RandomMatrix(6, 11, 2000 + k);
+      Matrix base_mm, base_ta;
+      {
+        ScopedTier scalar(Tier::kScalar);
+        base_mm = MatMul(a, b);
+        base_ta = MatMulTransA(a, bt);
+      }
+      for (const Tier tier : SupportedSimdTiers()) {
+        ScopedTier t(tier);
+        EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
+            << "k " << k << " nonzeros " << z << " "
+            << kernels::TierName(tier);
+        EXPECT_TRUE(BitwiseEqual(MatMulTransA(a, bt), base_ta))
+            << "k " << k << " nonzeros " << z << " "
+            << kernels::TierName(tier);
+      }
+    }
+  }
+}
+
+// A +-0.0 a-entry adds no term, even opposite an inf or NaN: the masked
+// walk must mask the add (0 * inf = NaN), not just the branch. Every tier
+// must equal the scalar result, which stays finite.
+TEST(BitwiseTest, GemmZeroOppositeInfNanStaysFinite) {
+  const double poison[4] = {std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 1e308};
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
+  for (const double zero_frac : {0.3, 0.95}) {
+    for (const int k : {5, 40, 130}) {
+      const int m = 23, n = 13;
+      // MatMul: columns 1, 4, 7... of a are all +-0.0 and the matching
+      // rows of b hold inf/NaN.
+      Matrix a = RandomMatrix(m, k, 3000 + k, zero_frac);
+      Matrix b = RandomMatrix(k, n, 4000 + k);
+      for (int kk = 1; kk < k; kk += 3) {
+        for (int i = 0; i < m; ++i) a(i, kk) = (i % 2 == 0) ? 0.0 : -0.0;
+        for (int j = 0; j < n; ++j) b(kk, j) = poison[(kk + j) % 4];
+      }
+      // MatMulTransA: rows 2, 5, 8... of the left operand are all +-0.0
+      // and the matching rows of the right one hold inf/NaN.
+      Matrix ta = RandomMatrix(k, m, 5000 + k, zero_frac);
+      Matrix tb = RandomMatrix(k, n, 6000 + k);
+      for (int r = 2; r < k; r += 3) {
+        for (int i = 0; i < m; ++i) ta(r, i) = (i % 2 == 0) ? -0.0 : 0.0;
+        for (int j = 0; j < n; ++j) tb(r, j) = poison[(r + j) % 4];
+      }
+      Matrix base_mm, base_ta;
+      {
+        ScopedTier scalar(Tier::kScalar);
+        base_mm = MatMul(a, b);
+        base_ta = MatMulTransA(ta, tb);
+      }
+      for (int64_t i = 0; i < base_mm.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(base_mm.data()[i])) << "matmul " << i;
+      }
+      for (int64_t i = 0; i < base_ta.size(); ++i) {
+        ASSERT_TRUE(std::isfinite(base_ta.data()[i])) << "matmul_ta " << i;
+      }
+      for (const Tier tier : tiers) {
+        ScopedTier t(tier);
+        EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
+            << "matmul k " << k << " " << kernels::TierName(tier);
+        EXPECT_TRUE(BitwiseEqual(MatMulTransA(ta, tb), base_ta))
+            << "matmul_ta k " << k << " " << kernels::TierName(tier);
       }
     }
   }

@@ -13,6 +13,25 @@ TEST(RngTest, DeterministicGivenSeed) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
+// Golden values: any change to the generator (or to how Next/Uniform are
+// compiled) that shifts a stream breaks every seeded result in the repo.
+TEST(RngTest, PinnedStreamForOneSeed) {
+  Rng rng(20200823);
+  EXPECT_EQ(rng.Next(), 0xd29b0ae83e06f27aULL);
+  EXPECT_EQ(rng.Next(), 0xb862bdcbc0345691ULL);
+  EXPECT_EQ(rng.Next(), 0x55963065106b7994ULL);
+  EXPECT_EQ(rng.Next(), 0x5249030d287651c5ULL);
+  EXPECT_EQ(rng.Uniform(), 0x1.1b48ef1d038f9p-1);
+  EXPECT_EQ(rng.Uniform(), 0x1.0a5abed00236p-1);
+  EXPECT_EQ(rng.Uniform(), 0x1.a5f015e0777f6p-1);
+  EXPECT_EQ(rng.Uniform(), 0x1.754dcd580b56p-1);
+  EXPECT_FALSE(rng.Bernoulli(0.5));
+  EXPECT_TRUE(rng.Bernoulli(0.5));
+  EXPECT_TRUE(rng.Bernoulli(0.5));
+  EXPECT_FALSE(rng.Bernoulli(0.5));
+  EXPECT_EQ(rng.Next(), 0xd6110a7b242f6a04ULL);
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1), b(2);
   int same = 0;
