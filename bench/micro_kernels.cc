@@ -8,8 +8,8 @@
 // google-benchmark flags (ours are stripped before benchmark::Initialize,
 // which rejects flags it does not know). --json-out FILE switches to a
 // deterministic measurement suite (GEMM/SpMM ns/op, GEMMs on dropout,
-// bag-of-words and ReLU-head operands, plus the GCN train step with the
-// memory plane off and on) and writes the BENCH_kernels.json
+// bag-of-words and ReLU-head operands, plus the GCN train step on the
+// scalar and the active tier) and writes the BENCH_kernels.json
 // schema the perf-smoke CI job diffs against.
 #include <benchmark/benchmark.h>
 
@@ -29,7 +29,6 @@
 #include "nn/linear.h"
 #include "tensor/alloc_tracker.h"
 #include "tensor/matrix.h"
-#include "tensor/pool.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
@@ -90,8 +89,7 @@ void BM_GatAggregate(benchmark::State& state) {
 BENCHMARK(BM_GatAggregate);
 
 // One full GCN train step (forward, masked loss, backward) on the bench
-// graph; `pooling`/`fusion` select the memory-plane fast path. Shared by
-// the google-benchmark wrappers and the --json-out suite.
+// graph. Shared by the google-benchmark wrapper and the --json-out suite.
 class GcnStepHarness {
  public:
   GcnStepHarness() : g_(BenchGraph()), dropout_rng_(7) {
@@ -135,21 +133,6 @@ void BM_GcnTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcnTrainStep);
-
-void BM_GcnTrainStepPooled(benchmark::State& state) {
-  ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/true);
-  ScopedArena arena;
-  GcnStepHarness harness;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(harness.Step());
-  }
-  const MatrixPoolStats stats = MatrixPool::Global().Stats();
-  state.counters["pool_hit_rate"] =
-      stats.hits + stats.misses > 0
-          ? static_cast<double>(stats.hits) / (stats.hits + stats.misses)
-          : 0.0;
-}
-BENCHMARK(BM_GcnTrainStepPooled);
 
 // ---------------------------------------------------------------------------
 // Thread-scaling sweep: the same kernels at threads = 1/2/4 on a graph big
@@ -263,19 +246,15 @@ struct StepSuiteResult {
   double ns_op = 0.0;
   int64_t allocs_per_step = 0;
   int64_t bytes_per_step = 0;
-  double pool_hit_rate = 0.0;
 };
 
-StepSuiteResult MeasureGcnStep(bool pooling, bool fusion) {
+StepSuiteResult MeasureGcnStep() {
   constexpr int kWarmup = 3;
   constexpr int kSteps = 10;
-  ScopedMemPlane plane(pooling, fusion);
-  ScopedArena arena(pooling);
   GcnStepHarness harness;
   for (int i = 0; i < kWarmup; ++i) harness.Step();
   const int64_t allocs0 = AllocTracker::AllocationCount();
   const int64_t bytes0 = AllocTracker::TotalAllocatedBytes();
-  const MatrixPoolStats pool0 = MatrixPool::Global().Stats();
   Stopwatch watch;
   for (int i = 0; i < kSteps; ++i) harness.Step();
   const double seconds = watch.ElapsedSeconds();
@@ -283,11 +262,6 @@ StepSuiteResult MeasureGcnStep(bool pooling, bool fusion) {
   r.ns_op = 1e9 * seconds / kSteps;
   r.allocs_per_step = (AllocTracker::AllocationCount() - allocs0) / kSteps;
   r.bytes_per_step = (AllocTracker::TotalAllocatedBytes() - bytes0) / kSteps;
-  const MatrixPoolStats pool1 = MatrixPool::Global().Stats();
-  const int64_t hits = pool1.hits - pool0.hits;
-  const int64_t misses = pool1.misses - pool0.misses;
-  r.pool_hit_rate =
-      hits + misses > 0 ? static_cast<double>(hits) / (hits + misses) : 0.0;
   return r;
 }
 
@@ -370,28 +344,15 @@ bool WriteKernelsJson(const std::string& path) {
       MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(adj.Spmm(x)); });
   const ZeroShapeTimes zero_shapes = MeasureZeroShapes(&rng);
 
-  // The memory-plane comparison (baseline vs pooled) is pinned to the
-  // scalar tier so its speedup stays comparable to the committed baseline
-  // from before the SIMD backend existed; `simd` then runs the pooled
-  // plane on the active tier at its fixed block widths — the full fast path.
-  StepSuiteResult baseline, pooled;
+  // The same train step on the scalar tier and on the active tier.
+  StepSuiteResult scalar_step;
   {
     ahg::kernels::ScopedTier scalar(ahg::kernels::Tier::kScalar);
-    baseline = MeasureGcnStep(false, false);
-    pooled = MeasureGcnStep(true, true);
+    scalar_step = MeasureGcnStep();
   }
-  const StepSuiteResult simd = MeasureGcnStep(true, true);
-  const double speedup =
-      pooled.ns_op > 0.0 ? baseline.ns_op / pooled.ns_op : 0.0;
-  const double alloc_reduction =
-      baseline.allocs_per_step > 0
-          ? 1.0 - static_cast<double>(pooled.allocs_per_step) /
-                      static_cast<double>(baseline.allocs_per_step)
-          : 0.0;
-  const double simd_vs_baseline =
-      simd.ns_op > 0.0 ? baseline.ns_op / simd.ns_op : 0.0;
-  const double simd_vs_pooled =
-      simd.ns_op > 0.0 ? pooled.ns_op / simd.ns_op : 0.0;
+  const StepSuiteResult simd_step = MeasureGcnStep();
+  const double step_speedup =
+      simd_step.ns_op > 0.0 ? scalar_step.ns_op / simd_step.ns_op : 0.0;
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -414,16 +375,11 @@ bool WriteKernelsJson(const std::string& path) {
                "    \"spmm_speedup\": %.3f\n"
                "  },\n"
                "  \"gcn_train_step\": {\n"
-               "    \"baseline\": {\"ns_op\": %.0f, \"allocs_per_step\": "
+               "    \"scalar\": {\"ns_op\": %.0f, \"allocs_per_step\": "
                "%lld, \"bytes_per_step\": %lld},\n"
-               "    \"pooled\": {\"ns_op\": %.0f, \"allocs_per_step\": %lld, "
-               "\"bytes_per_step\": %lld, \"pool_hit_rate\": %.4f},\n"
                "    \"simd\": {\"ns_op\": %.0f, \"allocs_per_step\": %lld, "
-               "\"pool_hit_rate\": %.4f, \"tier\": \"%s\",\n"
-               "      \"speedup_vs_baseline\": %.3f, "
-               "\"speedup_vs_pooled\": %.3f},\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"alloc_reduction\": %.4f\n"
+               "\"bytes_per_step\": %lld, \"tier\": \"%s\",\n"
+               "      \"speedup_vs_scalar\": %.3f}\n"
                "  }\n"
                "}\n",
                matmul_ns, spmm_ns, zero_shapes.dropout_ns,
@@ -431,21 +387,19 @@ bool WriteKernelsJson(const std::string& path) {
                zero_shapes.head_ns, tier_name, matmul_scalar_ns,
                matmul_ns > 0.0 ? matmul_scalar_ns / matmul_ns : 0.0,
                spmm_scalar_ns, spmm_ns > 0.0 ? spmm_scalar_ns / spmm_ns : 0.0,
-               baseline.ns_op,
-               static_cast<long long>(baseline.allocs_per_step),
-               static_cast<long long>(baseline.bytes_per_step), pooled.ns_op,
-               static_cast<long long>(pooled.allocs_per_step),
-               static_cast<long long>(pooled.bytes_per_step),
-               pooled.pool_hit_rate, simd.ns_op,
-               static_cast<long long>(simd.allocs_per_step),
-               simd.pool_hit_rate, tier_name, simd_vs_baseline,
-               simd_vs_pooled, speedup, alloc_reduction);
+               scalar_step.ns_op,
+               static_cast<long long>(scalar_step.allocs_per_step),
+               static_cast<long long>(scalar_step.bytes_per_step),
+               simd_step.ns_op,
+               static_cast<long long>(simd_step.allocs_per_step),
+               static_cast<long long>(simd_step.bytes_per_step), tier_name,
+               step_speedup);
   std::fclose(f);
-  std::printf("wrote %s (baseline %lld allocs/step -> pooled %lld, "
-              "pool speedup %.2fx, simd[%s] %.2fx vs pooled)\n",
-              path.c_str(), static_cast<long long>(baseline.allocs_per_step),
-              static_cast<long long>(pooled.allocs_per_step), speedup,
-              tier_name, simd_vs_pooled);
+  std::printf("wrote %s (gcn step: scalar %lld allocs/step, simd[%s] %lld "
+              "allocs/step, %.2fx vs scalar)\n",
+              path.c_str(), static_cast<long long>(scalar_step.allocs_per_step),
+              tier_name, static_cast<long long>(simd_step.allocs_per_step),
+              step_speedup);
   return true;
 }
 

@@ -7,7 +7,6 @@
 // The paper measures GPU memory with nvidia-smi; we reproduce the column
 // with the tensor engine's allocation tracker (peak bytes of live matrices).
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/bench_util.h"
@@ -17,7 +16,6 @@
 #include "core/hierarchical.h"
 #include "graph/synthetic.h"
 #include "tensor/alloc_tracker.h"
-#include "tensor/pool.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -33,10 +31,6 @@ int main(int argc, char** argv) {
   using namespace ahg;
   using namespace ahg::bench;
   const bool fast = FastMode(argc, argv);
-  std::string json_out;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) json_out = argv[i + 1];
-  }
 
   std::printf(
       "== Table VI: runtime statistics (arxiv analog) ==\n"
@@ -177,58 +171,5 @@ int main(int argc, char** argv) {
   std::printf(
       "\nNote: \"Peak\" is the tensor engine's live-allocation high-water "
       "mark (the CPU analog of the paper's nvidia-smi column).\n");
-
-  // --- memory-plane fast path: the same training run with the MatrixPool
-  // --- off and on. Peak includes pool-idle bytes (the GPU-allocator-pool
-  // --- analog), so the pooled peak reflects resident memory honestly while
-  // --- allocation count shows the heap-traffic reduction.
-  const CandidateSpec mem_spec = FindCandidate("GCN");
-  auto train_once = [&](bool pooling) {
-    AllocTracker::ResetPeak();
-    const int64_t allocs0 = AllocTracker::AllocationCount();
-    TrainConfig tcfg = train;
-    tcfg.pooling = pooling;
-    tcfg.fusion = pooling;
-    Stopwatch watch;
-    TrainSingleNodeModel(mem_spec.config, graph, split, tcfg);
-    struct {
-      double seconds, peak_mb;
-      long long allocs;
-    } r{watch.ElapsedSeconds(), PeakMb(),
-        static_cast<long long>(AllocTracker::AllocationCount() - allocs0)};
-    return r;
-  };
-  const auto plain = train_once(false);
-  const auto pooled = train_once(true);
-  TablePrinter mem_table({"MemoryPlane", "Train(s)", "Peak(MB)", "Allocs"});
-  mem_table.AddRow({"pooling off", FormatFloat(plain.seconds, 2),
-                    FormatFloat(plain.peak_mb, 1),
-                    std::to_string(plain.allocs)});
-  mem_table.AddRow({"pooling+fusion on", FormatFloat(pooled.seconds, 2),
-                    FormatFloat(pooled.peak_mb, 1),
-                    std::to_string(pooled.allocs)});
-  std::printf("\n");
-  mem_table.Print();
-
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"memory_plane\": {\n"
-                 "    \"baseline\": {\"train_s\": %.3f, \"peak_mb\": %.1f, "
-                 "\"allocs\": %lld},\n"
-                 "    \"pooled\": {\"train_s\": %.3f, \"peak_mb\": %.1f, "
-                 "\"allocs\": %lld}\n"
-                 "  }\n"
-                 "}\n",
-                 plain.seconds, plain.peak_mb, plain.allocs, pooled.seconds,
-                 pooled.peak_mb, pooled.allocs);
-    std::fclose(f);
-    std::printf("wrote %s\n", json_out.c_str());
-  }
   return 0;
 }

@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
       HasFlag(argc, argv, "--assert-no-violations");
   const double max_queue_delay_ms =
       std::atof(FlagValue(argc, argv, "--max-queue-delay-ms", "10"));
-  const bool pooling = HasFlag(argc, argv, "--pooling");
   const std::string trace_out = FlagValue(argc, argv, "--trace-out", "");
   const std::string metrics_out = FlagValue(argc, argv, "--metrics-out", "");
   const double report_interval_s =
@@ -212,10 +211,7 @@ int main(int argc, char** argv) {
               registry.Versions().size(), registry.active_version());
 
   ServeStats stats;
-  EngineOptions engine_options;
-  engine_options.pooling = pooling;
-  engine_options.fusion = pooling;  // both bitwise-neutral; one switch here
-  InferenceEngine engine(&graph, engine_options, &stats);
+  InferenceEngine engine(&graph, EngineOptions{}, &stats);
   if (Status s = engine.Warm(*registry.Active()); !s.ok()) {
     std::fprintf(stderr, "cache warm failed: %s\n", s.ToString().c_str());
     return 1;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "kernels/kernel_ops.h"
-#include "tensor/pool.h"
 #include "util/rng.h"
 
 namespace ahg {
@@ -152,11 +151,11 @@ Var UnaryElementwise(const Var& a, FwdFn fwd, BwdFn deriv) {
   if (InInferenceMode()) {
     // The node comes out detached, so no backward capture is needed. When
     // this handle is the node's sole owner (a chained temporary like
-    // act(lin.Apply(h))), the fusion fast path transforms the value in
-    // place instead of allocating: the donor node is unobservable after
-    // this call. Callers inside fusion regions must not keep reading a
-    // solely-owned Var's value after passing it to an elementwise op.
-    if (FusionEnabled() && a.use_count() == 1 && !a->value.empty()) {
+    // act(lin.Apply(h))), the value is transformed in place instead of
+    // allocating: the donor node is unobservable after this call. Callers
+    // in inference mode must not keep reading a solely-owned Var's value
+    // after passing it to an elementwise op.
+    if (a.use_count() == 1 && !a->value.empty()) {
       Matrix out = std::move(a->value);
       for (int64_t i = 0; i < out.size(); ++i) {
         out.data()[i] = fwd(out.data()[i]);
@@ -478,33 +477,23 @@ Var MaskedCrossEntropy(const Var& logits, const std::vector<int>& labels,
   AHG_CHECK(!mask.empty());
   AHG_CHECK_EQ(static_cast<int>(labels.size()), logits->rows());
   double loss = 0.0;
-  if (FusionEnabled()) {
-    // Masked rows only — skips materializing the full n x C log-softmax.
-    // Per row this is the exact arithmetic RowLogSoftmax performs (rows are
-    // independent there), so the loss is bitwise identical to the unfused
-    // branch below.
-    for (int idx : mask) {
-      AHG_CHECK(idx >= 0 && idx < logits->rows());
-      const int y = labels[idx];
-      AHG_CHECK(y >= 0 && y < logits->cols());
-      const double* row = logits->value.Row(idx);
-      double max_val = row[0];
-      for (int c = 1; c < logits->cols(); ++c)
-        max_val = std::max(max_val, row[c]);
-      double total = 0.0;
-      for (int c = 0; c < logits->cols(); ++c)
-        total += std::exp(row[c] - max_val);
-      const double log_total = std::log(total) + max_val;
-      loss -= row[y] - log_total;
-    }
-  } else {
-    Matrix logp = RowLogSoftmax(logits->value);
-    for (int idx : mask) {
-      AHG_CHECK(idx >= 0 && idx < logits->rows());
-      const int y = labels[idx];
-      AHG_CHECK(y >= 0 && y < logits->cols());
-      loss -= logp(idx, y);
-    }
+  // Masked rows only — never materializes the full n x C log-softmax. Per
+  // row this is the exact arithmetic RowLogSoftmax performs (rows are
+  // independent there), so the loss is bitwise identical to gathering the
+  // masked entries of RowLogSoftmax(logits).
+  for (int idx : mask) {
+    AHG_CHECK(idx >= 0 && idx < logits->rows());
+    const int y = labels[idx];
+    AHG_CHECK(y >= 0 && y < logits->cols());
+    const double* row = logits->value.Row(idx);
+    double max_val = row[0];
+    for (int c = 1; c < logits->cols(); ++c)
+      max_val = std::max(max_val, row[c]);
+    double total = 0.0;
+    for (int c = 0; c < logits->cols(); ++c)
+      total += std::exp(row[c] - max_val);
+    const double log_total = std::log(total) + max_val;
+    loss -= row[y] - log_total;
   }
   const double inv_m = 1.0 / static_cast<double>(mask.size());
   Matrix out(1, 1);

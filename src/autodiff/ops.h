@@ -38,10 +38,13 @@ Var AddRowVector(const Var& m, const Var& bias);
 // chain (three outputs plus a captured activation copy). Forward and
 // backward replicate the unfused chain's per-element arithmetic and
 // accumulation order exactly, so results are bitwise identical to the
-// three-op form. nn/Linear::ApplyRelu selects this when FusionEnabled().
+// three-op form. nn/Linear::ApplyRelu always uses it.
 Var LinearRelu(const Var& x, const Var& w, const Var& b);
 
-// Activations.
+// Activations. In inference mode (autodiff/variable.h) an operand whose
+// handle is the sole owner of its node is consumed: its buffer is
+// transformed in place and becomes the output's, so a caller must not read
+// a solely-owned Var's value after passing it here.
 Var Relu(const Var& a);
 Var LeakyRelu(const Var& a, double negative_slope);
 Var Elu(const Var& a);
@@ -85,7 +88,8 @@ Var MulColBroadcast(const Var& m, const Var& col);
 Var SumAll(const Var& a);
 
 // Mean cross-entropy of `logits` rows listed in `mask` against integer
-// `labels` (fused log-softmax + NLL; numerically stable).
+// `labels` (fused log-softmax + NLL over the masked rows only; numerically
+// stable and bitwise equal to gathering RowLogSoftmax(logits) entries).
 Var MaskedCrossEntropy(const Var& logits, const std::vector<int>& labels,
                        const std::vector<int>& mask);
 

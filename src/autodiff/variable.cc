@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "obs/trace.h"
-#include "tensor/pool.h"
 
 namespace ahg {
 namespace {
@@ -103,10 +102,9 @@ void Backward(const Var& root) {
       node->backward_fn(*node);
       // Reverse-topo order means every consumer of this op node has already
       // run, and only consumers read a node's grad — it is dead from here
-      // on. With pooling enabled, hand the buffer back immediately so the
-      // sweep's later (larger, earlier-layer) grads recycle it instead of
-      // growing the arena; leaves keep their grads for the optimizer.
-      if (PoolingEnabled()) node->grad = Matrix();
+      // on. Free it now, so the sweep never holds every op node's grad at
+      // once; leaves keep their grads for the optimizer.
+      node->grad = Matrix();
     }
   }
 }

@@ -76,9 +76,12 @@ class ScopedInferenceMode {
 bool InInferenceMode();
 
 // Runs reverse-mode accumulation from `root`, which must be a 1x1 scalar.
-// Seeds d(root)/d(root) = 1 and fills `grad` on every reachable node with
-// requires_grad. Gradients are accumulated on top of existing values, so
-// call ZeroGrad on parameters (see nn/parameter_store.h) between steps.
+// Seeds d(root)/d(root) = 1 and accumulates into `grad` on every reachable
+// leaf with requires_grad, on top of existing values, so call ZeroGrad on
+// parameters (see nn/parameter_store.h) between steps. Op-node grads are
+// consumed: each is freed as soon as its backward closure has run, so after
+// Backward every op node (the root included) has an empty grad and only
+// leaves hold gradients.
 void Backward(const Var& root);
 
 }  // namespace ahg

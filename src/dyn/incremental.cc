@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/logging.h"
 
 namespace ahg::dyn {
@@ -16,10 +15,6 @@ IncrementalPropagator::IncrementalPropagator(const ModelConfig& config,
 
 RefreshStats IncrementalPropagator::FullRefresh(const GraphSnapshot& snap) {
   AHG_TRACE_SPAN_ARG("dyn/full_refresh", snap.num_nodes());
-  // Pool stays warm across refreshes (no arena trim): a streaming workload
-  // reuses the same layer-state and scratch shapes every batch. Fusion is
-  // left as the caller set it — this path runs raw kernels, not autodiff.
-  ScopedMemPlane mem_plane(options_.pooling, FusionEnabled());
   AHG_CHECK_EQ(snap.feature_dim(), core_.config().in_dim);
   x_ = snap.DenseFeatures();
   stages_ = core_.ComputeAll(snap.adjacency(), x_);
@@ -47,7 +42,6 @@ StatusOr<RefreshStats> IncrementalPropagator::Refresh(
   }
   AHG_TRACE_SPAN_ARG("dyn/incremental_refresh",
                      static_cast<int64_t>(delta.dirty_adj_rows.size()));
-  ScopedMemPlane mem_plane(options_.pooling, FusionEnabled());
   const DeltaCsr& adj = snap.adjacency();
 
   // Grow cached states for appended nodes; the new rows are in every dirty

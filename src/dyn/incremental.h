@@ -25,10 +25,6 @@ namespace ahg::dyn {
 struct RefreshOptions {
   // Fall back to a full recompute when |D_L| / num_nodes exceeds this.
   double full_refresh_fraction = kFullRefreshFraction;
-  // Recycle refresh scratch (dirty-row gathers, per-layer patch products)
-  // through the MatrixPool (tensor/pool.h) for the duration of each
-  // Refresh/FullRefresh call. Bitwise-neutral.
-  bool pooling = false;
 };
 
 class IncrementalPropagator {

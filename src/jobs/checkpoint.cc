@@ -63,16 +63,20 @@ void WriteTrainConfig(const TrainConfig& c, RecordWriter* w) {
   w->I32(c.lr_decay_every);
   w->U64(c.seed);
   w->I32(c.num_threads);
-  w->Bool(c.pooling);
-  w->Bool(c.fusion);
+  // Two retired memory-plane flags (buffer pooling, fused kernels). Both
+  // paths are gone, so the bytes are written as 0 and ignored on read;
+  // keeping them leaves the format unchanged.
+  w->Bool(false);
+  w->Bool(false);
 }
 
 bool ReadTrainConfig(RecordReader* r, TrainConfig* c) {
+  bool retired = false;  // each retired flag byte; read and dropped
   return r->I32(&c->max_epochs) && r->I32(&c->patience) &&
          r->F64(&c->learning_rate) && r->F64(&c->weight_decay) &&
          r->F64(&c->lr_decay) && r->I32(&c->lr_decay_every) &&
          r->U64(&c->seed) && r->I32(&c->num_threads) &&
-         r->Bool(&c->pooling) && r->Bool(&c->fusion);
+         r->Bool(&retired) && r->Bool(&retired);
 }
 
 void WriteCandidates(const std::vector<CandidateSpec>& cs, RecordWriter* w) {

@@ -1,7 +1,8 @@
 // Runtime CPU-feature dispatch for the SIMD kernel backend.
 //
 // The numeric kernels (dense GEMM and its TransA/TransB variants, CSR SpMM,
-// fused Linear+ReLU, row-softmax, and the elementwise accumulators) exist in
+// the fused Linear+ReLU row that every zoo Linear->ReLU runs through,
+// row-softmax, and the elementwise accumulators) exist in
 // three tiers: a portable scalar reference, an AVX2 path, and an AVX-512
 // path. Every tier preserves the scalar reference's per-output-element
 // accumulation order and uses separate multiply and add (never FMA — its

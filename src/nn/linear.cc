@@ -2,7 +2,6 @@
 
 #include "autodiff/ops.h"
 #include "nn/init.h"
-#include "tensor/pool.h"
 
 namespace ahg {
 
@@ -20,8 +19,7 @@ Var Linear::Apply(const Var& x) const {
 }
 
 Var Linear::ApplyRelu(const Var& x) const {
-  if (FusionEnabled()) return LinearRelu(x, weight_, bias_);
-  return Relu(Apply(x));
+  return LinearRelu(x, weight_, bias_);
 }
 
 }  // namespace ahg

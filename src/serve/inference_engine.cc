@@ -9,7 +9,6 @@
 #include "nn/linear.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/string_util.h"
 
 namespace ahg::serve {
@@ -73,17 +72,12 @@ InferenceEngine::InferenceEngine(const Graph* graph,
       cache_(options.shared_cache != nullptr ? options.shared_cache
                                              : &own_cache_),
       scope_(options.cache_scope),
-      stats_(stats),
-      pooling_(options.pooling),
-      fusion_(options.fusion) {
+      stats_(stats) {
   AHG_CHECK(scope_.find('/') == std::string::npos);
 }
 
 StatusOr<InferenceEngine::Resolved> InferenceEngine::Resolve(
     const ServableModel& model) {
-  // Covers the miss-path frozen forward; flags are thread-local, so this
-  // applies on whichever request thread runs the compute.
-  ScopedMemPlane mem_plane(pooling_, fusion_);
   // One (graph, generation) pin for the whole request: validation, id
   // translation and any miss-path forward all see the same graph, and a
   // concurrent SwapGraph retargets later requests, never this one. The hit
@@ -147,7 +141,6 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
                                                const std::vector<int>& nodes) {
   AHG_TRACE_SPAN_ARG("serve/predict_nodes",
                      static_cast<int64_t>(nodes.size()));
-  ScopedMemPlane mem_plane(pooling_, fusion_);
   auto resolved = Resolve(model);
   if (!resolved.ok()) return resolved.status();
   const ServingGraph& graph = *resolved.value().graph;
@@ -170,7 +163,6 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
 }
 
 StatusOr<Matrix> InferenceEngine::PredictAll(const ServableModel& model) {
-  ScopedMemPlane mem_plane(pooling_, fusion_);
   auto resolved = Resolve(model);
   if (!resolved.ok()) return resolved.status();
   Matrix probs = ApplyClassifierHead(*resolved.value().hidden, model);

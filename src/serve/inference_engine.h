@@ -41,13 +41,6 @@ struct EngineOptions {
   // LRU budget for cached propagation products; <= 0 means unbounded.
   // Ignored when `shared_cache` is set.
   int64_t cache_byte_budget = int64_t{256} << 20;
-  // Recycle per-request tensor buffers (gathered rows, head outputs, cache
-  // recomputes) through the MatrixPool (tensor/pool.h). The pool stays warm
-  // across requests — no arena trim on the serving path — so steady-state
-  // queries allocate nothing. Bitwise-neutral.
-  bool pooling = false;
-  // Fused kernels on the frozen forward + head path. Bitwise-neutral.
-  bool fusion = false;
   // When set, the engine caches its propagation products here instead of in
   // a private cache — the fabric points every tenant engine of a shard at
   // one cache so the shard has a single LRU byte budget. Must outlive the
@@ -180,8 +173,6 @@ class InferenceEngine : public NodePredictor {
   PropagationCache* const cache_;  // &own_cache_ or options.shared_cache
   const std::string scope_;        // options.cache_scope
   ServeStats* const stats_;
-  const bool pooling_;
-  const bool fusion_;
 };
 
 }  // namespace ahg::serve

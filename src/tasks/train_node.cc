@@ -6,7 +6,6 @@
 #include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "tensor/pool.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -24,11 +23,6 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
   // global setting from worker threads would race across candidates.
   ScopedNumThreads scoped_threads(
       InParallelRegion() ? 0 : train_config.num_threads);
-  // Memory-plane switches are thread-local, so this also covers proxy-eval
-  // workers (each candidate trains wholly inside one worker thread). The
-  // arena trims pool-idle buffers grown by this run when it ends.
-  ScopedMemPlane mem_plane(train_config.pooling, train_config.fusion);
-  ScopedArena arena(train_config.pooling);
   ModelConfig cfg = model_config;
   cfg.in_dim = graph.feature_dim();
   AHG_CHECK_GT(cfg.in_dim, 0);

@@ -26,13 +26,6 @@ struct TrainConfig {
   // SetNumThreads() setting. Ignored when training already runs inside a
   // parallel region (e.g. proxy evaluation), where kernels execute inline.
   int num_threads = 0;
-  // Recycle tensor buffers through the thread-local MatrixPool for the
-  // duration of the run (tensor/pool.h); a run-scoped arena trims the pool
-  // back to its entry watermark on exit. Bitwise-neutral.
-  bool pooling = false;
-  // Use fused single-pass kernels (Linear+ReLU, masked-row cross-entropy).
-  // Bitwise-neutral; independent of `pooling`.
-  bool fusion = false;
   // Optional cooperative cancellation, polled at epoch boundaries. A
   // cancelled run returns its best-so-far result early; callers that need
   // complete results must check the token after the call. Not owned; must

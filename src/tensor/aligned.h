@@ -1,8 +1,8 @@
 // 64-byte-aligned allocation for tensor buffers.
 //
-// Every Matrix buffer — fresh, pooled, copied, or grown — comes from
-// AlignedAllocDoubles and is released with AlignedFreeDoubles, so pooled and
-// heap buffers have identical alignment and the SIMD kernel backend
+// Every Matrix buffer — fresh, copied, or grown — comes from
+// AlignedAllocDoubles and is released with AlignedFreeDoubles, so every
+// buffer has the same alignment and the SIMD kernel backend
 // (src/kernels) may legally issue aligned vector loads against any row base
 // whose column offset lands on a 64-byte boundary. 64 bytes covers a full
 // AVX-512 register and one cache line.

@@ -2,13 +2,12 @@
 //
 // Every Matrix heap allocation/release reports here; the runtime-statistics
 // bench (Table VI of the paper) reads the peak to reproduce the paper's
-// "Peak GPU" column on our CPU substrate. With the MatrixPool enabled
-// (tensor/pool.h), only real heap traffic is counted: a pool hit neither
-// adds bytes nor bumps AllocationCount(), so a steady-state training step
-// with pooling on reports zero new allocations — the property the
-// perf-smoke CI job asserts. Bytes parked in the pool's free lists remain
-// counted as live (they are resident, exactly like the GPU-allocator pools
-// the paper's nvidia-smi numbers include).
+// "Peak GPU" column on our CPU substrate. Buffers are never recycled, so
+// the peak is the high-water mark of live tensors: the autodiff backward
+// frees each op node's gradient as soon as its closure has consumed it
+// (autodiff/variable.h), which keeps that mark low. The perf-smoke CI job
+// asserts that a training step's AllocationCount() delta stays at or below
+// its committed baseline.
 #ifndef AUTOHENS_TENSOR_ALLOC_TRACKER_H_
 #define AUTOHENS_TENSOR_ALLOC_TRACKER_H_
 
@@ -25,7 +24,7 @@ class AllocTracker {
   // Records `bytes` released.
   static void Remove(size_t bytes);
 
-  // Bytes currently live (including pool-idle buffers).
+  // Bytes currently live.
   static int64_t CurrentBytes();
 
   // High-water mark since the last ResetPeak().
@@ -37,8 +36,8 @@ class AllocTracker {
   // peak >= current holds through concurrent Add/ResetPeak interleavings.
   static void ResetPeak();
 
-  // Cumulative count of heap allocations since process start (pool hits
-  // excluded). Monotonic; diff across a region to count its allocations.
+  // Cumulative count of heap allocations since process start. Monotonic;
+  // diff across a region to count its allocations.
   static int64_t AllocationCount();
 
   // Cumulative bytes ever heap-allocated (monotonic; diff across a region

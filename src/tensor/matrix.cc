@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "tensor/aligned.h"
 #include "tensor/alloc_tracker.h"
-#include "tensor/pool.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -22,32 +21,19 @@ void Matrix::Allocate(int rows, int cols, bool zero) {
   cols_ = cols;
   const int64_t n = size();
   if (n > 0) {
-    if (PoolingEnabled()) {
-      // Pool hits recycle (and re-zero) a parked buffer; misses heap-
-      // allocate and are the only path that counts in AllocTracker.
-      data_ = MatrixPool::Global().Acquire(n, zero);
-      pooled_ = true;
-    } else {
-      data_ = AlignedAllocDoubles(n, zero);
-      pooled_ = false;
-      AllocTracker::Add(static_cast<size_t>(n) * sizeof(double));
-    }
+    data_ = AlignedAllocDoubles(n, zero);
+    AllocTracker::Add(static_cast<size_t>(n) * sizeof(double));
   }
 }
 
 void Matrix::Release() {
   if (data_ != nullptr) {
-    if (pooled_) {
-      MatrixPool::Global().Release(data_, size());
-    } else {
-      AllocTracker::Remove(static_cast<size_t>(size()) * sizeof(double));
-      AlignedFreeDoubles(data_);
-    }
+    AllocTracker::Remove(static_cast<size_t>(size()) * sizeof(double));
+    AlignedFreeDoubles(data_);
     data_ = nullptr;
   }
   rows_ = 0;
   cols_ = 0;
-  pooled_ = false;
 }
 
 Matrix::Matrix(int rows, int cols) { Allocate(rows, cols); }
@@ -66,13 +52,9 @@ Matrix& Matrix::operator=(const Matrix& other) {
 }
 
 Matrix::Matrix(Matrix&& other) noexcept
-    : rows_(other.rows_),
-      cols_(other.cols_),
-      pooled_(other.pooled_),
-      data_(other.data_) {
+    : rows_(other.rows_), cols_(other.cols_), data_(other.data_) {
   other.rows_ = 0;
   other.cols_ = 0;
-  other.pooled_ = false;
   other.data_ = nullptr;
 }
 
@@ -81,11 +63,9 @@ Matrix& Matrix::operator=(Matrix&& other) noexcept {
   Release();
   rows_ = other.rows_;
   cols_ = other.cols_;
-  pooled_ = other.pooled_;
   data_ = other.data_;
   other.rows_ = 0;
   other.cols_ = 0;
-  other.pooled_ = false;
   other.data_ = nullptr;
   return *this;
 }

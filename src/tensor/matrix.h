@@ -1,6 +1,8 @@
 // Dense row-major matrix of doubles plus the BLAS-like kernels the autodiff
-// engine is built on. All allocations are reported to AllocTracker so the
-// runtime bench can reproduce the paper's peak-memory columns.
+// engine is built on. Every buffer is a fresh 64-byte-aligned heap block
+// (tensor/aligned.h), freed when the Matrix dies; nothing is pooled or
+// recycled. All allocations are reported to AllocTracker so the runtime
+// bench can reproduce the paper's peak-memory columns.
 #ifndef AUTOHENS_TENSOR_MATRIX_H_
 #define AUTOHENS_TENSOR_MATRIX_H_
 
@@ -73,17 +75,14 @@ class Matrix {
   double SquaredNorm() const;
 
  private:
-  // Draws from the MatrixPool when pooling is enabled on this thread (see
-  // tensor/pool.h); `zero` is false only for paths that overwrite every
+  // Heap-allocates an aligned buffer (tensor/aligned.h) and reports it to
+  // AllocTracker; `zero` is false only for paths that overwrite every
   // entry immediately (copies).
   void Allocate(int rows, int cols, bool zero = true);
   void Release();
 
   int rows_ = 0;
   int cols_ = 0;
-  // True when data_ came from the MatrixPool; Release() returns pooled
-  // buffers to the pool even if pooling has been switched off since.
-  bool pooled_ = false;
   double* data_ = nullptr;
 };
 

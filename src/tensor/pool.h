@@ -1,26 +1,8 @@
-// Memory-plane fast path: a shape-bucketed recycling pool for Matrix
-// buffers plus the thread-local switches that turn it (and the fused
-// kernels) on.
-//
-// Why: the autodiff engine constructs fresh Matrix values and gradients per
-// node per step, so a zoo sweep churns the heap on every epoch even though
-// the shapes repeat exactly. With pooling enabled, Matrix::Allocate draws
-// from per-size free lists and ~Matrix returns buffers instead of freeing
-// them; after one warm-up step the steady-state train/proxy/serve step
-// performs zero tensor heap allocations (asserted in tests/pool_test.cc via
-// AllocTracker::AllocationCount()).
-//
-// Determinism: a pooled buffer is zero-filled before reuse, exactly like
-// the `new double[n]()` it replaces, and no kernel changes its reduction
-// order based on the flag — results are bitwise identical with pooling (and
-// fusion) on vs. off, at every thread count.
-//
-// Threading: the enable flags are thread-local (a training run on a proxy
-// worker flips only its own allocations) while the pool itself is a
-// process-wide, mutex-guarded singleton, so a buffer allocated on one
-// thread may be released from another (serving caches do this). The mutex
-// also publishes buffer contents between threads, so recycling is
-// TSan-clean by construction.
+// Stats-only stub of the retired Matrix buffer pool. Every Matrix buffer
+// now comes from the aligned heap (tensor/aligned.h) and is counted by
+// AllocTracker; nothing is recycled, so the counters are always zero.
+// The stub exists only for the benchmark harness, which still reads
+// MatrixPool::Global().Stats() to report tensor.pool_hit_rate.
 #ifndef AUTOHENS_TENSOR_POOL_H_
 #define AUTOHENS_TENSOR_POOL_H_
 
@@ -28,95 +10,19 @@
 
 namespace ahg {
 
-// Point-in-time pool counters (monotonic except the idle_* pair). The same
-// numbers are mirrored into the obs MetricsRegistry as tensor.pool_hits /
-// tensor.pool_misses / tensor.pool_trimmed_bytes and the
-// tensor.pool_idle_bytes gauge.
 struct MatrixPoolStats {
-  int64_t hits = 0;           // Acquire served from a free list
-  int64_t misses = 0;         // Acquire fell through to the heap
-  int64_t released = 0;       // buffers returned to a free list
-  int64_t trimmed_bytes = 0;  // bytes freed back to the heap by TrimTo
-  int64_t idle_bytes = 0;     // bytes currently parked in free lists
-  int64_t idle_buffers = 0;
+  int64_t hits = 0;
+  int64_t misses = 0;
 };
 
 class MatrixPool {
  public:
-  // Process-wide pool used by Matrix. Never destroyed (buffers parked at
-  // exit stay reachable), so static-destruction order cannot bite.
-  static MatrixPool& Global();
+  static MatrixPool& Global() {
+    static MatrixPool pool;
+    return pool;
+  }
 
-  MatrixPool() = default;
-  MatrixPool(const MatrixPool&) = delete;
-  MatrixPool& operator=(const MatrixPool&) = delete;
-
-  // A buffer of `n` doubles, zero-filled when `zero` (the Matrix(r, c)
-  // contract); from the size-n free list when possible, else the heap
-  // (which counts as an AllocTracker allocation — pool hits do not).
-  double* Acquire(int64_t n, bool zero);
-
-  // Parks `ptr` (previously Acquired with the same `n`) for reuse.
-  void Release(double* ptr, int64_t n);
-
-  // Frees idle buffers, most-recently-parked first, until at most
-  // `target_idle_bytes` remain parked. ScopedArena calls this with its
-  // entry watermark so a finished run hands its temporaries back to the
-  // heap instead of hoarding shapes no later run will request.
-  void TrimTo(int64_t target_idle_bytes);
-
-  // TrimTo(0): every idle buffer goes back to the heap.
-  void Clear() { TrimTo(0); }
-
-  MatrixPoolStats Stats() const;
-  int64_t IdleBytes() const;
-};
-
-// True when Matrix allocations on this thread go through the pool.
-bool PoolingEnabled();
-
-// True when the fused single-pass kernels (Linear->ReLU, masked
-// cross-entropy, in-place inference elementwise) are active on this thread.
-// Fused kernels preserve the exact per-element accumulation order of their
-// unfused forms, so flipping this never changes results.
-bool FusionEnabled();
-
-// RAII thread-local switch for both flags. Sets pooling/fusion to the given
-// values (true or false — a nested scope can switch either off) and
-// restores the previous values on destruction. Does not trim the pool; use
-// ScopedArena for run-scoped reclamation.
-class ScopedMemPlane {
- public:
-  ScopedMemPlane(bool pooling, bool fusion);
-  ~ScopedMemPlane();
-
-  ScopedMemPlane(const ScopedMemPlane&) = delete;
-  ScopedMemPlane& operator=(const ScopedMemPlane&) = delete;
-
- private:
-  bool saved_pooling_;
-  bool saved_fusion_;
-};
-
-// Run-scoped arena: enables pooling on this thread for the scope's
-// lifetime and, on destruction, trims the global pool back to the idle-byte
-// watermark observed at entry — every temporary the scope parked is
-// reclaimed at once, while buffers that predate the scope stay warm.
-// Training runs wrap each model fit in one ScopedArena; steps inside the
-// scope recycle through the free lists. Pass enable=false for a no-op (the
-// config-flag-off path). Nestable.
-class ScopedArena {
- public:
-  explicit ScopedArena(bool enable = true);
-  ~ScopedArena();
-
-  ScopedArena(const ScopedArena&) = delete;
-  ScopedArena& operator=(const ScopedArena&) = delete;
-
- private:
-  bool enabled_;
-  bool saved_pooling_ = false;
-  int64_t entry_idle_bytes_ = 0;
+  MatrixPoolStats Stats() const { return {}; }
 };
 
 }  // namespace ahg

@@ -1,5 +1,7 @@
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "autodiff/ops.h"
 #include "autodiff/variable.h"
@@ -186,6 +188,86 @@ TEST(OpsForwardTest, BceWithLogitsMatchesManual) {
   const double expected =
       (-std::log(0.5) - std::log(1.0 - 1.0 / (1.0 + std::exp(-2.0)))) / 2.0;
   EXPECT_NEAR(loss->value(0, 0), expected, 1e-12);
+}
+
+// --- Backward consumes op-node grads ---------------------------------------
+//
+// Backward frees every op node's grad once its closure has run; only leaves
+// keep gradients. Two chains over the same leaves, one through the fused
+// LinearRelu, one through the unfused MatMul -> AddRowVector -> Relu ops,
+// both into MaskedCrossEntropy: every op node ends with an empty grad and
+// the leaf grads are bitwise the values recorded before op-node grads were
+// released (identical on every kernel tier and for both chains).
+
+struct ChainLeaves {
+  Var x, w, b, w2;
+};
+
+ChainLeaves MakeChainLeaves() {
+  Rng rng(5);
+  return {MakeParam(Matrix::Gaussian(3, 2, 1.0, &rng)),
+          MakeParam(Matrix::Gaussian(2, 4, 1.0, &rng)),
+          MakeParam(Matrix::Gaussian(1, 4, 1.0, &rng)),
+          MakeParam(Matrix::Gaussian(4, 3, 1.0, &rng))};
+}
+
+const std::vector<int> kChainLabels = {0, 2, 1};
+const std::vector<int> kChainMask = {0, 2};
+
+// IEEE-754 bit patterns of the leaf grads, row-major.
+const std::vector<uint64_t> kGoldenX = {
+    0x3fc900af106f4136, 0xbf9ebab4a2b19d70, 0x0000000000000000,
+    0x0000000000000000, 0xbfc4709d7fb1cc34, 0xbfe14aa247afb91a};
+const std::vector<uint64_t> kGoldenW = {
+    0x3fdddc151afe0fc0, 0x3fdf66c2a8e21d46, 0x3f9b7a063e6af990,
+    0x3fb5574ada205572, 0xbfc7cd011b0e61c4, 0x3fd772bf97b92f9e,
+    0xbfe9be2e2716e82d, 0xbfd8355b2fb40261};
+const std::vector<uint64_t> kGoldenB = {
+    0x3fbea0a4c0e62c00, 0xbfd8da1fa81e9d48, 0x3fe775deb29fc949,
+    0x3fd592705a48a809};
+const std::vector<uint64_t> kGoldenW2 = {
+    0x3fd3ce11f0ded2c3, 0xbfd79c3e26177cb6, 0x3fae7161a9c54f92,
+    0xbfc225bc8931e71d, 0x3f9408c80eab3d48, 0x3fbf49470eb8fee4,
+    0xbfd6d187ac50eb6c, 0xbfa561a83c6c27c4, 0x3fd97dbcb3de7060,
+    0x3fdd620e70ddd2dc, 0xbfde7bffb3452abf, 0x3f919f1426757e26};
+
+std::vector<uint64_t> Bits(const Matrix& m) {
+  std::vector<uint64_t> bits(static_cast<size_t>(m.size()));
+  if (!bits.empty()) {
+    std::memcpy(bits.data(), m.data(), bits.size() * sizeof(uint64_t));
+  }
+  return bits;
+}
+
+void ExpectGoldenLeafGrads(const ChainLeaves& l) {
+  EXPECT_EQ(Bits(l.x->grad), kGoldenX);
+  EXPECT_EQ(Bits(l.w->grad), kGoldenW);
+  EXPECT_EQ(Bits(l.b->grad), kGoldenB);
+  EXPECT_EQ(Bits(l.w2->grad), kGoldenW2);
+}
+
+TEST(GradReleaseTest, FusedChainFreesOpGradsAndKeepsLeafGrads) {
+  const ChainLeaves l = MakeChainLeaves();
+  Var h = LinearRelu(l.x, l.w, l.b);
+  Var logits = MatMul(h, l.w2);
+  Var loss = MaskedCrossEntropy(logits, kChainLabels, kChainMask);
+  Backward(loss);
+  for (const Var& op : {h, logits, loss}) EXPECT_TRUE(op->grad.empty());
+  ExpectGoldenLeafGrads(l);
+}
+
+TEST(GradReleaseTest, UnfusedChainFreesOpGradsAndKeepsLeafGrads) {
+  const ChainLeaves l = MakeChainLeaves();
+  Var pre = MatMul(l.x, l.w);
+  Var biased = AddRowVector(pre, l.b);
+  Var h = Relu(biased);
+  Var logits = MatMul(h, l.w2);
+  Var loss = MaskedCrossEntropy(logits, kChainLabels, kChainMask);
+  Backward(loss);
+  for (const Var& op : {pre, biased, h, logits, loss}) {
+    EXPECT_TRUE(op->grad.empty());
+  }
+  ExpectGoldenLeafGrads(l);
 }
 
 TEST(BackwardTest, RootMustBeScalar) {

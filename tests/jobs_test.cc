@@ -22,6 +22,8 @@
 
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
+#include "io/model_store.h"
+#include "io/record.h"
 #include "jobs/job_queue.h"
 #include "jobs/search_job.h"
 #include "jobs/served_tasks.h"
@@ -521,6 +523,127 @@ TEST(SearchJobTest, LegacyTuningProfileInJobDirIsIgnoredOnResume) {
   ExpectDirsIdentical(store.EnsembleDir("plain"), store.EnsembleDir("legacy"));
   // Left exactly as it was found.
   EXPECT_EQ(ReadBytes(profile_path), legacy_profile);
+}
+
+// Job records written before the memory-plane switches were removed carry
+// two TrainConfig flag bytes (pooling, fusion) that a `--pooling --fusion`
+// run set to 1. The fields are gone; the bytes are still in the format and
+// are ignored on read. These writers lay records out field by field with
+// RecordWriter, as the spec and task-spec savers do, with both flag bytes
+// set to `flags`.
+void WriteCandidates(const std::vector<CandidateSpec>& candidates,
+                     RecordWriter* w) {
+  w->U64(candidates.size());
+  for (const CandidateSpec& c : candidates) {
+    w->Str(c.name);
+    WriteModelConfig(c.config, w);
+  }
+}
+
+void WriteTrain(const TrainConfig& t, bool flags, RecordWriter* w) {
+  w->I32(t.max_epochs);
+  w->I32(t.patience);
+  w->F64(t.learning_rate);
+  w->F64(t.weight_decay);
+  w->F64(t.lr_decay);
+  w->I32(t.lr_decay_every);
+  w->U64(t.seed);
+  w->I32(t.num_threads);
+  w->Bool(flags);  // pooling
+  w->Bool(flags);  // fusion
+}
+
+std::string FlaggedSpecBytes(const SearchJobSpec& spec, bool flags) {
+  RecordWriter w("AHGJ", 1);
+  w.U32(1);  // record kind: search spec
+  w.Str(spec.job_id);
+  w.Str(spec.dataset);
+  w.U32(static_cast<uint32_t>(spec.algo));
+  WriteCandidates(spec.candidates, &w);
+  w.I32(spec.pool_size);
+  w.I32(spec.k);
+  w.F64(spec.proxy_dataset_ratio);
+  w.I32(spec.proxy_bagging);
+  w.F64(spec.proxy_model_ratio);
+  w.F64(spec.proxy_train_fraction);
+  w.F64(spec.proxy_val_fraction);
+  w.I32(spec.proxy_num_threads);
+  WriteTrain(spec.train, flags, &w);
+  w.I32(spec.gradient_update_every);
+  w.F64(spec.gradient_arch_learning_rate);
+  w.I32(spec.gradient_max_epochs);
+  w.I32(spec.gradient_patience);
+  w.I32(spec.gradient_checkpoint_every);
+  w.F64(spec.adaptive_epsilon);
+  w.F64(spec.adaptive_gamma);
+  w.F64(spec.adaptive_lambda);
+  w.U64(spec.seed);
+  w.F64(spec.time_budget_seconds);
+  w.I32(spec.publish_version);
+  return w.bytes();
+}
+
+std::string FlaggedTaskSpecBytes(const TaskJobSpec& spec, bool flags) {
+  RecordWriter w("AHGJ", 1);
+  w.U32(3);  // record kind: task spec
+  w.Str(spec.job_id);
+  w.Str(spec.dataset);
+  w.U32(static_cast<uint32_t>(spec.kind));
+  WriteCandidates(spec.candidates, &w);
+  WriteTrain(spec.train, flags, &w);
+  w.U64(spec.seed);
+  return w.bytes();
+}
+
+// A job whose spec carries flag bytes of 1, killed after every checkpoint
+// and resumed, writes the same ensemble bytes as its twin whose flag bytes
+// are 0.
+TEST(SearchJobTest, RetiredMemoryPlaneFlagBytesLoadAndResume) {
+  JobStore store(FreshRoot("retired_flags"));
+  const SearchJobSpec zero = MakeSpec("zero", JobAlgo::kGradient);
+  const SearchJobSpec flagged = MakeSpec("flagged", JobAlgo::kGradient);
+  ASSERT_TRUE(store.CreateJob(zero).ok());
+  ASSERT_TRUE(store.CreateJob(flagged).ok());
+  const std::string zero_path = store.JobDir("zero") + "/spec.bin";
+  const std::string flagged_path = store.JobDir("flagged") + "/spec.bin";
+  // With flag bytes 0 the hand-laid record is exactly what SaveSpec writes.
+  ASSERT_EQ(ReadBytes(zero_path), FlaggedSpecBytes(zero, false));
+  ASSERT_TRUE(
+      AtomicWriteFile(flagged_path, FlaggedSpecBytes(flagged, true)).ok());
+  ASSERT_NE(ReadBytes(flagged_path), FlaggedSpecBytes(flagged, false));
+
+  auto loaded = LoadSpec(flagged_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().train.learning_rate, flagged.train.learning_rate);
+  EXPECT_EQ(loaded.value().gradient_checkpoint_every,
+            flagged.gradient_checkpoint_every);
+
+  SetNumThreads(1);  // match the forked workers' kernel schedule
+  SearchJob zero_job(&store, "zero");
+  auto zero_out = zero_job.Run(MakeEnv());
+  ASSERT_TRUE(zero_out.ok()) << zero_out.status().ToString();
+  ASSERT_EQ(zero_out.value().status, JobStatus::kPublished);
+
+  EXPECT_GT(RunSearchJobWithKills(store, "flagged", MakeEnv()), 1);
+  EXPECT_EQ(store.LoadState("flagged").value().status, JobStatus::kPublished);
+  ExpectDirsIdentical(store.EnsembleDir("zero"), store.EnsembleDir("flagged"));
+
+  // The task-spec record carries the same TrainConfig block.
+  TaskJobSpec task;
+  task.job_id = "task";
+  task.dataset = "sbm60";
+  task.candidates = {{"GCN", TinyConfig(ModelFamily::kGcn)}};
+  task.train = flagged.train;
+  task.seed = 5;
+  const std::string task_path = store.JobDir("flagged") + "/task_spec.bin";
+  ASSERT_TRUE(SaveTaskSpec(task_path, task).ok());
+  ASSERT_EQ(ReadBytes(task_path), FlaggedTaskSpecBytes(task, false));
+  ASSERT_TRUE(
+      AtomicWriteFile(task_path, FlaggedTaskSpecBytes(task, true)).ok());
+  auto loaded_task = LoadTaskSpec(task_path);
+  ASSERT_TRUE(loaded_task.ok()) << loaded_task.status().ToString();
+  EXPECT_EQ(loaded_task.value().seed, 5u);
+  EXPECT_EQ(loaded_task.value().train.max_epochs, flagged.train.max_epochs);
 }
 
 struct AlgoName {

@@ -15,7 +15,6 @@
 #include "kernels/kernel_ops.h"
 #include "tensor/aligned.h"
 #include "tensor/matrix.h"
-#include "tensor/pool.h"
 #include "tensor/sparse_matrix.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -85,7 +84,7 @@ std::vector<Tier> SupportedSimdTiers() {
 }
 
 TEST(AlignmentTest, EveryAllocationPathIs64ByteAligned) {
-  // Fresh (unpooled) allocation.
+  // Fresh allocation.
   Matrix fresh(5, 7);
   EXPECT_TRUE(IsTensorAligned(fresh.data()));
 
@@ -98,20 +97,6 @@ TEST(AlignmentTest, EveryAllocationPathIs64ByteAligned) {
   // GrowRows allocates the destination through the normal path.
   Matrix grown = GrowRows(from_rows, 9);
   EXPECT_TRUE(IsTensorAligned(grown.data()));
-
-  // Pooled: both the miss (heap) and the hit (recycled) must be aligned.
-  {
-    ScopedMemPlane plane(/*pooling=*/true, /*fusion=*/false);
-    double* first = nullptr;
-    {
-      Matrix pooled(13, 17);  // odd size: miss -> aligned heap alloc
-      EXPECT_TRUE(IsTensorAligned(pooled.data()));
-      first = pooled.data();
-    }
-    Matrix recycled(13, 17);  // same size: pool hit returns the parked buffer
-    EXPECT_EQ(recycled.data(), first);
-    EXPECT_TRUE(IsTensorAligned(recycled.data()));
-  }
 
   // Move transfers the (aligned) buffer.
   Matrix moved = std::move(fresh);
