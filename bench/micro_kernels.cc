@@ -12,6 +12,7 @@
 // scalar and the active tier) and writes the BENCH_kernels.json
 // schema the perf-smoke CI job diffs against.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
@@ -239,14 +240,24 @@ BENCHMARK(BM_SpmmSpeedup)->Iterations(1)->UseRealTime();
 // --json-out FILE: a small deterministic measurement suite for the
 // perf-smoke CI job. Timing fields are informational (machine-dependent);
 // the allocation counters are deterministic per build and are what CI
-// hard-fails on. Schema: bench/BENCH_kernels.json (the committed baseline).
+// hard-fails on, with the SIMD step's page faults held to a fixed ceiling.
+// Schema: bench/BENCH_kernels.json (the committed baseline).
 // ---------------------------------------------------------------------------
 
 struct StepSuiteResult {
   double ns_op = 0.0;
   int64_t allocs_per_step = 0;
   int64_t bytes_per_step = 0;
+  // Minor page faults per step: freed buffers the allocator gave back to
+  // the kernel and the next step touched again.
+  int64_t minflt_per_step = 0;
 };
+
+int64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_minflt);
+}
 
 StepSuiteResult MeasureGcnStep() {
   constexpr int kWarmup = 3;
@@ -255,13 +266,16 @@ StepSuiteResult MeasureGcnStep() {
   for (int i = 0; i < kWarmup; ++i) harness.Step();
   const int64_t allocs0 = AllocTracker::AllocationCount();
   const int64_t bytes0 = AllocTracker::TotalAllocatedBytes();
+  const int64_t faults0 = MinorFaults();
   Stopwatch watch;
   for (int i = 0; i < kSteps; ++i) harness.Step();
   const double seconds = watch.ElapsedSeconds();
+  const int64_t faults = MinorFaults() - faults0;
   StepSuiteResult r;
   r.ns_op = 1e9 * seconds / kSteps;
   r.allocs_per_step = (AllocTracker::AllocationCount() - allocs0) / kSteps;
   r.bytes_per_step = (AllocTracker::TotalAllocatedBytes() - bytes0) / kSteps;
+  r.minflt_per_step = faults / kSteps;
   return r;
 }
 
@@ -376,9 +390,10 @@ bool WriteKernelsJson(const std::string& path) {
                "  },\n"
                "  \"gcn_train_step\": {\n"
                "    \"scalar\": {\"ns_op\": %.0f, \"allocs_per_step\": "
-               "%lld, \"bytes_per_step\": %lld},\n"
+               "%lld, \"bytes_per_step\": %lld, \"minflt_per_step\": %lld},\n"
                "    \"simd\": {\"ns_op\": %.0f, \"allocs_per_step\": %lld, "
-               "\"bytes_per_step\": %lld, \"tier\": \"%s\",\n"
+               "\"bytes_per_step\": %lld, \"minflt_per_step\": %lld, "
+               "\"tier\": \"%s\",\n"
                "      \"speedup_vs_scalar\": %.3f}\n"
                "  }\n"
                "}\n",
@@ -390,9 +405,11 @@ bool WriteKernelsJson(const std::string& path) {
                scalar_step.ns_op,
                static_cast<long long>(scalar_step.allocs_per_step),
                static_cast<long long>(scalar_step.bytes_per_step),
+               static_cast<long long>(scalar_step.minflt_per_step),
                simd_step.ns_op,
                static_cast<long long>(simd_step.allocs_per_step),
-               static_cast<long long>(simd_step.bytes_per_step), tier_name,
+               static_cast<long long>(simd_step.bytes_per_step),
+               static_cast<long long>(simd_step.minflt_per_step), tier_name,
                step_speedup);
   std::fclose(f);
   std::printf("wrote %s (gcn step: scalar %lld allocs/step, simd[%s] %lld "

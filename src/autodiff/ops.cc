@@ -476,22 +476,37 @@ Var MaskedCrossEntropy(const Var& logits, const std::vector<int>& labels,
                        const std::vector<int>& mask) {
   AHG_CHECK(!mask.empty());
   AHG_CHECK_EQ(static_cast<int>(labels.size()), logits->rows());
+  const int cols = logits->cols();
+  // When a backward will run, row i of `dlogits` keeps softmax - onehot for
+  // mask[i], built from the exps the loss already takes, so the backward
+  // takes none. A repeated mask row gets its own row (and its grad twice).
+  const bool keep_grad = logits->requires_grad && !InInferenceMode();
+  Matrix dlogits;
+  if (keep_grad) dlogits = Matrix(static_cast<int>(mask.size()), cols);
   double loss = 0.0;
   // Masked rows only — never materializes the full n x C log-softmax. Per
   // row this is the exact arithmetic RowLogSoftmax performs (rows are
   // independent there), so the loss is bitwise identical to gathering the
   // masked entries of RowLogSoftmax(logits).
-  for (int idx : mask) {
+  for (size_t i = 0; i < mask.size(); ++i) {
+    const int idx = mask[i];
     AHG_CHECK(idx >= 0 && idx < logits->rows());
     const int y = labels[idx];
-    AHG_CHECK(y >= 0 && y < logits->cols());
+    AHG_CHECK(y >= 0 && y < cols);
     const double* row = logits->value.Row(idx);
     double max_val = row[0];
-    for (int c = 1; c < logits->cols(); ++c)
-      max_val = std::max(max_val, row[c]);
+    for (int c = 1; c < cols; ++c) max_val = std::max(max_val, row[c]);
     double total = 0.0;
-    for (int c = 0; c < logits->cols(); ++c)
-      total += std::exp(row[c] - max_val);
+    if (keep_grad) {
+      double* d = dlogits.Row(static_cast<int>(i));
+      for (int c = 0; c < cols; ++c) {
+        d[c] = std::exp(row[c] - max_val);
+        total += d[c];
+      }
+      for (int c = 0; c < cols; ++c) d[c] = d[c] / total - (c == y ? 1.0 : 0.0);
+    } else {
+      for (int c = 0; c < cols; ++c) total += std::exp(row[c] - max_val);
+    }
     const double log_total = std::log(total) + max_val;
     loss -= row[y] - log_total;
   }
@@ -499,24 +514,15 @@ Var MaskedCrossEntropy(const Var& logits, const std::vector<int>& labels,
   Matrix out(1, 1);
   out(0, 0) = loss * inv_m;
   return MakeOpNode(
-      std::move(out), {logits}, [logits, labels, mask, inv_m](const Node& n) {
-        if (!logits->requires_grad) return;
+      std::move(out), {logits},
+      [logits, mask, inv_m, dlogits = std::move(dlogits)](const Node& n) {
         logits->EnsureGrad();
         const double g = n.grad(0, 0) * inv_m;
         // d/dlogits = (softmax - onehot) / |mask| on masked rows.
-        for (int idx : mask) {
-          const double* row = logits->value.Row(idx);
-          double max_val = row[0];
-          for (int c = 1; c < logits->cols(); ++c)
-            max_val = std::max(max_val, row[c]);
-          double total = 0.0;
-          for (int c = 0; c < logits->cols(); ++c)
-            total += std::exp(row[c] - max_val);
-          double* lg = logits->grad.Row(idx);
-          for (int c = 0; c < logits->cols(); ++c) {
-            const double p = std::exp(row[c] - max_val) / total;
-            lg[c] += g * (p - (c == labels[idx] ? 1.0 : 0.0));
-          }
+        for (size_t i = 0; i < mask.size(); ++i) {
+          const double* d = dlogits.Row(static_cast<int>(i));
+          double* lg = logits->grad.Row(mask[i]);
+          for (int c = 0; c < logits->cols(); ++c) lg[c] += g * d[c];
         }
       });
 }

@@ -35,6 +35,14 @@ std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
     return head.Apply(model->LayerOutputs(ctx, features).back());
   };
 
+  // Validation reads only the val rows, and RowSoftmax and Accuracy are
+  // row-independent, so the eval softmax runs on those rows alone.
+  std::vector<int> val_labels, val_rows;
+  for (int r : split.val) {
+    val_labels.push_back(graph.labels()[r]);
+    val_rows.push_back(static_cast<int>(val_rows.size()));
+  }
+
   std::vector<Matrix> best_snapshot = model->params()->Snapshot();
   double best_val = -1.0;
   int since_best = 0;
@@ -49,10 +57,12 @@ std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
       optimizer.set_learning_rate(optimizer.learning_rate() *
                                   train_config.lr_decay);
     }
-    const Matrix probs = RowSoftmax(forward_logits(false)->value);
+    const Var logits = forward_logits(false);
     const double val_acc =
-        split.val.empty() ? 0.0
-                          : Accuracy(probs, graph.labels(), split.val);
+        split.val.empty()
+            ? 0.0
+            : Accuracy(RowSoftmax(GatherRows(logits->value, split.val)),
+                       val_labels, val_rows);
     if (epoch == 1 || val_acc > best_val) {
       best_val = val_acc;
       best_snapshot = model->params()->Snapshot();

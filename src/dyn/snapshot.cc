@@ -311,6 +311,14 @@ StatusOr<std::pair<GraphSnapshot, BatchDelta>> GraphSnapshot::Apply(
   for (auto& [r, vec] : new_feats) {
     next.feat_overrides_[r] = std::move(vec);
   }
+  // Fold the feature overrides into a fresh base at the same fraction
+  // DeltaCsr compacts at, so an unreordered snapshot (never Reordered())
+  // does not carry, and copy per batch, every feature update it has seen.
+  if (next.feat_overrides_.size() >=
+      DeltaCsr::kCompactionFraction * static_cast<double>(n)) {
+    next.feat_base_ = std::make_shared<const Matrix>(next.DenseFeatures());
+    next.feat_overrides_.clear();
+  }
 
   // Install rebuilt raw rows; recompute degrees from the new row contents
   // (a deterministic function of the graph state — the same edge set yields

@@ -123,6 +123,11 @@ class GraphSnapshot {
   const double* FeatureRow(int r) const;
   int label(int r) const;
 
+  // Feature rows held as per-row overrides over the shared base. Apply
+  // folds them into a fresh base once they reach
+  // DeltaCsr::kCompactionFraction of the rows.
+  size_t overridden_feature_rows() const { return feat_overrides_.size(); }
+
   // Full dense feature matrix (cold propagation, MaterializeGraph).
   Matrix DenseFeatures() const;
 
@@ -170,7 +175,7 @@ class GraphSnapshot {
   // quantity Graph::BuildAdjacencyCaches normalizes by.
   std::vector<double> deg_;
   // COW features: shared base plus per-row overrides; appended rows (ids
-  // >= feat_base_->rows()) always live in the override map.
+  // >= feat_base_->rows()) live in the override map until the next fold.
   std::shared_ptr<const Matrix> feat_base_;
   std::unordered_map<int, std::shared_ptr<const std::vector<double>>>
       feat_overrides_;

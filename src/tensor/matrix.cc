@@ -5,6 +5,10 @@
 #include <cstring>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "kernels/kernel_ops.h"
 #include "obs/trace.h"
 #include "tensor/aligned.h"
@@ -13,6 +17,25 @@
 #include "util/thread_pool.h"
 
 namespace ahg {
+namespace {
+
+// Keeps freed tensor buffers in the process heap. glibc serves blocks above
+// a dynamic mmap threshold (128 KiB at first) with mmap and trims the heap
+// top past 128 KiB free, so every training step would hand its freed
+// activations back to the kernel and fault them in again on the next
+// forward. Raising both thresholds (either one alone turns the dynamic
+// threshold off, which made trimming worse) lets buffers up to 32 MiB,
+// glibc's 64-bit maximum, be reused from the arenas. Process-wide; other
+// allocators keep their defaults.
+bool SetHeapPolicy() {
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 128 << 20);
+#endif
+  return true;
+}
+
+}  // namespace
 
 void Matrix::Allocate(int rows, int cols, bool zero) {
   AHG_CHECK_GE(rows, 0);
@@ -21,6 +44,7 @@ void Matrix::Allocate(int rows, int cols, bool zero) {
   cols_ = cols;
   const int64_t n = size();
   if (n > 0) {
+    [[maybe_unused]] static const bool heap_policy_set = SetHeapPolicy();
     data_ = AlignedAllocDoubles(n, zero);
     AllocTracker::Add(static_cast<size_t>(n) * sizeof(double));
   }

@@ -289,6 +289,55 @@ TEST(SnapshotTest, ApplyIsCopyOnWrite) {
   EXPECT_EQ(delta.edges_added, 1);
 }
 
+// An unreordered snapshot is never Reordered(), so only Apply's fold keeps
+// its feature overlay bounded: after more than n/4 single-row updates (and
+// one appended node) the overlay stays under n/4 rows, and the features
+// still read back exactly as updated.
+TEST(SnapshotTest, FeatureOverridesFoldIntoBase) {
+  Graph graph = SmallGraph(41, 64);
+  auto snap_or = GraphSnapshot::FromGraph(graph);
+  ASSERT_TRUE(snap_or.ok());
+  GraphSnapshot snap = snap_or.value();
+  ASSERT_EQ(snap.permutation(), nullptr);
+  const int n = snap.num_nodes();
+  const int dim = snap.feature_dim();
+
+  std::vector<std::vector<double>> expected(n);
+  for (int r = 0; r < n; ++r) {
+    expected[r].assign(graph.features().Row(r), graph.features().Row(r) + dim);
+  }
+  auto apply = [&](const Mutation& m) {
+    auto applied = snap.Apply({m});
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    snap = std::move(applied.value().first);
+    EXPECT_LT(static_cast<double>(snap.overridden_feature_rows()),
+              snap.num_nodes() / 4.0);
+  };
+
+  Rng rng(5);
+  for (int i = 0; i < n / 4 + 6; ++i) {
+    const int u = (i * 7) % n;  // distinct rows: 7 is coprime with 64
+    std::vector<double> f(dim);
+    for (double& x : f) x = rng.Normal();
+    expected[u] = f;
+    apply(Mutation::UpdateFeatures(u, std::move(f)));
+    if (i == n / 8) {
+      std::vector<double> added(dim);
+      for (double& x : added) x = rng.Normal();
+      expected.push_back(added);
+      apply(Mutation::AddNode(std::move(added), 1));
+    }
+  }
+  ASSERT_EQ(snap.num_nodes(), n + 1);
+
+  Matrix reference(n + 1, dim);
+  for (int r = 0; r <= n; ++r) {
+    std::memcpy(reference.Row(r), expected[r].data(),
+                static_cast<size_t>(dim) * sizeof(double));
+  }
+  EXPECT_TRUE(BitwiseEqual(snap.DenseFeatures(), reference));
+}
+
 TEST(SnapshotTest, RebuiltRowsMatchFromScratchGraphBitwise) {
   Graph graph = SmallGraph(17);
   auto snap_or = GraphSnapshot::FromGraph(graph);

@@ -9,6 +9,7 @@
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
 #include "metrics/metrics.h"
+#include "util/string_util.h"
 
 namespace ahg {
 namespace {
@@ -138,6 +139,56 @@ TEST(TrainedEnsembleTest, LoadRejectsCorruptMemberFamily) {
   auto loaded = TrainedEnsemble::Load(dir);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), Status::Code::kInvalidArgument);
+}
+
+// IEEE-754 bit patterns of TrainMember's best-validation parameters (every
+// matrix in store order, each row-major), recorded before the loss kept its
+// softmax rows for the backward and validation took the softmax of the val
+// rows only. Both are exact reorderings of the same arithmetic.
+const std::vector<uint64_t> kGoldenMemberBits = {
+    0x3fe0f7bd12e299f8, 0x3f95f2792aed6a39, 0xbfe5954006a6811e,
+    0xbfca92b05ce4bf86, 0x3fe1506baeb32d1f, 0x3fc6f497c7f7e66f,
+    0xbfd02016451ba9c8, 0x3fde4847cff18f84, 0xbfc0e2413371eef4,
+    0xbfe14f1d83e8eb30, 0x3fc2095a8a081617, 0xbfd69e2ea7f6e593,
+    0x3fa75686350b099c, 0x3f822792d030cebb, 0xbf94f7127df251b1,
+    0x3fc9387064368daf, 0xbfec1c781ce1fd28, 0xbfbf04db703eaa2e,
+    0xbfd708ec09435593, 0xbfe83ea469be85d5, 0xbfe9c96ec9648c95,
+    0xbfd45735f139a49c, 0x3fed8a6a571d3021, 0xbfd5d04b63decf4d,
+    0xbf88dbfe883c0db5, 0xbf9898ef62a0a28d, 0x0000000000000000,
+    0xbfccef078701628d, 0xbfef67c5be15e391, 0x3fca9e7d1e3134ae,
+    0x3fe759ec8c8cf4bf, 0xbfea84a5bb4f4d31, 0xbfeb13c429b18f87,
+    0xbfddb5b98dee3dfb, 0xbfe2e672940b18ba, 0x3fcbca91191114a8,
+    0x3fa60909190cd06b, 0xbfad9c4194e547f4, 0x3fae09083d190c26};
+
+TEST(TrainedEnsembleTest, TrainMemberParamsMatchGoldenBits) {
+  SyntheticConfig graph_cfg;
+  graph_cfg.num_nodes = 40;
+  graph_cfg.num_classes = 3;
+  graph_cfg.feature_dim = 4;
+  graph_cfg.avg_degree = 4.0;
+  graph_cfg.seed = 17;
+  const Graph g = GenerateSbmGraph(graph_cfg);
+  Rng rng(18);
+  const DataSplit split = RandomSplit(g, 0.5, 0.25, &rng);
+  CandidateSpec gcn = FindCandidate("GCN");
+  gcn.config.hidden_dim = 3;
+  TrainConfig train = FastTrain();
+  train.max_epochs = 12;
+  const std::vector<MemberSpec> specs =
+      TrainedEnsemble::PlanMembers({gcn}, {{2}}, g, train, 19);
+  ASSERT_EQ(specs.size(), 1u);
+
+  std::vector<uint64_t> bits;
+  for (const Matrix& m : TrainedEnsemble::TrainMember(specs[0], g, split)) {
+    const size_t at = bits.size();
+    bits.resize(at + static_cast<size_t>(m.size()));
+    std::memcpy(bits.data() + at, m.data(), m.size() * sizeof(double));
+  }
+  std::string hex;
+  for (uint64_t b : bits) {
+    hex += StrFormat("0x%016llx, ", static_cast<unsigned long long>(b));
+  }
+  EXPECT_EQ(bits, kGoldenMemberBits) << hex;
 }
 
 TEST(TrainedEnsembleTest, LoadRejectsMissingDirectory) {
