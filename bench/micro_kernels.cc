@@ -8,9 +8,9 @@
 // google-benchmark flags (ours are stripped before benchmark::Initialize,
 // which rejects flags it does not know). --json-out FILE switches to a
 // deterministic measurement suite (GEMM/SpMM ns/op, GEMMs on dropout,
-// bag-of-words and ReLU-head operands, plus the GCN train step on the
-// scalar and the active tier) and writes the BENCH_kernels.json
-// schema the perf-smoke CI job diffs against.
+// bag-of-words and ReLU-head operands, the thin backward products, plus the
+// GCN train step on the scalar and the active tier) and writes the
+// BENCH_kernels.json schema the perf-smoke CI job diffs against.
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
@@ -93,18 +93,19 @@ BENCHMARK(BM_GatAggregate);
 // graph. Shared by the google-benchmark wrapper and the --json-out suite.
 class GcnStepHarness {
  public:
-  GcnStepHarness() : g_(BenchGraph()), dropout_rng_(7) {
+  explicit GcnStepHarness(int hidden_dim = 32)
+      : g_(BenchGraph()), dropout_rng_(7) {
     ModelConfig cfg;
     cfg.family = ModelFamily::kGcn;
     cfg.in_dim = g_.feature_dim();
-    cfg.hidden_dim = 32;
+    cfg.hidden_dim = hidden_dim;
     cfg.num_layers = 2;
     cfg.dropout = 0.0;
     cfg.seed = 5;
     model_ = BuildModel(cfg);
     Rng head_rng(6);
-    head_ = std::make_unique<Linear>(model_->params(), 32, g_.num_classes(),
-                                     true, &head_rng);
+    head_ = std::make_unique<Linear>(model_->params(), hidden_dim,
+                                     g_.num_classes(), true, &head_rng);
     features_ = MakeConstant(g_.features());
     for (int i = 0; i < g_.num_nodes(); i += 3) mask_.push_back(i);
   }
@@ -248,8 +249,11 @@ struct StepSuiteResult {
   double ns_op = 0.0;
   int64_t allocs_per_step = 0;
   int64_t bytes_per_step = 0;
-  // Minor page faults per step: freed buffers the allocator gave back to
-  // the kernel and the next step touched again.
+  // Minor page faults per step (MeasureStepFaults): freed buffers the
+  // allocator gave back to the kernel and the next step touched again. One
+  // model stepped over and over reads 0 with or without the heap policy
+  // (tensor/matrix.cc), because glibc's adaptive thresholds settle during
+  // warm-up.
   int64_t minflt_per_step = 0;
 };
 
@@ -266,17 +270,33 @@ StepSuiteResult MeasureGcnStep() {
   for (int i = 0; i < kWarmup; ++i) harness.Step();
   const int64_t allocs0 = AllocTracker::AllocationCount();
   const int64_t bytes0 = AllocTracker::TotalAllocatedBytes();
-  const int64_t faults0 = MinorFaults();
   Stopwatch watch;
   for (int i = 0; i < kSteps; ++i) harness.Step();
   const double seconds = watch.ElapsedSeconds();
-  const int64_t faults = MinorFaults() - faults0;
   StepSuiteResult r;
   r.ns_op = 1e9 * seconds / kSteps;
   r.allocs_per_step = (AllocTracker::AllocationCount() - allocs0) / kSteps;
   r.bytes_per_step = (AllocTracker::TotalAllocatedBytes() - bytes0) / kSteps;
-  r.minflt_per_step = faults / kSteps;
   return r;
+}
+
+// Minor page faults per step while fresh models of two widths alternate,
+// as a search job trains them: each round frees its model, so only a heap
+// that keeps its pages reuses them. One thread: a worker pool's new thread
+// stacks would fault too. Runs before the suite's large matrices: freeing
+// one raises glibc's adaptive thresholds for good, which hides faults.
+int64_t MeasureStepFaults() {
+  constexpr int kWarmup = 3;
+  constexpr int kRounds = 20;
+  ScopedNumThreads one_thread(1);
+  const auto round = [](int i) {
+    GcnStepHarness model(i % 2 == 0 ? 32 : 96);
+    model.Step();
+  };
+  for (int i = 0; i < kWarmup; ++i) round(i);
+  const int64_t faults0 = MinorFaults();
+  for (int i = 0; i < kRounds; ++i) round(i);
+  return (MinorFaults() - faults0) / kRounds;
 }
 
 double MeasureNsPerOp(int reps, const std::function<void()>& op) {
@@ -333,7 +353,51 @@ ZeroShapeTimes MeasureZeroShapes(Rng* rng) {
   return t;
 }
 
+// The thin products of a search job's backward pass, where the output is
+// one vector or less wide: the proxy graph's 1200x48 dropped features
+// against a 4-wide grad, a 12000x8 ReLU output against a 1-wide gate grad,
+// and a 12000x16 grad times a 8x16 weight transposed. Plus the bag-of-words
+// weight gradient, whose 1.3%-dense left operand takes the compacted walk.
+// One thread, as a search job runs its kernels: at these sizes starting a
+// worker pool would cost more than the product.
+struct ThinShapeTimes {
+  double ta_proxy_ns = 0.0;
+  double ta_gate_ns = 0.0;
+  double tb_grad_ns = 0.0;
+  double ta_bow_ns = 0.0;
+};
+
+ThinShapeTimes MeasureThinShapes() {
+  ScopedNumThreads one_thread(1);
+  Rng rng(22);
+  const Matrix proxy = MaskedGaussian(1200, 48, 0.5, &rng);
+  const Matrix proxy_grad = Matrix::Gaussian(1200, 4, 1.0, &rng);
+  const Matrix hidden = MaskedGaussian(12000, 8, 0.5, &rng);
+  const Matrix gate_grad = Matrix::Gaussian(12000, 1, 1.0, &rng);
+  const Matrix grad = Matrix::Gaussian(12000, 16, 1.0, &rng);
+  const Matrix w = Matrix::Gaussian(8, 16, 1.0, &rng);
+  const Matrix bow = MaskedGaussian(2708, 1433, 0.013, &rng);
+  const Matrix bow_grad = Matrix::Gaussian(2708, 64, 1.0, &rng);
+  ThinShapeTimes t;
+  t.ta_proxy_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMulTransA(proxy, proxy_grad)); });
+  t.ta_gate_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMulTransA(hidden, gate_grad)); });
+  t.tb_grad_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMulTransB(grad, w)); });
+  t.ta_bow_ns = MeasureNsPerOp(
+      9, [&] { benchmark::DoNotOptimize(MatMulTransA(bow, bow_grad)); });
+  return t;
+}
+
 bool WriteKernelsJson(const std::string& path) {
+  int64_t scalar_faults = 0;
+  {
+    ahg::kernels::ScopedTier scalar(ahg::kernels::Tier::kScalar);
+    scalar_faults = MeasureStepFaults();
+  }
+  const int64_t simd_faults = MeasureStepFaults();
+
   Rng rng(21);
   Matrix a = Matrix::Gaussian(1024, 64, 1.0, &rng);
   Matrix b = Matrix::Gaussian(64, 64, 1.0, &rng);
@@ -357,6 +421,7 @@ bool WriteKernelsJson(const std::string& path) {
   const double spmm_ns =
       MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(adj.Spmm(x)); });
   const ZeroShapeTimes zero_shapes = MeasureZeroShapes(&rng);
+  const ThinShapeTimes thin_shapes = MeasureThinShapes();
 
   // The same train step on the scalar tier and on the active tier.
   StepSuiteResult scalar_step;
@@ -364,7 +429,9 @@ bool WriteKernelsJson(const std::string& path) {
     ahg::kernels::ScopedTier scalar(ahg::kernels::Tier::kScalar);
     scalar_step = MeasureGcnStep();
   }
-  const StepSuiteResult simd_step = MeasureGcnStep();
+  StepSuiteResult simd_step = MeasureGcnStep();
+  scalar_step.minflt_per_step = scalar_faults;
+  simd_step.minflt_per_step = simd_faults;
   const double step_speedup =
       simd_step.ns_op > 0.0 ? scalar_step.ns_op / simd_step.ns_op : 0.0;
 
@@ -381,6 +448,10 @@ bool WriteKernelsJson(const std::string& path) {
                "  \"matmul_ta_dropout_12000x48x8_ns_op\": %.0f,\n"
                "  \"matmul_bow_2708x1433x64_ns_op\": %.0f,\n"
                "  \"matmul_head_12000x8x16_ns_op\": %.0f,\n"
+               "  \"matmul_ta_proxy_1200x48x4_ns_op\": %.0f,\n"
+               "  \"matmul_ta_gate_12000x8x1_ns_op\": %.0f,\n"
+               "  \"matmul_tb_grad_12000x16x8_ns_op\": %.0f,\n"
+               "  \"matmul_ta_bow_2708x1433x64_ns_op\": %.0f,\n"
                "  \"kernel_tier\": \"%s\",\n"
                "  \"simd\": {\n"
                "    \"matmul_scalar_ns_op\": %.0f,\n"
@@ -399,7 +470,9 @@ bool WriteKernelsJson(const std::string& path) {
                "}\n",
                matmul_ns, spmm_ns, zero_shapes.dropout_ns,
                zero_shapes.dropout_ta_ns, zero_shapes.bow_ns,
-               zero_shapes.head_ns, tier_name, matmul_scalar_ns,
+               zero_shapes.head_ns, thin_shapes.ta_proxy_ns,
+               thin_shapes.ta_gate_ns, thin_shapes.tb_grad_ns,
+               thin_shapes.ta_bow_ns, tier_name, matmul_scalar_ns,
                matmul_ns > 0.0 ? matmul_scalar_ns / matmul_ns : 0.0,
                spmm_scalar_ns, spmm_ns > 0.0 ? spmm_scalar_ns / spmm_ns : 0.0,
                scalar_step.ns_op,

@@ -10,12 +10,14 @@
 // exactly the order the scalar reference does (k ascending for GEMM, entry
 // ascending for SpMM), uses separate multiply and add (no FMA contraction;
 // the SIMD TUs are compiled with -ffp-contract=off), and reproduces the
-// scalar tail element-for-element. Each tier holds a fixed number of output
-// columns in registers (scalar 4, AVX2 16, AVX-512 32), which changes how
-// many independent elements advance together, never the order any single
-// element accumulates in — so all tiers and thread counts produce
+// scalar tail element-for-element. The SIMD GEMMs keep an R x NV register
+// tile of outputs (R rows of c by NV vectors of columns; for
+// MatMulTransA, vectors of rows by a few columns) across a whole reduction,
+// and SpMM holds a block of output columns across a CSR row. A tile's shape
+// changes how many independent elements advance together, never the order
+// any single element accumulates in, so all tiers and thread counts produce
 // bitwise-identical results. (Max-reductions are order-independent for
-// NaN-free input; a ±0.0 tie can differ in sign, which exp/log/div map to
+// NaN-free input; a +-0.0 tie can differ in sign, which exp/log/div map to
 // identical downstream values.)
 #ifndef AUTOHENS_KERNELS_KERNEL_OPS_H_
 #define AUTOHENS_KERNELS_KERNEL_OPS_H_
@@ -26,40 +28,59 @@
 
 namespace ahg::kernels {
 
+// Longest k-panel one gemm call takes; MatMul walks B in panels this long
+// so a kGemmPanel x n slab of B stays in cache while rows stream through.
+constexpr int kGemmPanel = 128;
+
 struct TierOps {
   Tier tier;
 
-  // GEMM k-panel: crow[j] += sum_{k < kc, arow[k] != 0} arow[k]*b[k*ldb+j]
-  // for j in [0, n), k ascending per element. Zero a-entries (+0.0 and
-  // -0.0; NaN is nonzero) add no term, so a zero opposite an inf or NaN in
-  // b leaves crow finite, and an acc of -0.0 keeps its sign. The scalar
-  // reference skips them with a branch. Dropout makes about half of a
-  // training step's a-entries zero at random, which a branch mispredicts,
-  // so the SIMD tiers skip them without one: each panel of a is counted
-  // first; one at least 1/4 nonzero walks every k with the add masked off
-  // (AVX-512) or blended off (AVX2) at zero entries, and a sparser one
-  // walks only its nonzero k, compacted into a stack index list. Both walks
-  // add the same terms in the same order, so they are bitwise-equal to
-  // each other and to the scalar tier; the choice is internal.
-  void (*gemm_panel)(const double* arow, int kc, const double* b, int64_t ldb,
-                     int n, double* crow);
+  // GEMM over one k-panel (kc <= kGemmPanel): for i in [0, m), j in
+  // [0, n), c[i*ldc + j] += sum_{k < kc} a[i*lda + k] * b[k*ldb + j], k
+  // ascending per element.
+  //
+  // skip_zeros (MatMul): zero a-entries (+0.0 and -0.0; NaN is nonzero)
+  // add no term, so a zero opposite an inf or NaN in b leaves c finite.
+  // The scalar reference skips zeros with a branch. The SIMD tiers hold an
+  // R x NV tile of c in registers across the panel (AVX-512: 8 rows x 1
+  // vector when n <= 8, else 4 rows x up to 4 vectors per 32-column block;
+  // AVX2: 4 x 1 when n <= 4, else 2 x up to 4 per 16-column block).
+  // Dropout makes about half of a training step's a-entries zero at
+  // random, which a branch mispredicts, so each tile counts the first 16
+  // entries of its a-rows and, at least 1/4 nonzero, walks every k with the
+  // add masked off (AVX-512) or made an add of -0.0 (AVX2) at zero entries.
+  // A sparser tile walks each of its rows over that row's nonzero k,
+  // compacted into a stack index list. Both walks give the same bits, so
+  // the choice is internal. The sample assumes zeros are spread evenly along a row: a row whose
+  // first 16 entries are much denser or sparser than the rest (a
+  // frequency-sorted vocabulary, a one-hot prefix) gets the slower walk,
+  // never different bits.
+  //
+  // !skip_zeros (MatMulTransB, on a packed B^T panel): every term is added,
+  // as a dot product does, so 0 * inf gives NaN.
+  void (*gemm)(const double* a, int64_t lda, int m, int kc, const double* b,
+               int64_t ldb, int n, double* c, int64_t ldc, bool skip_zeros);
 
-  // Rank-1 update over rows: c[i*ldc + j] += a[i] * b[j] for j in [0, n),
-  // for every i in [0, m) with a[i] != 0 (the axpy of each such row, with
-  // zero a-entries skipped exactly as gemm_panel skips them, by the same
-  // two branch-free walks). One call per row of A in A^T * B.
-  void (*ger_rows)(const double* a, int m, const double* b, int n, double* c,
-                   int64_t ldc);
+  // A^T * B over one reduction chunk of kc rows: for i in [0, m), j in
+  // [0, n), c[i*ldc + j] += sum_{k < kc, a[k*lda + i] != 0}
+  // a[k*lda + i] * b[k*ldb + j], k ascending per element, zero a-entries
+  // skipped as gemm skips them. The SIMD tiers count a sample of the
+  // chunk's rows of a (the first 128 entries of 32 evenly spaced rows,
+  // under the same evenness assumption as gemm's). At least 1/4
+  // nonzero, they walk the chunk with tiles of c in registers whose lanes
+  // run over rows i of c, so each load of a[k][i..] and its nonzero mask
+  // serve every column of the tile (AVX-512: up to 8 columns and 16
+  // accumulators, AVX2: 4 and 8), zero entries' adds masked off as in
+  // gemm. A sparser chunk runs one rank-1 update per row of a over that
+  // row's compacted nonzero entries.
+  void (*gemm_ta)(const double* a, int64_t lda, int kc, int m,
+                  const double* b, int64_t ldb, int n, double* c,
+                  int64_t ldc);
 
   // One CSR row times a dense block: yrow[c] = sum_e values[e] *
   // x[cols[e]*ldx + c] for c in [0, n), entries ascending per element.
   void (*spmm_row)(const double* values, const int* cols, int64_t nnz,
                    const double* x, int64_t ldx, int n, double* yrow);
-
-  // Four simultaneous dot products (A*B^T register block):
-  // out[l] = sum_k arow[k] * b_l[k], k ascending within each lane.
-  void (*dot4)(const double* arow, const double* b0, const double* b1,
-               const double* b2, const double* b3, int n, double* out);
 
   // Max over x[0..n), n >= 1. Order-independent for NaN-free input.
   double (*row_max)(const double* x, int n);

@@ -2,7 +2,8 @@
 // — this TU is compiled with -mavx2 -mpopcnt -ffp-contract=off and without
 // -mfma), tails identical to the reference. Vector lanes are independent
 // output elements, so per-element accumulation order matches ops_scalar.cc
-// exactly and results are bitwise identical to it.
+// exactly and results are bitwise identical to it. The GEMMs are the shared
+// register tiles of kernels/gemm_tiles.h on 4-lane vectors.
 #include "kernels/kernel_ops.h"
 
 #if defined(__AVX2__)
@@ -11,193 +12,94 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
+
+#include "kernels/gemm_tiles.h"
 
 namespace ahg::kernels {
 namespace {
 
-// Zero-skip without a branch (contract in kernel_ops.h), as in the
-// AVX-512 tier: each kWalkPanel-entry panel of a is counted, then walked
-// densely with the add blended off where the a-entry is zero, or — when
-// fewer than a quarter are nonzero — over its compacted nonzero indices.
-constexpr int kWalkPanel = 128;
+// Vector traits for the shared GEMM tiles (kernels/gemm_tiles.h): 4 lanes,
+// zero-skip by adding -0.0 in the skipped lanes, column tails by
+// maskload/maskstore. The tiles are smaller than AVX-512's: 16 vector
+// registers, and each mask is one more.
+struct Avx2 {
+  using Vec = __m256d;
+  using Mask = __m256d;
+  using Tail = __m256i;
+  static constexpr int kLanes = 4;
+  static constexpr int kNarrowRows = 4;
+  static constexpr int kWideRows = 2;
+  static constexpr int kTaCols = 4;
+  static constexpr int kAccRegs = 8;
+  static constexpr int kMaxIv = 4;
 
-// Number of nonzero entries of a[0..len) (NaN counts, +-0.0 does not).
-inline int CountNonzero(const double* a, int len) {
-  const __m256d zero = _mm256_setzero_pd();
-  int nnz = 0;
-  int i = 0;
-  for (; i + 4 <= len; i += 4) {
-    nnz += __builtin_popcount(_mm256_movemask_pd(
-        _mm256_cmp_pd(_mm256_loadu_pd(a + i), zero, _CMP_NEQ_UQ)));
+  static Vec Set1(double x) { return _mm256_set1_pd(x); }
+  static Vec Load(const double* p) { return _mm256_loadu_pd(p); }
+  static void Store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  // Lane mask for the first `len` (< 4) columns of a remainder block.
+  static Tail TailOf(int len) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(len),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
   }
-  for (; i < len; ++i) nnz += a[i] != 0.0;
-  return nnz;
-}
-
-// Ascending indices of the nonzero entries, by a branch-free store.
-inline void CompactNonzero(const double* a, int len, int* idx) {
-  int count = 0;
-  for (int i = 0; i < len; ++i) {
-    idx[count] = i;
-    count += a[i] != 0.0;
+  static Vec LoadTail(const double* p, Tail t) {
+    return _mm256_maskload_pd(p, t);
   }
-}
-
-// Lane mask for the first `len` (< 4) columns of a remainder block.
-inline __m256i TailMask(int len) {
-  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(len),
-                            _mm256_setr_epi64x(0, 1, 2, 3));
-}
-
-// Column loads/stores; kTail touches only the cm lanes.
-template <bool kTail>
-inline __m256d LoadCols(const double* p, __m256i cm) {
-  if constexpr (kTail) return _mm256_maskload_pd(p, cm);
-  return _mm256_loadu_pd(p);
-}
-
-template <bool kTail>
-inline void StoreCols(double* p, __m256i cm, __m256d v) {
-  if constexpr (kTail) {
-    _mm256_maskstore_pd(p, cm, v);
-  } else {
-    _mm256_storeu_pd(p, v);
+  static void StoreTail(double* p, Tail t, Vec v) {
+    _mm256_maskstore_pd(p, t, v);
   }
-}
+  static Vec Mul(Vec x, Vec y) { return _mm256_mul_pd(x, y); }
+  static Vec Add(Vec x, Vec y) { return _mm256_add_pd(x, y); }
+  static Mask NonzeroOf(Vec v) {
+    return _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+  }
+  // Off lanes add -0.0, which leaves every acc unchanged (-0.0 and NaN
+  // included); +0.0 would turn an acc of -0.0 into +0.0. Two bitwise ops
+  // cost less than a blendv, and the add stays the only op on acc's chain.
+  static Vec AddIf(Vec acc, Mask nz, Vec prod) {
+    const __m256d off = _mm256_andnot_pd(nz, _mm256_set1_pd(-0.0));
+    return _mm256_add_pd(acc, _mm256_or_pd(_mm256_and_pd(prod, nz), off));
+  }
 
-// acc + a*b, blended back to acc where a == 0 on the dense walk (a blend,
-// not an and-mask: acc + (+0.0) would turn an acc of -0.0 into +0.0).
-template <bool kDense>
-inline __m256d AddTerm(__m256d acc, __m256d av, __m256d nz, __m256d bv) {
-  const __m256d sum = _mm256_add_pd(acc, _mm256_mul_pd(av, bv));
-  if constexpr (kDense) return _mm256_blendv_pd(acc, sum, nz);
-  return sum;
-}
-
-// One GEMM column block of NV 4-wide accumulators held across the walk
-// (kTail: NV == 1 and only the cm lanes exist). The v loops here and in
-// GerBlock are unrolled explicitly: -O2 leaves NV = 4 rolled and spills
-// the vectors to the stack.
-template <int NV, bool kDense, bool kTail>
-inline void PanelBlock(const double* a, const int* idx, int count,
-                       const double* b, int64_t ldb, __m256i cm,
-                       double* crow) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc[NV];
-  #pragma GCC unroll 4
-  for (int v = 0; v < NV; ++v) acc[v] = LoadCols<kTail>(crow + 4 * v, cm);
-  for (int t = 0; t < count; ++t) {
-    const int k = kDense ? t : idx[t];
-    const __m256d av = _mm256_set1_pd(a[k]);
-    const __m256d nz = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
-    const double* brow = b + static_cast<int64_t>(k) * ldb;
-    #pragma GCC unroll 4
-    for (int v = 0; v < NV; ++v) {
-      acc[v] = AddTerm<kDense>(acc[v], av, nz,
-                               LoadCols<kTail>(brow + 4 * v, cm));
+  // One mask byte per 4 entries of a[0..len); returns the nonzero count.
+  static int NonzeroBits(const double* a, int len, uint8_t* bits) {
+    int nnz = 0;
+    int i = 0, g = 0;
+    for (; i + 4 <= len; i += 4, ++g) {
+      const int m = _mm256_movemask_pd(NonzeroOf(_mm256_loadu_pd(a + i)));
+      bits[g] = static_cast<uint8_t>(m);
+      nnz += __builtin_popcount(m);
     }
-  }
-  #pragma GCC unroll 4
-  for (int v = 0; v < NV; ++v) StoreCols<kTail>(crow + 4 * v, cm, acc[v]);
-}
-
-// One rank-1 column block: NV 4-wide vectors of b stay in registers while
-// the walk visits rows of c.
-template <int NV, bool kDense, bool kTail>
-inline void GerBlock(const double* a, const int* idx, int count,
-                     const double* b, __m256i cm, double* c, int64_t ldc) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d bv[NV];
-  #pragma GCC unroll 4
-  for (int v = 0; v < NV; ++v) bv[v] = LoadCols<kTail>(b + 4 * v, cm);
-  for (int t = 0; t < count; ++t) {
-    const int i = kDense ? t : idx[t];
-    const __m256d av = _mm256_set1_pd(a[i]);
-    const __m256d nz = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
-    double* crow = c + static_cast<int64_t>(i) * ldc;
-    #pragma GCC unroll 4
-    for (int v = 0; v < NV; ++v) {
-      StoreCols<kTail>(crow + 4 * v, cm,
-                       AddTerm<kDense>(LoadCols<kTail>(crow + 4 * v, cm), av,
-                                       nz, bv[v]));
+    if (i < len) {
+      int m = 0;
+      for (int l = 0; i + l < len; ++l) m |= (a[i + l] != 0.0) << l;
+      bits[g] = static_cast<uint8_t>(m);
+      nnz += __builtin_popcount(m);
     }
+    return nnz;
   }
-}
 
-// 16 columns per block, then 8, 4 and one lane-masked remainder.
-template <bool kDense>
-inline void PanelColumns(const double* a, const int* idx, int count,
-                         const double* b, int64_t ldb, int n, double* crow) {
-  const __m256i all = _mm256_set1_epi64x(-1);
-  int j = 0;
-  for (; j + 16 <= n; j += 16) {
-    PanelBlock<4, kDense, false>(a, idx, count, b + j, ldb, all, crow + j);
-  }
-  for (; j + 8 <= n; j += 8) {
-    PanelBlock<2, kDense, false>(a, idx, count, b + j, ldb, all, crow + j);
-  }
-  for (; j + 4 <= n; j += 4) {
-    PanelBlock<1, kDense, false>(a, idx, count, b + j, ldb, all, crow + j);
-  }
-  if (j < n) {
-    PanelBlock<1, kDense, true>(a, idx, count, b + j, ldb, TailMask(n - j),
-                                crow + j);
-  }
-}
-
-template <bool kDense>
-inline void GerColumns(const double* a, const int* idx, int count,
-                       const double* b, int n, double* c, int64_t ldc) {
-  const __m256i all = _mm256_set1_epi64x(-1);
-  int j = 0;
-  for (; j + 16 <= n; j += 16) {
-    GerBlock<4, kDense, false>(a, idx, count, b + j, all, c + j, ldc);
-  }
-  for (; j + 8 <= n; j += 8) {
-    GerBlock<2, kDense, false>(a, idx, count, b + j, all, c + j, ldc);
-  }
-  for (; j + 4 <= n; j += 4) {
-    GerBlock<1, kDense, false>(a, idx, count, b + j, all, c + j, ldc);
-  }
-  if (j < n) {
-    GerBlock<1, kDense, true>(a, idx, count, b + j, TailMask(n - j), c + j,
-                              ldc);
-  }
-}
-
-// Walks a[0..len) panel by panel: walk(begin, dense, idx, count) runs
-// either the dense walk (dense is std::true_type, idx null, count = panel
-// length) or the compacted one over `count` nonzero indices in idx.
-template <typename Walk>
-inline void ForEachPanel(const double* a, int len, Walk walk) {
-  for (int begin = 0; begin < len; begin += kWalkPanel) {
-    const int n = std::min(kWalkPanel, len - begin);
-    const int nnz = CountNonzero(a + begin, n);
-    if (4 * nnz >= n) {
-      walk(begin, std::true_type(), nullptr, n);
-    } else if (nnz > 0) {
-      int idx[kWalkPanel];
-      CompactNonzero(a + begin, n, idx);
-      walk(begin, std::false_type(), idx, nnz);
+  // Ascending indices of the set bits, by a branch-free store.
+  static int CompactBits(const uint8_t* bits, int len, int* idx) {
+    int count = 0;
+    for (int g = 0; 4 * g < len; ++g) {
+      for (int l = 0; l < 4; ++l) {
+        idx[count] = 4 * g + l;
+        count += (bits[g] >> l) & 1;
+      }
     }
+    return count;
   }
+};
+
+void GemmAvx2(const double* a, int64_t lda, int m, int kc, const double* b,
+              int64_t ldb, int n, double* c, int64_t ldc, bool skip_zeros) {
+  tiles::Gemm<Avx2>(a, lda, m, kc, b, ldb, n, c, ldc, skip_zeros);
 }
 
-void GemmPanelAvx2(const double* arow, int kc, const double* b, int64_t ldb,
-                   int n, double* crow) {
-  ForEachPanel(arow, kc, [&](int k0, auto dense, const int* idx, int count) {
-    PanelColumns<dense>(arow + k0, idx, count,
-                        b + static_cast<int64_t>(k0) * ldb, ldb, n, crow);
-  });
-}
-
-void GerRowsAvx2(const double* a, int m, const double* b, int n, double* c,
-                 int64_t ldc) {
-  ForEachPanel(a, m, [&](int i0, auto dense, const int* idx, int count) {
-    GerColumns<dense>(a + i0, idx, count, b, n,
-                      c + static_cast<int64_t>(i0) * ldc, ldc);
-  });
+void GemmTransAAvx2(const double* a, int64_t lda, int kc, int m,
+                    const double* b, int64_t ldb, int n, double* c,
+                    int64_t ldc) {
+  tiles::GemmTransA<Avx2>(a, lda, kc, m, b, ldb, n, c, ldc);
 }
 
 template <int NV>
@@ -228,40 +130,6 @@ void SpmmRowAvx2(const double* values, const int* cols, int64_t nnz,
       acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
     }
     yrow[c] = acc;
-  }
-}
-
-void Dot4Avx2(const double* arow, const double* b0, const double* b1,
-              const double* b2, const double* b3, int n, double* out) {
-  __m256d acc = _mm256_setzero_pd();
-  int k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256d r0 = _mm256_loadu_pd(b0 + k);
-    const __m256d r1 = _mm256_loadu_pd(b1 + k);
-    const __m256d r2 = _mm256_loadu_pd(b2 + k);
-    const __m256d r3 = _mm256_loadu_pd(b3 + k);
-    // 4x4 transpose: ck = {b0[k], b1[k], b2[k], b3[k]} etc., so lane l
-    // accumulates dot(a, b_l) one k at a time in ascending order.
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    const __m256d c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k]), c0));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 1]), c1));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 2]), c2));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(arow[k + 3]), c3));
-  }
-  _mm256_storeu_pd(out, acc);
-  for (; k < n; ++k) {
-    const double av = arow[k];
-    out[0] += av * b0[k];
-    out[1] += av * b1[k];
-    out[2] += av * b2[k];
-    out[3] += av * b3[k];
   }
 }
 
@@ -369,10 +237,9 @@ void CWiseMulAvx2(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kAvx2OpsTable = {
     Tier::kAvx2,
-    GemmPanelAvx2,
-    GerRowsAvx2,
+    GemmAvx2,
+    GemmTransAAvx2,
     SpmmRowAvx2,
-    Dot4Avx2,
     RowMaxAvx2,
     DivInplaceAvx2,
     SubScalarAvx2,

@@ -13,15 +13,17 @@ namespace {
 // Output columns held in locals across a whole k panel / CSR row.
 constexpr int kBlock = 4;
 
-void GemmPanelScalar(const double* arow, int kc, const double* b, int64_t ldb,
-                     int n, double* crow) {
+// One row of c over one k panel.
+template <bool kSkipZeros>
+void GemmRowScalar(const double* arow, int kc, const double* b, int64_t ldb,
+                   int n, double* crow) {
   int j = 0;
   for (; j + kBlock <= n; j += kBlock) {
     double acc[kBlock];
     for (int v = 0; v < kBlock; ++v) acc[v] = crow[j + v];
     for (int k = 0; k < kc; ++k) {
       const double aik = arow[k];
-      if (aik == 0.0) continue;
+      if (kSkipZeros && aik == 0.0) continue;
       const double* brow = b + static_cast<int64_t>(k) * ldb + j;
       for (int v = 0; v < kBlock; ++v) acc[v] += aik * brow[v];
     }
@@ -31,20 +33,37 @@ void GemmPanelScalar(const double* arow, int kc, const double* b, int64_t ldb,
   if (j < n) {
     for (int k = 0; k < kc; ++k) {
       const double aik = arow[k];
-      if (aik == 0.0) continue;
+      if (kSkipZeros && aik == 0.0) continue;
       const double* brow = b + static_cast<int64_t>(k) * ldb;
       for (int jj = j; jj < n; ++jj) crow[jj] += aik * brow[jj];
     }
   }
 }
 
-void GerRowsScalar(const double* a, int m, const double* b, int n, double* c,
-                   int64_t ldc) {
+void GemmScalar(const double* a, int64_t lda, int m, int kc, const double* b,
+                int64_t ldb, int n, double* c, int64_t ldc, bool skip_zeros) {
   for (int i = 0; i < m; ++i) {
-    const double ai = a[i];
-    if (ai == 0.0) continue;
-    double* crow = c + static_cast<int64_t>(i) * ldc;
-    for (int j = 0; j < n; ++j) crow[j] += ai * b[j];
+    if (skip_zeros) {
+      GemmRowScalar<true>(a + i * lda, kc, b, ldb, n, c + i * ldc);
+    } else {
+      GemmRowScalar<false>(a + i * lda, kc, b, ldb, n, c + i * ldc);
+    }
+  }
+}
+
+// One rank-1 update per nonzero a-entry, rows of a ascending.
+void GemmTransAScalar(const double* a, int64_t lda, int kc, int m,
+                      const double* b, int64_t ldb, int n, double* c,
+                      int64_t ldc) {
+  for (int k = 0; k < kc; ++k) {
+    const double* arow = a + k * lda;
+    const double* brow = b + k * ldb;
+    for (int i = 0; i < m; ++i) {
+      const double ai = arow[i];
+      if (ai == 0.0) continue;
+      double* crow = c + i * ldc;
+      for (int j = 0; j < n; ++j) crow[j] += ai * brow[j];
+    }
   }
 }
 
@@ -67,22 +86,6 @@ void SpmmRowScalar(const double* values, const int* cols, int64_t nnz,
     }
     yrow[c] = acc;
   }
-}
-
-void Dot4Scalar(const double* arow, const double* b0, const double* b1,
-                const double* b2, const double* b3, int n, double* out) {
-  double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-  for (int k = 0; k < n; ++k) {
-    const double av = arow[k];
-    d0 += av * b0[k];
-    d1 += av * b1[k];
-    d2 += av * b2[k];
-    d3 += av * b3[k];
-  }
-  out[0] = d0;
-  out[1] = d1;
-  out[2] = d2;
-  out[3] = d3;
 }
 
 double RowMaxScalar(const double* x, int n) {
@@ -131,10 +134,9 @@ void CWiseMulScalar(const double* a, const double* b, int64_t n, double* out) {
 
 constexpr TierOps kScalarOps = {
     Tier::kScalar,
-    GemmPanelScalar,
-    GerRowsScalar,
+    GemmScalar,
+    GemmTransAScalar,
     SpmmRowScalar,
-    Dot4Scalar,
     RowMaxScalar,
     DivInplaceScalar,
     SubScalarScalar,

@@ -170,24 +170,23 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
                      int64_t{a.rows()} * a.cols() * b.cols());
   Matrix c(a.rows(), b.cols());
   // Row-parallel and cache-blocked over the reduction dimension: the outer
-  // k-panel loop keeps a kc x b.cols() slab of B hot in cache while every
-  // row of the chunk streams through it. Each output row is owned by one
-  // worker, and each c[i][j] still accumulates k in globally ascending
-  // order (panels ascend, k ascends within a panel), so the result is
-  // bitwise identical to the unblocked i-k-j kernel at every thread count
-  // and every dispatch tier (see kernels/kernel_ops.h). The tier table is
-  // resolved on the calling thread before the parallel region so every
-  // worker uses the same kernel.
-  constexpr int kpanel = 128;  // rows of B kept hot per slab
+  // k-panel loop keeps a kGemmPanel x b.cols() slab of B hot in cache while
+  // the chunk's rows stream through it in register tiles; between panels a
+  // tile goes back to c. Each output row is owned by one worker, and each
+  // c[i][j] still accumulates k in globally ascending order (panels ascend,
+  // k ascends within a panel), so the result is bitwise identical to the
+  // unblocked i-k-j kernel at every thread count and every dispatch tier
+  // (see kernels/kernel_ops.h). The tier table is resolved on the calling
+  // thread before the parallel region so every worker uses the same kernel.
   const kernels::TierOps& ops = kernels::ActiveOps();
   const int64_t work_per_row = int64_t{a.cols()} * b.cols();
   ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    for (int k0 = 0; k0 < a.cols(); k0 += kpanel) {
-      const int k1 = std::min(a.cols(), k0 + kpanel);
-      for (int64_t i = begin; i < end; ++i) {
-        ops.gemm_panel(a.Row(static_cast<int>(i)) + k0, k1 - k0, b.Row(k0),
-                       b.cols(), b.cols(), c.Row(static_cast<int>(i)));
-      }
+    const int first = static_cast<int>(begin);
+    for (int k0 = 0; k0 < a.cols(); k0 += kernels::kGemmPanel) {
+      const int kc = std::min(kernels::kGemmPanel, a.cols() - k0);
+      ops.gemm(a.Row(first) + k0, a.cols(), static_cast<int>(end - begin), kc,
+               b.Row(k0), b.cols(), b.cols(), c.Row(first), c.cols(),
+               /*skip_zeros=*/true);
     }
   });
   return c;
@@ -220,16 +219,12 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   ParallelForChunked(num_chunks, work_per_chunk,
                      [&](int64_t begin, int64_t end) {
     for (int64_t p = begin; p < end; ++p) {
-      Matrix& local = partial[p];
-      const int64_t k_end = std::min(n, (p + 1) * kReduceChunk);
-      // Rank-1 update local[i][:] += a[k][i] * b[k][:] for every nonzero
-      // a[k][i]: one ger_rows call per row of a, so each local entry still
-      // accumulates k in ascending order.
-      for (int64_t k = p * kReduceChunk; k < k_end; ++k) {
-        ops.ger_rows(a.Row(static_cast<int>(k)), a.cols(),
-                     b.Row(static_cast<int>(k)), b.cols(), local.data(),
-                     b.cols());
-      }
+      // local[i][:] += a[k][i] * b[k][:] for every nonzero a[k][i] of the
+      // chunk, each local entry accumulating k in ascending order.
+      const int k0 = static_cast<int>(p * kReduceChunk);
+      const int k1 = static_cast<int>(std::min(n, (p + 1) * kReduceChunk));
+      ops.gemm_ta(a.Row(k0), a.cols(), k1 - k0, a.cols(), b.Row(k0),
+                  b.cols(), b.cols(), partial[p].data(), b.cols());
     }
   });
   for (int64_t p = 0; p < num_chunks; ++p) c.AddInPlace(partial[p]);
@@ -241,26 +236,29 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   AHG_TRACE_SPAN_ARG("tensor/matmul_tb",
                      int64_t{a.rows()} * a.cols() * b.rows());
   Matrix c(a.rows(), b.rows());
-  // Register-blocked over j: four dot products share each arow[k] load.
-  // Every dot still accumulates its own k in ascending order (the SIMD dot4
-  // transposes 4x4 blocks of B so each lane adds one k term at a time), so
-  // values are bitwise identical to the one-j-at-a-time kernel.
+  // B^T is packed into a stack buffer, one kGemmPanel x kPackCols block at
+  // a time, and run through the GEMM tiles with zero-skip off: each c[i][j]
+  // is a dot product that adds every term (0 * inf gives NaN), k ascending
+  // across the panels, so values are bitwise identical to the
+  // one-j-at-a-time dot. Each worker packs its own copy; a heap copy would
+  // be one more allocation per call.
+  constexpr int kPackCols = 32;
   const kernels::TierOps& ops = kernels::ActiveOps();
   const int64_t work_per_row = int64_t{a.cols()} * b.rows();
   ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const double* arow = a.Row(static_cast<int>(i));
-      double* crow = c.Row(static_cast<int>(i));
-      int j = 0;
-      for (; j + 4 <= b.rows(); j += 4) {
-        ops.dot4(arow, b.Row(j), b.Row(j + 1), b.Row(j + 2), b.Row(j + 3),
-                 a.cols(), crow + j);
-      }
-      for (; j < b.rows(); ++j) {
-        const double* brow = b.Row(j);
-        double dot = 0.0;
-        for (int k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-        crow[j] = dot;
+    const int first = static_cast<int>(begin);
+    double bt[kernels::kGemmPanel * kPackCols];
+    for (int j0 = 0; j0 < b.rows(); j0 += kPackCols) {
+      const int jw = std::min(kPackCols, b.rows() - j0);
+      for (int k0 = 0; k0 < a.cols(); k0 += kernels::kGemmPanel) {
+        const int kc = std::min(kernels::kGemmPanel, a.cols() - k0);
+        for (int j = 0; j < jw; ++j) {
+          const double* brow = b.Row(j0 + j) + k0;
+          for (int k = 0; k < kc; ++k) bt[k * jw + j] = brow[k];
+        }
+        ops.gemm(a.Row(first) + k0, a.cols(), static_cast<int>(end - begin),
+                 kc, bt, jw, jw, c.Row(first) + j0, c.cols(),
+                 /*skip_zeros=*/false);
       }
     }
   });

@@ -245,7 +245,8 @@ TEST(BitwiseTest, GemmWalkSwitchAtQuarterDensityMatchesScalar) {
 
 // A +-0.0 a-entry adds no term, even opposite an inf or NaN: the masked
 // walk must mask the add (0 * inf = NaN), not just the branch. Every tier
-// must equal the scalar result, which stays finite.
+// must equal the scalar result, which stays finite. The widths cover one
+// lane, one full vector, a partial second vector and each GEMM tile shape.
 TEST(BitwiseTest, GemmZeroOppositeInfNanStaysFinite) {
   const double poison[4] = {std::numeric_limits<double>::infinity(),
                             -std::numeric_limits<double>::infinity(),
@@ -254,41 +255,207 @@ TEST(BitwiseTest, GemmZeroOppositeInfNanStaysFinite) {
   tiers.push_back(Tier::kScalar);
   for (const double zero_frac : {0.3, 0.95}) {
     for (const int k : {5, 40, 130}) {
-      const int m = 23, n = 13;
-      // MatMul: columns 1, 4, 7... of a are all +-0.0 and the matching
-      // rows of b hold inf/NaN.
-      Matrix a = RandomMatrix(m, k, 3000 + k, zero_frac);
-      Matrix b = RandomMatrix(k, n, 4000 + k);
-      for (int kk = 1; kk < k; kk += 3) {
-        for (int i = 0; i < m; ++i) a(i, kk) = (i % 2 == 0) ? 0.0 : -0.0;
-        for (int j = 0; j < n; ++j) b(kk, j) = poison[(kk + j) % 4];
+      for (const int n : {1, 8, 9, 13, 16, 17}) {
+        const int m = 23;
+        // MatMul: columns 1, 4, 7... of a are all +-0.0 and the matching
+        // rows of b hold inf/NaN.
+        Matrix a = RandomMatrix(m, k, 3000 + k, zero_frac);
+        Matrix b = RandomMatrix(k, n, 4000 + k);
+        for (int kk = 1; kk < k; kk += 3) {
+          for (int i = 0; i < m; ++i) a(i, kk) = (i % 2 == 0) ? 0.0 : -0.0;
+          for (int j = 0; j < n; ++j) b(kk, j) = poison[(kk + j) % 4];
+        }
+        // MatMulTransA: rows 2, 5, 8... of the left operand are all +-0.0
+        // and the matching rows of the right one hold inf/NaN.
+        Matrix ta = RandomMatrix(k, m, 5000 + k, zero_frac);
+        Matrix tb = RandomMatrix(k, n, 6000 + k);
+        for (int r = 2; r < k; r += 3) {
+          for (int i = 0; i < m; ++i) ta(r, i) = (i % 2 == 0) ? -0.0 : 0.0;
+          for (int j = 0; j < n; ++j) tb(r, j) = poison[(r + j) % 4];
+        }
+        Matrix base_mm, base_ta;
+        {
+          ScopedTier scalar(Tier::kScalar);
+          base_mm = MatMul(a, b);
+          base_ta = MatMulTransA(ta, tb);
+        }
+        for (int64_t i = 0; i < base_mm.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(base_mm.data()[i])) << "matmul " << i;
+        }
+        for (int64_t i = 0; i < base_ta.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(base_ta.data()[i])) << "matmul_ta " << i;
+        }
+        for (const Tier tier : tiers) {
+          ScopedTier t(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
+              << "matmul k " << k << " n " << n << " "
+              << kernels::TierName(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMulTransA(ta, tb), base_ta))
+              << "matmul_ta k " << k << " n " << n << " "
+              << kernels::TierName(tier);
+        }
       }
-      // MatMulTransA: rows 2, 5, 8... of the left operand are all +-0.0
-      // and the matching rows of the right one hold inf/NaN.
-      Matrix ta = RandomMatrix(k, m, 5000 + k, zero_frac);
-      Matrix tb = RandomMatrix(k, n, 6000 + k);
-      for (int r = 2; r < k; r += 3) {
-        for (int i = 0; i < m; ++i) ta(r, i) = (i % 2 == 0) ? -0.0 : 0.0;
-        for (int j = 0; j < n; ++j) tb(r, j) = poison[(r + j) % 4];
+    }
+  }
+}
+
+// MatMulTransB is a dot product per element and skips nothing: a +-0.0
+// opposite an inf adds 0 * inf = NaN, at every tier, bit for bit.
+TEST(BitwiseTest, MatMulTransBAddsEveryTerm) {
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
+  for (const int k : {5, 130}) {
+    for (const int n : {1, 3, 4, 8, 9, 16, 17, 33}) {
+      for (const int m : {1, 7, 13}) {
+        // Column 3 of a is +-0.0 and column 3 of b (row 3 of B^T) is inf.
+        Matrix a = RandomMatrix(m, k, 7000 + k * 10 + n, /*zero_frac=*/0.0);
+        Matrix b = RandomMatrix(n, k, 8000 + k * 10 + n, /*zero_frac=*/0.0);
+        for (int i = 0; i < m; ++i) a(i, 3) = (i % 2 == 0) ? 0.0 : -0.0;
+        for (int j = 0; j < n; ++j) {
+          b(j, 3) = (j % 2 == 0) ? std::numeric_limits<double>::infinity()
+                                 : -std::numeric_limits<double>::infinity();
+        }
+        Matrix base;
+        {
+          ScopedTier scalar(Tier::kScalar);
+          base = MatMulTransB(a, b);
+        }
+        for (int64_t i = 0; i < base.size(); ++i) {
+          ASSERT_TRUE(std::isnan(base.data()[i])) << "scalar " << i;
+        }
+        for (const Tier tier : tiers) {
+          ScopedTier t(tier);
+          const Matrix c = MatMulTransB(a, b);
+          for (int64_t i = 0; i < c.size(); ++i) {
+            ASSERT_TRUE(std::isnan(c.data()[i]))
+                << kernels::TierName(tier) << " m " << m << " k " << k
+                << " n " << n << " index " << i;
+          }
+          EXPECT_TRUE(BitwiseEqual(c, base))
+              << kernels::TierName(tier) << " m " << m << " k " << k
+              << " n " << n;
+        }
       }
-      Matrix base_mm, base_ta;
-      {
-        ScopedTier scalar(Tier::kScalar);
-        base_mm = MatMul(a, b);
-        base_ta = MatMulTransA(ta, tb);
+    }
+  }
+}
+
+// Row counts that are not a multiple of any tile height, at every tile
+// width, for all three products.
+TEST(BitwiseTest, GemmTileEdgesMatchScalar) {
+  const std::vector<Tier> tiers = SupportedSimdTiers();
+  uint64_t seed = 9100;
+  for (const int m : {1, 2, 3, 5, 6, 7, 9, 11, 12, 13, 15, 17, 31, 33}) {
+    for (const int k : {5, 48}) {
+      for (const int n : {1, 2, 5, 8, 9, 16, 17, 24, 33, 65}) {
+        const Matrix a = RandomMatrix(m, k, seed++, 0.3);
+        const Matrix b = RandomMatrix(k, n, seed++);
+        const Matrix bt = RandomMatrix(n, k, seed++);
+        // A^T * B with a.cols() = m rows of c: every row-vector remainder.
+        const Matrix ta = RandomMatrix(k, m, seed++, 0.3);
+        const Matrix tb = RandomMatrix(k, n, seed++);
+        Matrix base_mm, base_ta, base_tb;
+        {
+          ScopedTier scalar(Tier::kScalar);
+          base_mm = MatMul(a, b);
+          base_ta = MatMulTransA(ta, tb);
+          base_tb = MatMulTransB(a, bt);
+        }
+        for (const Tier tier : tiers) {
+          ScopedTier t(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
+              << "matmul " << m << "x" << k << "x" << n << " "
+              << kernels::TierName(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMulTransA(ta, tb), base_ta))
+              << "matmul_ta " << m << "x" << k << "x" << n << " "
+              << kernels::TierName(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMulTransB(a, bt), base_tb))
+              << "matmul_tb " << m << "x" << k << "x" << n << " "
+              << kernels::TierName(tier);
+        }
       }
-      for (int64_t i = 0; i < base_mm.size(); ++i) {
-        ASSERT_TRUE(std::isfinite(base_mm.data()[i])) << "matmul " << i;
+    }
+  }
+}
+
+// One dense row among near-empty ones: the tile (or MatMulTransA block)
+// counts under 1/4 nonzero, so the dense row takes the compacted walk;
+// with two or three dense rows the same tile takes the masked walk.
+TEST(BitwiseTest, GemmDenseRowAmongSparseRowsMatchesScalar) {
+  const std::vector<Tier> tiers = SupportedSimdTiers();
+  for (const int dense_rows : {1, 2, 3}) {
+    for (const int k : {12, 48, 130}) {
+      for (const int n : {1, 8, 13, 40}) {
+        Rng rng(static_cast<uint64_t>(dense_rows * 1000 + k * 10 + n));
+        // MatMul: rows 0..dense_rows-1 of each 8-row group are dense, the
+        // rest hold one nonzero each.
+        Matrix a(19, k);
+        for (int r = 0; r < a.rows(); ++r) {
+          if (r % 8 < dense_rows) {
+            for (int c = 0; c < k; ++c) a(r, c) = rng.Normal(0.0, 1.0);
+          } else {
+            a(r, static_cast<int>(rng.UniformInt(k))) = rng.Normal(0.0, 1.0);
+          }
+        }
+        // MatMulTransA: the same pattern over the rows of a that form one
+        // reduction block.
+        Matrix ta(8 * k, 21);
+        for (int r = 0; r < ta.rows(); ++r) {
+          if (r % 8 < dense_rows) {
+            for (int c = 0; c < ta.cols(); ++c) ta(r, c) = rng.Normal(0.0, 1.0);
+          } else {
+            ta(r, static_cast<int>(rng.UniformInt(ta.cols()))) =
+                rng.Normal(0.0, 1.0);
+          }
+        }
+        const Matrix b = RandomMatrix(k, n, 9300 + k);
+        const Matrix tb = RandomMatrix(ta.rows(), n, 9400 + k);
+        Matrix base_mm, base_ta;
+        {
+          ScopedTier scalar(Tier::kScalar);
+          base_mm = MatMul(a, b);
+          base_ta = MatMulTransA(ta, tb);
+        }
+        for (const Tier tier : tiers) {
+          ScopedTier t(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
+              << "matmul dense rows " << dense_rows << " k " << k << " n "
+              << n << " " << kernels::TierName(tier);
+          EXPECT_TRUE(BitwiseEqual(MatMulTransA(ta, tb), base_ta))
+              << "matmul_ta dense rows " << dense_rows << " k " << k
+              << " n " << n << " " << kernels::TierName(tier);
+        }
       }
-      for (int64_t i = 0; i < base_ta.size(); ++i) {
-        ASSERT_TRUE(std::isfinite(base_ta.data()[i])) << "matmul_ta " << i;
-      }
-      for (const Tier tier : tiers) {
-        ScopedTier t(tier);
-        EXPECT_TRUE(BitwiseEqual(MatMul(a, b), base_mm))
-            << "matmul k " << k << " " << kernels::TierName(tier);
-        EXPECT_TRUE(BitwiseEqual(MatMulTransA(ta, tb), base_ta))
-            << "matmul_ta k " << k << " " << kernels::TierName(tier);
+    }
+  }
+}
+
+// MatMulTransA sums fixed 2048-row chunks into partials and adds them in
+// chunk order. Reductions just under, at and past one chunk and past two,
+// with each zero share taking a different walk (no zeros, masked, sparse).
+TEST(BitwiseTest, MatMulTransAAcrossReductionChunksMatchesScalar) {
+  const std::vector<Tier> tiers = SupportedSimdTiers();
+  ScopedMinParallelWork grain(1);
+  uint64_t seed = 9500;
+  for (const int m : {2047, 2048, 2049, 4100}) {
+    for (const int n : {1, 4, 8, 9, 16, 17, 33}) {
+      for (const double zero_frac : {0.0, 0.5, 0.9}) {
+        const Matrix a = RandomMatrix(m, 13, seed++, zero_frac);
+        const Matrix b = RandomMatrix(m, n, seed++);
+        Matrix base;
+        {
+          ScopedTier scalar(Tier::kScalar);
+          base = MatMulTransA(a, b);
+        }
+        for (const Tier tier : tiers) {
+          for (const int threads : {1, 4}) {
+            ScopedTier t(tier);
+            ScopedNumThreads nt(threads);
+            EXPECT_TRUE(BitwiseEqual(MatMulTransA(a, b), base))
+                << "m " << m << " n " << n << " zeros " << zero_frac << " "
+                << kernels::TierName(tier) << " threads " << threads;
+          }
+        }
       }
     }
   }
@@ -376,6 +543,37 @@ TEST(BitwiseTest, BiasReluRowHandlesNegativeZeroLikeScalar) {
       if (in[i] <= 0.0) {
         EXPECT_FALSE(std::signbit(x[i]))
             << kernels::TierName(tier) << " produced -0.0 at " << i;
+      }
+    }
+  }
+}
+
+// A skipped zero a-entry must leave its outputs' bits alone, even an output
+// that holds -0.0 (adding +0.0 there would give +0.0). The operands are
+// half zeros, so the SIMD tiers take their full walks with the add masked,
+// and b is all -0.0, so every term added keeps c at -0.0 exactly.
+TEST(BitwiseTest, GemmSkippedZerosKeepNegativeZeroOutputs) {
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
+  const int m = 13, kc = 20;
+  for (const Tier tier : tiers) {
+    const TierOps& ops = kernels::OpsFor(tier);
+    for (const int n : {1, 4, 8, 9, 17}) {
+      std::vector<double> a(m * kc), b(kc * n, -0.0), c(m * n, -0.0);
+      for (int i = 0; i < m * kc; ++i) a[i] = (i % 2 == 0) ? 0.0 : 1.5;
+      ops.gemm(a.data(), kc, m, kc, b.data(), n, n, c.data(), n,
+               /*skip_zeros=*/true);
+      for (int i = 0; i < m * n; ++i) {
+        EXPECT_TRUE(c[i] == 0.0 && std::signbit(c[i]))
+            << kernels::TierName(tier) << " gemm n " << n << " index " << i;
+      }
+      // gemm_ta reads a as kc x m.
+      std::vector<double> cta(m * n, -0.0);
+      ops.gemm_ta(a.data(), m, kc, m, b.data(), n, n, cta.data(), n);
+      for (int i = 0; i < m * n; ++i) {
+        EXPECT_TRUE(cta[i] == 0.0 && std::signbit(cta[i]))
+            << kernels::TierName(tier) << " gemm_ta n " << n << " index "
+            << i;
       }
     }
   }
