@@ -8,7 +8,8 @@
 // google-benchmark flags (ours are stripped before benchmark::Initialize,
 // which rejects flags it does not know). --json-out FILE switches to a
 // deterministic measurement suite (GEMM/SpMM ns/op, GEMMs on dropout,
-// bag-of-words and ReLU-head operands, the thin backward products, plus the
+// bag-of-words and ReLU-head operands, the thin backward products, the
+// dropout keep-mask per tier and the fused dropout->linear layer, plus the
 // GCN train step on the scalar and the active tier) and writes the
 // BENCH_kernels.json schema the perf-smoke CI job diffs against.
 #include <benchmark/benchmark.h>
@@ -24,6 +25,7 @@
 #include "common/bench_util.h"
 #include "autodiff/ops.h"
 #include "kernels/dispatch.h"
+#include "kernels/kernel_ops.h"
 #include "graph/synthetic.h"
 #include "models/model.h"
 #include "models/model_zoo.h"
@@ -390,6 +392,83 @@ ThinShapeTimes MeasureThinShapes() {
   return t;
 }
 
+// The keep-mask kernel of a dropout over the search job's 12000x48
+// features and the proxy graph's 1200x48, on each supported tier. The
+// scalar tier is the one-lane element-order loop every tier must
+// reproduce; below kMinLanedDraws the SIMD tiers run that loop too.
+struct MaskTierTimes {
+  const char* tier = "";
+  double mask_12000x48_ns = 0.0;
+  double mask_1200x48_ns = 0.0;
+};
+
+std::vector<MaskTierTimes> MeasureKeepMasks() {
+  std::vector<MaskTierTimes> out;
+  const uint64_t threshold = Rng::BernoulliThreshold(0.5);
+  std::vector<uint64_t> bits((12000 * 48 + 63) / 64);
+  for (auto tier : {ahg::kernels::Tier::kScalar, ahg::kernels::Tier::kAvx2,
+                    ahg::kernels::Tier::kAvx512}) {
+    if (!ahg::kernels::TierSupported(tier)) continue;
+    const ahg::kernels::TierOps& ops = ahg::kernels::OpsFor(tier);
+    RngState state = Rng(31).ExportState();
+    const auto time_mask = [&](int64_t n) {
+      return MeasureNsPerOp(15, [&] {
+        ops.keep_mask(state.s, threshold, n, bits.data());
+        benchmark::DoNotOptimize(bits.data());
+      });
+    };
+    MaskTierTimes t;
+    t.tier = ahg::kernels::TierName(tier);
+    t.mask_12000x48_ns = time_mask(12000 * 48);
+    t.mask_1200x48_ns = time_mask(1200 * 48);
+    out.push_back(t);
+  }
+  return out;
+}
+
+// The fused first layer of a dense-first family on the search job's
+// shapes, ReLU form, p = 0.5: the forward alone (mask draw plus the GEMM on
+// masked row blocks), and forward plus the backward to W and b. Beside
+// matmul_dropout_12000x48x8, the forward GEMM on a materialized dropped
+// copy. One thread, as a search job runs its kernels.
+struct DropoutLinearTimes {
+  double fwd_ns = 0.0;
+  double fwd_bwd_ns = 0.0;
+};
+
+DropoutLinearTimes MeasureDropoutLinear() {
+  ScopedNumThreads one_thread(1);
+  Rng rng(23);
+  const Var x = MakeConstant(Matrix::Gaussian(12000, 48, 1.0, &rng));
+  const Var w = MakeParam(Matrix::Gaussian(48, 8, 1.0, &rng));
+  const Var b = MakeParam(Matrix::Gaussian(1, 8, 1.0, &rng));
+  Rng dropout_rng(24);
+  DropoutLinearTimes t;
+  t.fwd_ns = MeasureNsPerOp(9, [&] {
+    benchmark::DoNotOptimize(
+        DropoutLinear(x, w, b, 0.5, /*relu=*/true, &dropout_rng));
+  });
+  t.fwd_bwd_ns = MeasureNsPerOp(9, [&] {
+    w->ZeroGrad();
+    b->ZeroGrad();
+    Backward(SumAll(DropoutLinear(x, w, b, 0.5, /*relu=*/true, &dropout_rng)));
+  });
+  return t;
+}
+
+// {"scalar": ns, "avx2": ns, ...} over the measured tiers.
+std::string TierObject(const std::vector<MaskTierTimes>& times,
+                       double MaskTierTimes::*field) {
+  std::string json = "{";
+  for (size_t i = 0; i < times.size(); ++i) {
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), "%s\"%s\": %.0f", i ? ", " : "",
+                  times[i].tier, times[i].*field);
+    json += entry;
+  }
+  return json + "}";
+}
+
 bool WriteKernelsJson(const std::string& path) {
   int64_t scalar_faults = 0;
   {
@@ -422,6 +501,8 @@ bool WriteKernelsJson(const std::string& path) {
       MeasureNsPerOp(5, [&] { benchmark::DoNotOptimize(adj.Spmm(x)); });
   const ZeroShapeTimes zero_shapes = MeasureZeroShapes(&rng);
   const ThinShapeTimes thin_shapes = MeasureThinShapes();
+  const std::vector<MaskTierTimes> masks = MeasureKeepMasks();
+  const DropoutLinearTimes dropout_linear = MeasureDropoutLinear();
 
   // The same train step on the scalar tier and on the active tier.
   StepSuiteResult scalar_step;
@@ -445,6 +526,10 @@ bool WriteKernelsJson(const std::string& path) {
                "  \"matmul_1024x64x64_ns_op\": %.0f,\n"
                "  \"spmm_3000n_64c_ns_op\": %.0f,\n"
                "  \"matmul_dropout_12000x48x8_ns_op\": %.0f,\n"
+               "  \"dropout_linear_fwd_12000x48x8_ns_op\": %.0f,\n"
+               "  \"dropout_linear_fwd_bwd_12000x48x8_ns_op\": %.0f,\n"
+               "  \"dropout_mask_12000x48_ns_op\": %s,\n"
+               "  \"dropout_mask_1200x48_ns_op\": %s,\n"
                "  \"matmul_ta_dropout_12000x48x8_ns_op\": %.0f,\n"
                "  \"matmul_bow_2708x1433x64_ns_op\": %.0f,\n"
                "  \"matmul_head_12000x8x16_ns_op\": %.0f,\n"
@@ -469,6 +554,9 @@ bool WriteKernelsJson(const std::string& path) {
                "  }\n"
                "}\n",
                matmul_ns, spmm_ns, zero_shapes.dropout_ns,
+               dropout_linear.fwd_ns, dropout_linear.fwd_bwd_ns,
+               TierObject(masks, &MaskTierTimes::mask_12000x48_ns).c_str(),
+               TierObject(masks, &MaskTierTimes::mask_1200x48_ns).c_str(),
                zero_shapes.dropout_ta_ns, zero_shapes.bow_ns,
                zero_shapes.head_ns, thin_shapes.ta_proxy_ns,
                thin_shapes.ta_gate_ns, thin_shapes.tb_grad_ns,

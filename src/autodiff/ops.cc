@@ -20,6 +20,49 @@ void AccumulateScaled(const Var& target, double alpha, const Matrix& delta) {
   target->grad.AxpyInPlace(alpha, delta);
 }
 
+// bias->grad(0, c) += g(r, c) over rows r ascending: AddRowVector's
+// backward.
+void AccumulateRowSums(const Var& bias, const Matrix& g) {
+  if (!bias->requires_grad) return;
+  bias->EnsureGrad();
+  double* bg = bias->grad.Row(0);
+  for (int r = 0; r < g.rows(); ++r) {
+    const double* gr = g.Row(r);
+    for (int c = 0; c < g.cols(); ++c) bg[c] += gr[c];
+  }
+}
+
+// The epilogue of a fused linear layer on its product, in place: row + b
+// (AddRowVector's additions; nothing without a bias), or, with relu,
+// max(row + b, 0). The dispatched kernel's max(v, +0.0) matches
+// `v > 0 ? v : 0.0` bit-for-bit (including -0.0 and NaN inputs).
+void LinearEpilogue(Matrix* out, const Var& b, bool relu) {
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  const double* bias = b ? b->value.Row(0) : nullptr;
+  if (!relu && bias == nullptr) return;
+  for (int r = 0; r < out->rows(); ++r) {
+    double* row = out->Row(r);
+    if (relu) {
+      ops.bias_relu_row(row, bias, out->cols());
+    } else {
+      for (int c = 0; c < out->cols(); ++c) row[c] += bias[c];
+    }
+  }
+}
+
+// The grad of a fused relu's input as the unfused chain's pre-activation
+// node holds it: zero-initialized, then += g * 1[out > 0] — the same
+// products (including g * 0.0 sign behavior) and the same
+// accumulate-into-zero the Relu backward performs. out > 0 iff the
+// pre-activation was > 0, so masking from n.value is exact.
+Matrix ReluInputGrad(const Node& n) {
+  Matrix gp(n.grad.rows(), n.grad.cols());
+  for (int64_t i = 0; i < gp.size(); ++i) {
+    gp.data()[i] += n.grad.data()[i] * (n.value.data()[i] > 0.0 ? 1.0 : 0.0);
+  }
+  return gp;
+}
+
 }  // namespace
 
 Var Add(const Var& a, const Var& b) {
@@ -79,21 +122,10 @@ Var AddRowVector(const Var& m, const Var& bias) {
   AHG_CHECK_EQ(bias->rows(), 1);
   AHG_CHECK_EQ(bias->cols(), m->cols());
   Matrix out = m->value;
-  for (int r = 0; r < out.rows(); ++r) {
-    double* row = out.Row(r);
-    const double* b = bias->value.Row(0);
-    for (int c = 0; c < out.cols(); ++c) row[c] += b[c];
-  }
+  LinearEpilogue(&out, bias, /*relu=*/false);
   return MakeOpNode(std::move(out), {m, bias}, [m, bias](const Node& n) {
     AccumulateInto(m, n.grad);
-    if (bias->requires_grad) {
-      bias->EnsureGrad();
-      double* bg = bias->grad.Row(0);
-      for (int r = 0; r < n.grad.rows(); ++r) {
-        const double* g = n.grad.Row(r);
-        for (int c = 0; c < n.grad.cols(); ++c) bg[c] += g[c];
-      }
-    }
+    AccumulateRowSums(bias, n.grad);
   });
 }
 
@@ -106,37 +138,16 @@ Var LinearRelu(const Var& x, const Var& w, const Var& b) {
   Matrix out = ahg::MatMul(x->value, w->value);
   // Single in-place pass over the product: the additions and the max are
   // the exact per-element arithmetic AddRowVector and Relu would perform on
-  // their own output buffers. The dispatched kernel's max(v, +0.0) matches
-  // `v > 0 ? v : 0.0` bit-for-bit (including -0.0 and NaN inputs).
-  const kernels::TierOps& ops = kernels::ActiveOps();
-  const double* bias = b ? b->value.Row(0) : nullptr;
-  for (int r = 0; r < out.rows(); ++r) {
-    ops.bias_relu_row(out.Row(r), bias, out.cols());
-  }
+  // their own output buffers.
+  LinearEpilogue(&out, b, /*relu=*/true);
   std::vector<Var> parents =
       b ? std::vector<Var>{x, w, b} : std::vector<Var>{x, w};
   return MakeOpNode(
       std::move(out), std::move(parents), [x, w, b](const Node& n) {
-        // gp reproduces the pre-activation node's grad from the unfused
-        // chain: zero-initialized, then += g * 1[out > 0] — the same
-        // products (including g * 0.0 sign behavior) and the same
-        // accumulate-into-zero the Relu backward performs. out > 0 iff the
-        // pre-activation was > 0, so masking from n.value is exact.
-        Matrix gp(n.grad.rows(), n.grad.cols());
-        for (int64_t i = 0; i < gp.size(); ++i) {
-          gp.data()[i] +=
-              n.grad.data()[i] * (n.value.data()[i] > 0.0 ? 1.0 : 0.0);
-        }
+        const Matrix gp = ReluInputGrad(n);
         // Parent order matches the unfused reverse-topo sweep: bias (from
         // the AddRowVector node), then x, then w (from the MatMul node).
-        if (b && b->requires_grad) {
-          b->EnsureGrad();
-          double* bg = b->grad.Row(0);
-          for (int r = 0; r < gp.rows(); ++r) {
-            const double* g = gp.Row(r);
-            for (int c = 0; c < gp.cols(); ++c) bg[c] += g[c];
-          }
-        }
+        if (b) AccumulateRowSums(b, gp);
         if (x->requires_grad) AccumulateInto(x, MatMulTransB(gp, w->value));
         if (w->requires_grad) AccumulateInto(w, MatMulTransA(x->value, gp));
       });
@@ -259,37 +270,73 @@ Var RowLogSoftmaxOp(const Var& a) {
   });
 }
 
+namespace {
+
+// grad[i] += g[i] * (kept ? scale : 0.0): the backward of a dropped tensor,
+// from the bits that dropped it.
+void AccumulateMasked(const Var& target, const double* g,
+                      const KeepMask& mask) {
+  target->EnsureGrad();
+  double* dst = target->grad.data();
+  const double factor[2] = {0.0, mask.scale()};
+  for (int64_t i = 0; i < mask.size(); ++i) {
+    dst[i] += g[i] * factor[mask.Keeps(i)];
+  }
+}
+
+}  // namespace
+
 Var Dropout(const Var& a, double p, bool training, Rng* rng) {
   if (!training || p <= 0.0) return a;
-  AHG_CHECK_LT(p, 1.0);
-  const double keep_scale = 1.0 / (1.0 - p);
-  // The mask is kept only when a backward will read it; the constant
-  // feature matrix every zoo model drops never needs one.
-  Matrix mask;
-  if (a->requires_grad) mask = Matrix(a->rows(), a->cols());
-  Matrix out(a->rows(), a->cols());
-  const int64_t size = out.size();
-  const double* in = a->value.data();
-  double* dst = out.data();
-  double* mk = mask.data();
-  // One pass over a local copy of the generator, written back afterwards:
-  // its state stays in registers, and the draws (one per element, in
-  // element order) are exactly those of rng->Bernoulli(p) per element.
-  Rng local = *rng;
-  for (int64_t i = 0; i < size; ++i) {
-    const double m = local.Bernoulli(p) ? 0.0 : keep_scale;
-    if (mk != nullptr) mk[i] = m;
-    dst[i] = in[i] * m;
-  }
-  *rng = local;
+  KeepMask mask(a->value.size(), p, rng);
+  Matrix out = ApplyKeepMask(a->value, mask);
+  // MakeOpNode drops the closure, and with it the bits, when no grad can
+  // reach it, as for the constant features every zoo model drops.
   return MakeOpNode(std::move(out), {a},
                     [a, mask = std::move(mask)](const Node& n) {
-                      if (!a->requires_grad) return;
-                      a->EnsureGrad();
-                      for (int64_t i = 0; i < n.grad.size(); ++i) {
-                        a->grad.data()[i] += n.grad.data()[i] * mask.data()[i];
-                      }
+                      AccumulateMasked(a, n.grad.data(), mask);
                     });
+}
+
+Var DropoutLinear(const Var& x, const Var& w, const Var& b, double p,
+                  bool relu, Rng* rng) {
+  AHG_CHECK_EQ(x->cols(), w->rows());
+  if (b) {
+    AHG_CHECK_EQ(b->rows(), 1);
+    AHG_CHECK_EQ(b->cols(), w->cols());
+  }
+  KeepMask mask(x->value.size(), p, rng);
+  Matrix out = MatMulKeepMask(x->value, mask, w->value);
+  LinearEpilogue(&out, b, relu);
+  std::vector<Var> parents =
+      b ? std::vector<Var>{x, w, b} : std::vector<Var>{x, w};
+  return MakeOpNode(
+      std::move(out), std::move(parents),
+      [x, w, b, relu, mask = std::move(mask)](const Node& n) {
+        // gp is the grad the unfused chain's MatMul node receives: from
+        // the Relu as LinearRelu forms it, or accumulated into a zero
+        // matrix from the AddRowVector node's grad, whose bias grad sums
+        // that node's own grad.
+        Matrix gp;
+        if (relu) {
+          gp = ReluInputGrad(n);
+        } else if (b) {
+          gp = Matrix(n.grad.rows(), n.grad.cols());
+          gp.AddInPlace(n.grad);
+        }
+        const Matrix& g = relu || b ? gp : n.grad;
+        if (b) AccumulateRowSums(b, relu ? gp : n.grad);
+        if (x->requires_grad) {
+          // The dropped copy's grad, accumulated into zeros as its node
+          // would hold it, then through the same bits to x.
+          Matrix dropped_grad(x->rows(), x->cols());
+          dropped_grad.AddInPlace(MatMulTransB(g, w->value));
+          AccumulateMasked(x, dropped_grad.data(), mask);
+        }
+        if (w->requires_grad) {
+          AccumulateInto(w, MatMulTransAKeepMask(x->value, mask, g));
+        }
+      });
 }
 
 Var ConcatCols(const std::vector<Var>& parts) {

@@ -56,8 +56,22 @@ Var RowSoftmaxOp(const Var& a);
 Var RowLogSoftmaxOp(const Var& a);
 
 // Inverted dropout: at train time zeroes entries with probability p and
-// scales survivors by 1/(1-p); identity at eval time.
+// scales survivors by 1/(1-p); identity at eval time. The draws are one
+// rng->Bernoulli(p) per entry in element order (a KeepMask,
+// tensor/matrix.h), and the backward keeps only their bits.
 Var Dropout(const Var& a, double p, bool training, Rng* rng);
+
+// Linear(Dropout(x)) at train time, with relu (LinearRelu) or without
+// (MatMul, then AddRowVector when `b` is not null), as one op that never
+// forms the dropped copy of x: the forward applies the keep bits to row
+// blocks of x inside the GEMM (MatMulKeepMask), and the tape keeps the
+// bits (1/64 of x's bytes) for the weight grad (MatMulTransAKeepMask) and,
+// when x requires grad, x's grad. Values, grads and the rng state are
+// bitwise those of the unfused chain (a NaN in the weight grad of rows
+// wider than 48 columns can differ in payload; tensor/matrix.cc).
+// Requires 0 < p < 1.
+Var DropoutLinear(const Var& x, const Var& w, const Var& b, double p,
+                  bool relu, Rng* rng);
 
 // Horizontal concatenation (all operands share a row count).
 Var ConcatCols(const std::vector<Var>& parts);

@@ -126,9 +126,12 @@ GradientSearchResult SearchGradient(const std::vector<CandidateSpec>& pool,
       arch_optimizer.Step();
     }
 
-    Var eval = ensemble_probs(false);
-    const double val_acc =
-        Accuracy(eval->value, graph.labels(), split.val);
+    Matrix eval;
+    {
+      ScopedInferenceMode inference;
+      eval = std::move(ensemble_probs(false)->value);
+    }
+    const double val_acc = Accuracy(eval, graph.labels(), split.val);
     if (val_acc > best_val) {
       best_val = val_acc;
       best_beta_raw = beta_raw->value;

@@ -57,12 +57,16 @@ std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
       optimizer.set_learning_rate(optimizer.learning_rate() *
                                   train_config.lr_decay);
     }
-    const Var logits = forward_logits(false);
+    Matrix logits;
+    {
+      ScopedInferenceMode inference;
+      logits = std::move(forward_logits(false)->value);
+    }
     const double val_acc =
         split.val.empty()
             ? 0.0
-            : Accuracy(RowSoftmax(GatherRows(logits->value, split.val)),
-                       val_labels, val_rows);
+            : Accuracy(RowSoftmax(GatherRows(logits, split.val)), val_labels,
+                       val_rows);
     if (epoch == 1 || val_acc > best_val) {
       best_val = val_acc;
       best_snapshot = model->params()->Snapshot();
@@ -166,6 +170,7 @@ Matrix TrainedEnsemble::PredictProba(const Graph& graph) const {
     model->params()->Restore(member.params);
     GnnContext ctx{&graph, /*training=*/false, nullptr};
     Var x = MakeConstant(graph.features());
+    ScopedInferenceMode inference;
     Var logits = head.Apply(model->LayerOutputs(ctx, x).back());
     per_arch[member.pool_index].push_back(RowSoftmax(logits->value));
   }

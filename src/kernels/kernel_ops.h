@@ -107,7 +107,31 @@ struct TierOps {
 
   // out[i] = a[i] * b[i].
   void (*cwise_mul)(const double* a, const double* b, int64_t n, double* out);
+
+  // Inverted dropout's keep-mask: takes n draws from the xoshiro256** state
+  // s[4] (the layout of RngState::s) and sets bit i of bits[0, (n + 63) /
+  // 64) when draw i has (draw >> 11) >= threshold, which is
+  // !Bernoulli(p) for threshold = Rng::BernoulliThreshold(p). Bits past n
+  // are zero, and s ends where n Next() calls leave it. Element order
+  // defines the stream; lanes are jumps: the SIMD tiers split the first
+  // whole words into 8 (AVX-512) or 4 (AVX2) equal, contiguous lane
+  // ranges, each drawn from the state jumped ahead to its first element
+  // (Rng::Jump), and the scalar lane draws the rest from where the last
+  // lane stops. Below kMinLanedDraws only the scalar lane runs.
+  void (*keep_mask)(uint64_t* s, uint64_t threshold, int64_t n,
+                    uint64_t* bits);
+
+  // out[i] = in[i] * (bit first + i of keep ? scale : 0.0) for i in [0, n):
+  // inverted dropout applied from its keep-mask, with the products of a
+  // per-element mask of doubles (a dropped -x gives -0.0, inf and NaN give
+  // NaN).
+  void (*masked_scale)(const double* in, const uint64_t* keep, int64_t first,
+                       int64_t n, double scale, double* out);
 };
+
+// Draw count below which the jump set-up of keep_mask's lanes would cost
+// more than the lanes save, so the SIMD tiers run only the scalar lane.
+constexpr int64_t kMinLanedDraws = 4096;
 
 // The scalar reference table (always available).
 const TierOps& ScalarOps();

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "kernels/gemm_tiles.h"
+#include "kernels/keep_mask_lanes.h"
 
 namespace ahg::kernels {
 namespace {
@@ -88,6 +89,74 @@ struct Avx2 {
       }
     }
     return count;
+  }
+
+  static __m256i RotL(__m256i x, int k) {
+    return _mm256_or_si256(_mm256_slli_epi64(x, k),
+                           _mm256_srli_epi64(x, 64 - k));
+  }
+
+  // xoshiro256** in 4 lanes (kernels/keep_mask_lanes.h). The multiplies
+  // by 5 and 9 are shift-adds, exact mod 2^64 as the scalar products are;
+  // draw >> 11 and the threshold are below 2^63, so the signed compare
+  // decides draw >> 11 > threshold - 1.
+  static void DrawLanes(uint64_t lanes[4][4], uint64_t threshold,
+                        int64_t lane_words, uint64_t* bits) {
+    const auto load = [&](int w) {
+      return _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes[w]));
+    };
+    __m256i s0 = load(0), s1 = load(1), s2 = load(2), s3 = load(3);
+    const __m256i below =
+        _mm256_set1_epi64x(static_cast<int64_t>(threshold) - 1);
+    alignas(32) uint64_t words[4];
+    for (int64_t w = 0; w < lane_words; ++w) {
+      __m256i word = _mm256_setzero_si256();
+      __m256i bit = _mm256_set1_epi64x(1);
+      for (int b = 0; b < 64; ++b) {
+        const __m256i x5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
+        const __m256i r = RotL(x5, 7);
+        const __m256i out = _mm256_add_epi64(_mm256_slli_epi64(r, 3), r);
+        const __m256i t = _mm256_slli_epi64(s1, 17);
+        s2 = _mm256_xor_si256(s2, s0);
+        s3 = _mm256_xor_si256(s3, s1);
+        s1 = _mm256_xor_si256(s1, s2);
+        s0 = _mm256_xor_si256(s0, s3);
+        s2 = _mm256_xor_si256(s2, t);
+        s3 = RotL(s3, 45);
+        const __m256i keep =
+            _mm256_cmpgt_epi64(_mm256_srli_epi64(out, 11), below);
+        word = _mm256_or_si256(word, _mm256_and_si256(keep, bit));
+        bit = _mm256_add_epi64(bit, bit);
+      }
+      _mm256_store_si256(reinterpret_cast<__m256i*>(words), word);
+      for (int j = 0; j < 4; ++j) bits[j * lane_words + w] = words[j];
+    }
+    const auto store = [&](int w, __m256i v) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes[w]), v);
+    };
+    store(0, s0);
+    store(1, s1);
+    store(2, s2);
+    store(3, s3);
+  }
+
+  static void MaskedScale8(const double* in, unsigned bits8, int count,
+                           double scale, double* out) {
+    if (count < 8) {
+      const double factor[2] = {0.0, scale};
+      for (int l = 0; l < count; ++l) out[l] = in[l] * factor[(bits8 >> l) & 1];
+      return;
+    }
+    const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+    const __m256d vscale = _mm256_set1_pd(scale);
+    for (int h = 0; h < 2; ++h) {
+      const __m256i set = _mm256_and_si256(
+          _mm256_set1_epi64x((bits8 >> (4 * h)) & 0xF), lane_bits);
+      const __m256d factor = _mm256_and_pd(
+          _mm256_castsi256_pd(_mm256_cmpeq_epi64(set, lane_bits)), vscale);
+      _mm256_storeu_pd(out + 4 * h,
+                       _mm256_mul_pd(_mm256_loadu_pd(in + 4 * h), factor));
+    }
   }
 };
 
@@ -235,6 +304,16 @@ void CWiseMulAvx2(const double* a, const double* b, int64_t n, double* out) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+void KeepMaskAvx2(uint64_t* s, uint64_t threshold, int64_t n,
+                  uint64_t* bits) {
+  lanes::KeepMask<Avx2>(s, threshold, n, bits);
+}
+
+void MaskedScaleAvx2(const double* in, const uint64_t* keep, int64_t first,
+                     int64_t n, double scale, double* out) {
+  lanes::MaskedScale<Avx2>(in, keep, first, n, scale, out);
+}
+
 constexpr TierOps kAvx2OpsTable = {
     Tier::kAvx2,
     GemmAvx2,
@@ -248,6 +327,8 @@ constexpr TierOps kAvx2OpsTable = {
     AxpyInplaceAvx2,
     ScaleInplaceAvx2,
     CWiseMulAvx2,
+    KeepMaskAvx2,
+    MaskedScaleAvx2,
 };
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "kernels/gemm_tiles.h"
+#include "kernels/keep_mask_lanes.h"
 
 namespace ahg::kernels {
 namespace {
@@ -80,6 +81,65 @@ struct Avx512 {
       iv = _mm256_add_epi32(iv, step);
     }
     return count;
+  }
+
+  // Shifts and rotates with every lane selected: GCC 12 reports the
+  // undefined pass-through operand of the unmasked forms as
+  // maybe-uninitialized.
+  static __m512i Shl(__m512i x, int k) {
+    return _mm512_maskz_slli_epi64(0xFF, x, k);
+  }
+  static __m512i Shr(__m512i x, int k) {
+    return _mm512_maskz_srli_epi64(0xFF, x, k);
+  }
+  static __m512i RotL(__m512i x, int k) {
+    return _mm512_maskz_rol_epi64(0xFF, x, k);
+  }
+
+  // xoshiro256** in 8 lanes (kernels/keep_mask_lanes.h). The multiplies
+  // by 5 and 9 are shift-adds, exact mod 2^64 as the scalar products are.
+  static void DrawLanes(uint64_t lanes[4][8], uint64_t threshold,
+                        int64_t lane_words, uint64_t* bits) {
+    __m512i s0 = _mm512_load_si512(lanes[0]);
+    __m512i s1 = _mm512_load_si512(lanes[1]);
+    __m512i s2 = _mm512_load_si512(lanes[2]);
+    __m512i s3 = _mm512_load_si512(lanes[3]);
+    const __m512i thr = _mm512_set1_epi64(static_cast<int64_t>(threshold));
+    const __m512i first_word = _mm512_mullo_epi64(
+        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), _mm512_set1_epi64(lane_words));
+    for (int64_t w = 0; w < lane_words; ++w) {
+      __m512i word = _mm512_setzero_si512();
+      __m512i bit = _mm512_set1_epi64(1);
+      for (int b = 0; b < 64; ++b) {
+        const __m512i x5 = _mm512_add_epi64(Shl(s1, 2), s1);
+        const __m512i r = RotL(x5, 7);
+        const __m512i out = _mm512_add_epi64(Shl(r, 3), r);
+        const __m512i t = Shl(s1, 17);
+        s2 = _mm512_xor_si512(s2, s0);
+        s3 = _mm512_xor_si512(s3, s1);
+        s1 = _mm512_xor_si512(s1, s2);
+        s0 = _mm512_xor_si512(s0, s3);
+        s2 = _mm512_xor_si512(s2, t);
+        s3 = RotL(s3, 45);
+        const __mmask8 keep = _mm512_cmpge_epu64_mask(Shr(out, 11), thr);
+        word = _mm512_mask_or_epi64(word, keep, word, bit);
+        bit = _mm512_add_epi64(bit, bit);
+      }
+      _mm512_i64scatter_epi64(bits + w, first_word, word, 8);
+    }
+    _mm512_store_si512(lanes[0], s0);
+    _mm512_store_si512(lanes[1], s1);
+    _mm512_store_si512(lanes[2], s2);
+    _mm512_store_si512(lanes[3], s3);
+  }
+
+  static void MaskedScale8(const double* in, unsigned bits8, int count,
+                           double scale, double* out) {
+    const __mmask8 valid = TailMask(count);
+    const __m512d factor =
+        _mm512_maskz_mov_pd(static_cast<__mmask8>(bits8), _mm512_set1_pd(scale));
+    _mm512_mask_storeu_pd(
+        out, valid, _mm512_mul_pd(_mm512_maskz_loadu_pd(valid, in), factor));
   }
 };
 
@@ -233,6 +293,16 @@ void CWiseMulAvx512(const double* a, const double* b, int64_t n, double* out) {
   for (; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+void KeepMaskAvx512(uint64_t* s, uint64_t threshold, int64_t n,
+                    uint64_t* bits) {
+  lanes::KeepMask<Avx512>(s, threshold, n, bits);
+}
+
+void MaskedScaleAvx512(const double* in, const uint64_t* keep, int64_t first,
+                       int64_t n, double scale, double* out) {
+  lanes::MaskedScale<Avx512>(in, keep, first, n, scale, out);
+}
+
 constexpr TierOps kAvx512OpsTable = {
     Tier::kAvx512,
     GemmAvx512,
@@ -246,6 +316,8 @@ constexpr TierOps kAvx512OpsTable = {
     AxpyInplaceAvx512,
     ScaleInplaceAvx512,
     CWiseMulAvx512,
+    KeepMaskAvx512,
+    MaskedScaleAvx512,
 };
 
 }  // namespace

@@ -132,6 +132,43 @@ void CWiseMulScalar(const double* a, const double* b, int64_t n, double* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
 }
 
+// One lane of xoshiro256** (Rng::Next) over every draw, in element order.
+void KeepMaskScalar(uint64_t* s, uint64_t threshold, int64_t n,
+                    uint64_t* bits) {
+  uint64_t s0 = s[0], s1 = s[1], s2 = s[2], s3 = s[3];
+  for (int64_t i = 0; i < n; i += 64) {
+    const int len = static_cast<int>(std::min<int64_t>(64, n - i));
+    uint64_t word = 0;
+    for (int b = 0; b < len; ++b) {
+      const uint64_t x = s1 * 5;
+      const uint64_t r = ((x << 7) | (x >> 57)) * 9;
+      const uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = (s3 << 45) | (s3 >> 19);
+      word |= static_cast<uint64_t>((r >> 11) >= threshold) << b;
+    }
+    bits[i / 64] = word;
+  }
+  s[0] = s0;
+  s[1] = s1;
+  s[2] = s2;
+  s[3] = s3;
+}
+
+void MaskedScaleScalar(const double* in, const uint64_t* keep, int64_t first,
+                       int64_t n, double scale, double* out) {
+  // Indexed, not branched: the bits are random.
+  const double factor[2] = {0.0, scale};
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t bit = first + i;
+    out[i] = in[i] * factor[(keep[bit >> 6] >> (bit & 63)) & 1];
+  }
+}
+
 constexpr TierOps kScalarOps = {
     Tier::kScalar,
     GemmScalar,
@@ -145,6 +182,8 @@ constexpr TierOps kScalarOps = {
     AxpyInplaceScalar,
     ScaleInplaceScalar,
     CWiseMulScalar,
+    KeepMaskScalar,
+    MaskedScaleScalar,
 };
 
 }  // namespace

@@ -26,7 +26,7 @@ class AgnnModel : public GnnModel {
     const SparseMatrix& adj =
         ctx.graph->Adjacency(AdjacencyKind::kRawSelfLoops);
     Var h =
-        input_->ApplyRelu(Dropout(x, config_.dropout, ctx.training, ctx.rng));
+        input_->ApplyReluDropout(x, config_.dropout, ctx.training, ctx.rng);
     std::vector<Var> outputs;
     for (int l = 0; l < config_.num_layers; ++l) {
       h = CosineAttentionAggregate(adj, h, betas_[l]);

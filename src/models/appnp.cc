@@ -22,7 +22,7 @@ class AppnpModel : public GnnModel {
         ctx.graph->Adjacency(AdjacencyKind::kSymNorm);
     const double a = config_.teleport;
     Var z =
-        input_->ApplyRelu(Dropout(x, config_.dropout, ctx.training, ctx.rng));
+        input_->ApplyReluDropout(x, config_.dropout, ctx.training, ctx.rng);
     Var teleport_term = ScalarMul(z, a);
     Var h = z;
     std::vector<Var> outputs;

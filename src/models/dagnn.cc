@@ -23,7 +23,7 @@ class DagnnModel : public GnnModel {
     const SparseMatrix& adj =
         ctx.graph->Adjacency(AdjacencyKind::kSymNorm);
     Var h =
-        input_->ApplyRelu(Dropout(x, config_.dropout, ctx.training, ctx.rng));
+        input_->ApplyReluDropout(x, config_.dropout, ctx.training, ctx.rng);
     std::vector<Var> outputs;
     for (int l = 0; l < config_.num_layers; ++l) {
       h = Spmm(adj, h);

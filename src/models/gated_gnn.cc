@@ -29,7 +29,7 @@ class GatedGnnModel : public GnnModel {
     const SparseMatrix& adj =
         ctx.graph->Adjacency(AdjacencyKind::kRowNorm);
     Var h =
-        input_->ApplyRelu(Dropout(x, config_.dropout, ctx.training, ctx.rng));
+        input_->ApplyReluDropout(x, config_.dropout, ctx.training, ctx.rng);
     Var ones = MakeConstant(Matrix::Constant(h->rows(), h->cols(), 1.0));
     std::vector<Var> outputs;
     for (int l = 0; l < config_.num_layers; ++l) {

@@ -28,7 +28,7 @@ class GcniiModel : public GnnModel {
         ctx.graph->Adjacency(AdjacencyKind::kSymNorm);
     const double a = config_.gcnii_alpha;
     Var h0 =
-        input_->ApplyRelu(Dropout(x, config_.dropout, ctx.training, ctx.rng));
+        input_->ApplyReluDropout(x, config_.dropout, ctx.training, ctx.rng);
     Var initial_term = ScalarMul(h0, a);
     Var h = h0;
     std::vector<Var> outputs;

@@ -20,7 +20,7 @@ class SgcModel : public GnnModel {
   std::vector<Var> LayerOutputs(const GnnContext& ctx, const Var& x) override {
     const SparseMatrix& adj =
         ctx.graph->Adjacency(AdjacencyKind::kSymNorm);
-    Var h = input_->Apply(Dropout(x, config_.dropout, ctx.training, ctx.rng));
+    Var h = input_->ApplyDropout(x, config_.dropout, ctx.training, ctx.rng);
     std::vector<Var> outputs;
     for (int l = 0; l < config_.num_layers; ++l) {
       h = Spmm(adj, h);

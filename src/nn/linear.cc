@@ -22,4 +22,16 @@ Var Linear::ApplyRelu(const Var& x) const {
   return LinearRelu(x, weight_, bias_);
 }
 
+Var Linear::ApplyDropout(const Var& x, double p, bool training,
+                         Rng* rng) const {
+  if (!training || p <= 0.0) return Apply(x);
+  return DropoutLinear(x, weight_, bias_, p, /*relu=*/false, rng);
+}
+
+Var Linear::ApplyReluDropout(const Var& x, double p, bool training,
+                             Rng* rng) const {
+  if (!training || p <= 0.0) return ApplyRelu(x);
+  return DropoutLinear(x, weight_, bias_, p, /*relu=*/true, rng);
+}
+
 }  // namespace ahg

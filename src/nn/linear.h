@@ -21,6 +21,12 @@ class Linear {
   // autodiff/ops.h); bitwise identical to the unfused chain.
   Var ApplyRelu(const Var& x) const;
 
+  // Apply(Dropout(x, p, training, rng)) and ApplyRelu of the same; at
+  // train time one DropoutLinear op (autodiff/ops.h) that never forms the
+  // dropped copy of x, bitwise identical to the two-op chain.
+  Var ApplyDropout(const Var& x, double p, bool training, Rng* rng) const;
+  Var ApplyReluDropout(const Var& x, double p, bool training, Rng* rng) const;
+
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
   const Var& weight() const { return weight_; }

@@ -48,6 +48,18 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
     return head.Apply(layers.back());
   };
 
+  // Validation reads only the val rows (the train rows when there are
+  // none), and RowSoftmax and Accuracy are row-independent, so each epoch
+  // takes the softmax of those rows alone; all rows only on an epoch whose
+  // probs are kept.
+  const std::vector<int>& eval_nodes =
+      split.val.empty() ? split.train : split.val;
+  std::vector<int> eval_labels, eval_rows;
+  for (int node : eval_nodes) {
+    eval_labels.push_back(graph.labels()[node]);
+    eval_rows.push_back(static_cast<int>(eval_rows.size()));
+  }
+
   NodeTrainResult result;
   int epochs_since_best = 0;
   static obs::Counter* epochs_counter =
@@ -68,16 +80,19 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
                                   train_config.lr_decay);
     }
 
-    // Validation (eval-mode forward, no dropout).
-    Var logits = forward_logits(false);
-    const Matrix probs = RowSoftmax(logits->value);
-    const double val_acc =
-        split.val.empty() ? -Accuracy(probs, graph.labels(), split.train)
-                          : Accuracy(probs, graph.labels(), split.val);
+    // Validation: an eval-mode forward (no dropout) off the tape.
+    Matrix logits;
+    {
+      ScopedInferenceMode inference;
+      logits = std::move(forward_logits(false)->value);
+    }
+    const double eval_acc = Accuracy(
+        RowSoftmax(GatherRows(logits, eval_nodes)), eval_labels, eval_rows);
+    const double val_acc = split.val.empty() ? -eval_acc : eval_acc;
     if (epoch == 1 || val_acc > result.val_accuracy) {
       result.val_accuracy = val_acc;
       result.best_epoch = epoch;
-      result.probs = probs;
+      result.probs = RowSoftmax(logits);
       epochs_since_best = 0;
     } else if (++epochs_since_best >= train_config.patience) {
       break;

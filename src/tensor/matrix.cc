@@ -62,6 +62,12 @@ void Matrix::Release() {
 
 Matrix::Matrix(int rows, int cols) { Allocate(rows, cols); }
 
+Matrix Matrix::Uninitialized(int rows, int cols) {
+  Matrix m;
+  m.Allocate(rows, cols, /*zero=*/false);
+  return m;
+}
+
 Matrix::Matrix(const Matrix& other) {
   Allocate(other.rows_, other.cols_, /*zero=*/false);
   if (size() > 0) std::memcpy(data_, other.data_, size() * sizeof(double));
@@ -164,7 +170,82 @@ double Matrix::SquaredNorm() const {
   return total;
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
+KeepMask::KeepMask(int64_t n, double p, Rng* rng)
+    : size_(n),
+      scale_(1.0 / (1.0 - p)),
+      words_(static_cast<size_t>((n + 63) / 64)),
+      tracked_(words_.size() * sizeof(uint64_t)) {
+  AHG_CHECK_MSG(p > 0.0 && p < 1.0, "dropout rate " << p);
+  RngState state = rng->ExportState();
+  kernels::ActiveOps().keep_mask(state.s, Rng::BernoulliThreshold(p), n,
+                                 words_.data());
+  rng->RestoreState(state);
+}
+
+Matrix ApplyKeepMask(const Matrix& a, const KeepMask& mask) {
+  AHG_CHECK_EQ(a.size(), mask.size());
+  Matrix out = Matrix::Uninitialized(a.rows(), a.cols());
+  kernels::ActiveOps().masked_scale(a.data(), mask.words(), 0, a.size(),
+                                    mask.scale(), out.data());
+  return out;
+}
+
+namespace {
+
+// The masked GEMMs form 2048 rows of 48 columns at a time (768 KB, an
+// L2-resident block); wider rows get fewer, a multiple of 8. The values
+// match the unmasked GEMM's whatever the blocks, but where two NaNs meet
+// an add returns the one the compiler put first, which can differ between
+// tile shapes. A multiple of 8 starts a new row tile on every tier
+// (kernels/gemm_tiles.h), so MatMul's rows keep the tiles they take
+// unmasked, NaN payloads included. MatMulTransA's blocks narrower than its
+// 2048-row chunk each choose their own walk, so there a NaN's payload can
+// differ from the unmasked product's.
+constexpr int kKeepBlockDoubles = 2048 * 48;
+constexpr int kKeepBlockAlign = 8;
+
+// Row blocks of a GEMM's left operand: a's own rows, or, under a keep-mask,
+// those rows with the mask applied, formed in one scratch block that the
+// worker reuses. Workers build their own; the scratch is a tracked Matrix.
+class RowSource {
+ public:
+  RowSource(const kernels::TierOps& ops, const Matrix& a, const KeepMask* mask,
+            int64_t max_rows)
+      : ops_(ops),
+        a_(a),
+        mask_(mask),
+        block_rows_(std::max<int64_t>(1, max_rows)) {
+    if (mask_ == nullptr) return;
+    AHG_CHECK_EQ(a.size(), mask_->size());
+    const int fit = kKeepBlockDoubles / std::max(1, a.cols());
+    block_rows_ = std::min<int64_t>(
+        block_rows_,
+        std::max(kKeepBlockAlign, fit / kKeepBlockAlign * kKeepBlockAlign));
+    scratch_ = Matrix::Uninitialized(static_cast<int>(block_rows_), a.cols());
+  }
+
+  // Rows one block may span (at most max_rows).
+  int64_t block_rows() const { return block_rows_; }
+
+  // Rows [r0, r0 + count) of the operand, count <= block_rows().
+  const double* Rows(int64_t r0, int64_t count) {
+    if (mask_ == nullptr) return a_.Row(static_cast<int>(r0));
+    ops_.masked_scale(a_.Row(static_cast<int>(r0)), mask_->words(),
+                      r0 * a_.cols(), count * a_.cols(), mask_->scale(),
+                      scratch_.data());
+    return scratch_.data();
+  }
+
+ private:
+  const kernels::TierOps& ops_;
+  const Matrix& a_;
+  const KeepMask* mask_;
+  int64_t block_rows_;
+  Matrix scratch_;
+};
+
+// C = (A, masked when `mask`) * B.
+Matrix MatMulRows(const Matrix& a, const KeepMask* mask, const Matrix& b) {
   AHG_CHECK_EQ(a.cols(), b.rows());
   AHG_TRACE_SPAN_ARG("tensor/matmul",
                      int64_t{a.rows()} * a.cols() * b.cols());
@@ -176,23 +257,30 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   // c[i][j] still accumulates k in globally ascending order (panels ascend,
   // k ascends within a panel), so the result is bitwise identical to the
   // unblocked i-k-j kernel at every thread count and every dispatch tier
-  // (see kernels/kernel_ops.h). The tier table is resolved on the calling
-  // thread before the parallel region so every worker uses the same kernel.
+  // (see kernels/kernel_ops.h); a masked operand's row blocks only split
+  // the rows further. The tier table is resolved on the calling thread
+  // before the parallel region so every worker uses the same kernel.
   const kernels::TierOps& ops = kernels::ActiveOps();
   const int64_t work_per_row = int64_t{a.cols()} * b.cols();
   ParallelForChunked(a.rows(), work_per_row, [&](int64_t begin, int64_t end) {
-    const int first = static_cast<int>(begin);
-    for (int k0 = 0; k0 < a.cols(); k0 += kernels::kGemmPanel) {
-      const int kc = std::min(kernels::kGemmPanel, a.cols() - k0);
-      ops.gemm(a.Row(first) + k0, a.cols(), static_cast<int>(end - begin), kc,
-               b.Row(k0), b.cols(), b.cols(), c.Row(first), c.cols(),
-               /*skip_zeros=*/true);
+    RowSource source(ops, a, mask, end - begin);
+    for (int64_t r0 = begin; r0 < end; r0 += source.block_rows()) {
+      const int64_t count = std::min(source.block_rows(), end - r0);
+      const double* rows = source.Rows(r0, count);
+      for (int k0 = 0; k0 < a.cols(); k0 += kernels::kGemmPanel) {
+        const int kc = std::min(kernels::kGemmPanel, a.cols() - k0);
+        ops.gemm(rows + k0, a.cols(), static_cast<int>(count), kc, b.Row(k0),
+                 b.cols(), b.cols(), c.Row(static_cast<int>(r0)), c.cols(),
+                 /*skip_zeros=*/true);
+      }
     }
   });
   return c;
 }
 
-Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
+// C = (A, masked when `mask`)^T * B.
+Matrix MatMulTransARows(const Matrix& a, const KeepMask* mask,
+                        const Matrix& b) {
   AHG_CHECK_EQ(a.rows(), b.rows());
   AHG_TRACE_SPAN_ARG("tensor/matmul_ta",
                      int64_t{a.rows()} * a.cols() * b.cols());
@@ -203,7 +291,9 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   // thread count), give each worker whole chunks to accumulate privately,
   // and reduce the partials in chunk order on the calling thread. The
   // chunk grid and the reduction order are pure functions of the shapes,
-  // so results are bitwise identical for every thread count.
+  // so results are bitwise identical for every thread count. A masked
+  // operand's row blocks split a chunk without reordering it: gemm_ta
+  // accumulates into the partial, k ascending.
   constexpr int64_t kReduceChunk = 2048;  // rows of a per partial
   const int64_t n = a.rows();
   const int64_t num_chunks = std::max<int64_t>(1, (n + kReduceChunk - 1) / kReduceChunk);
@@ -218,17 +308,41 @@ Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
   const kernels::TierOps& ops = kernels::ActiveOps();
   ParallelForChunked(num_chunks, work_per_chunk,
                      [&](int64_t begin, int64_t end) {
+    RowSource source(ops, a, mask, std::min(n, kReduceChunk));
     for (int64_t p = begin; p < end; ++p) {
       // local[i][:] += a[k][i] * b[k][:] for every nonzero a[k][i] of the
       // chunk, each local entry accumulating k in ascending order.
-      const int k0 = static_cast<int>(p * kReduceChunk);
-      const int k1 = static_cast<int>(std::min(n, (p + 1) * kReduceChunk));
-      ops.gemm_ta(a.Row(k0), a.cols(), k1 - k0, a.cols(), b.Row(k0),
-                  b.cols(), b.cols(), partial[p].data(), b.cols());
+      const int64_t k1 = std::min(n, (p + 1) * kReduceChunk);
+      for (int64_t k0 = p * kReduceChunk; k0 < k1;
+           k0 += source.block_rows()) {
+        const int64_t count = std::min(source.block_rows(), k1 - k0);
+        ops.gemm_ta(source.Rows(k0, count), a.cols(), static_cast<int>(count),
+                    a.cols(), b.Row(static_cast<int>(k0)), b.cols(), b.cols(),
+                    partial[p].data(), b.cols());
+      }
     }
   });
   for (int64_t p = 0; p < num_chunks; ++p) c.AddInPlace(partial[p]);
   return c;
+}
+
+}  // namespace
+
+Matrix MatMul(const Matrix& a, const Matrix& b) {
+  return MatMulRows(a, nullptr, b);
+}
+
+Matrix MatMulKeepMask(const Matrix& a, const KeepMask& mask, const Matrix& b) {
+  return MatMulRows(a, &mask, b);
+}
+
+Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
+  return MatMulTransARows(a, nullptr, b);
+}
+
+Matrix MatMulTransAKeepMask(const Matrix& a, const KeepMask& mask,
+                            const Matrix& b) {
+  return MatMulTransARows(a, &mask, b);
 }
 
 Matrix MatMulTransB(const Matrix& a, const Matrix& b) {

@@ -6,8 +6,10 @@
 #ifndef AUTOHENS_TENSOR_MATRIX_H_
 #define AUTOHENS_TENSOR_MATRIX_H_
 
+#include <cstdint>
 #include <vector>
 
+#include "tensor/alloc_tracker.h"
 #include "util/logging.h"
 
 namespace ahg {
@@ -28,6 +30,8 @@ class Matrix {
   ~Matrix();
 
   static Matrix Zeros(int rows, int cols) { return Matrix(rows, cols); }
+  // Not zero-filled: for buffers the caller overwrites before reading.
+  static Matrix Uninitialized(int rows, int cols);
   static Matrix Constant(int rows, int cols, double value);
   static Matrix Identity(int n);
   // Entries drawn i.i.d. N(0, stddev^2).
@@ -86,10 +90,43 @@ class Matrix {
   double* data_ = nullptr;
 };
 
+// Inverted dropout's keep-mask over the entries of an n-entry tensor in
+// row-major order, one bit each: entry i survives, scaled by scale(), when
+// bit i is set, and is multiplied by 0.0 otherwise. The bits are
+// AllocTracker-counted, 1/64 of the tensor's bytes.
+class KeepMask {
+ public:
+  // Takes n draws from `rng` in element order, bit i = !rng->Bernoulli(p)
+  // for draw i, leaving `rng` where n Bernoulli calls would (the
+  // keep_mask kernel, kernels/kernel_ops.h). Requires 0 < p < 1.
+  KeepMask(int64_t n, double p, Rng* rng);
+
+  int64_t size() const { return size_; }
+  double scale() const { return scale_; }
+  const uint64_t* words() const { return words_.data(); }
+  bool Keeps(int64_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
+
+ private:
+  int64_t size_;
+  double scale_;
+  std::vector<uint64_t> words_;
+  TrackedBytes tracked_;
+};
+
+// a with the mask applied: out[i] = a[i] * (kept ? scale : 0.0).
+Matrix ApplyKeepMask(const Matrix& a, const KeepMask& mask);
+
 // C = A * B.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 // C = A^T * B.
 Matrix MatMulTransA(const Matrix& a, const Matrix& b);
+// MatMul(ApplyKeepMask(a, mask), b) and MatMulTransA(ApplyKeepMask(a,
+// mask), b), bit for bit, without the masked copy of a: row blocks of it
+// are formed in a small cache-resident scratch block and run through the
+// same GEMM tiles (and, for TransA, the same reduction chunks).
+Matrix MatMulKeepMask(const Matrix& a, const KeepMask& mask, const Matrix& b);
+Matrix MatMulTransAKeepMask(const Matrix& a, const KeepMask& mask,
+                            const Matrix& b);
 // C = A * B^T.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 

@@ -19,6 +19,16 @@ struct RngState {
   double spare_normal = 0.0;
 };
 
+// A jump of the xoshiro256** state by a fixed number of draws k: the
+// coefficients of x^k mod P(x), where P is the degree-256 characteristic
+// polynomial of the generator's GF(2)-linear state transition (Blackman &
+// Vigna, "Scrambled linear pseudorandom number generators", 2021).
+// Coefficient i is bit i % 64 of words[i / 64], the layout of the
+// reference implementation's JUMP constants.
+struct RngJump {
+  uint64_t words[4];
+};
+
 // xoshiro256** generator seeded via splitmix64. Not thread-safe; use one
 // instance per thread (Fork() derives an independent stream).
 class Rng {
@@ -58,6 +68,22 @@ class Rng {
 
   // Derives an independent generator; deterministic given this Rng's state.
   Rng Fork();
+
+  // Moves the stream k draws ahead, bit for bit as k Next() calls would,
+  // in O(log k) polynomial steps plus one 256-step pass over the state.
+  // The spare normal of Normal() is left as it is.
+  void Advance(uint64_t k);
+
+  // The jump by k draws, and by 2^e draws (0 <= e < 256).
+  static RngJump JumpOf(uint64_t k);
+  static RngJump JumpOfPow2(int e);
+
+  // Applies `jump` to a raw generator state (the layout of RngState::s).
+  static void Jump(const RngJump& jump, uint64_t state[4]);
+
+  // Bernoulli(p) is true exactly when (Next() >> 11) < BernoulliThreshold(p):
+  // ceil(p * 2^53), clamped to [0, 2^53] (0 for p <= 0 or NaN).
+  static uint64_t BernoulliThreshold(double p);
 
   // Fisher-Yates shuffle.
   template <typename T>

@@ -642,5 +642,76 @@ TEST(EdgeTest, GemmNarrowerThanRegisterBlock) {
   }
 }
 
+// The keep-mask kernel on every tier against a plain !rng.Bernoulli(p)
+// loop: the same bits (zero past n) and the same final generator state,
+// below, at and past the laned sizes and at odd tails.
+TEST(KeepMaskTest, MatchesBernoulliLoopOnEveryTier) {
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
+  for (const int64_t n : {int64_t{0}, int64_t{1}, int64_t{63}, int64_t{64},
+                          int64_t{65}, int64_t{511}, int64_t{513},
+                          int64_t{4095}, int64_t{57600}, int64_t{576000},
+                          int64_t{576013}}) {
+    for (const double p : {0.1, 0.25, 0.5, 0.9, std::nextafter(1.0, 0.0)}) {
+      Rng reference(1000 + n);
+      const RngState start = reference.ExportState();
+      std::vector<uint64_t> want((n + 63) / 64, 0);
+      for (int64_t i = 0; i < n; ++i) {
+        if (!reference.Bernoulli(p)) want[i / 64] |= uint64_t{1} << (i % 64);
+      }
+      const RngState end = reference.ExportState();
+      for (const Tier tier : tiers) {
+        const TierOps& ops = kernels::OpsFor(tier);
+        RngState state = start;
+        std::vector<uint64_t> got(want.size(), ~uint64_t{0});
+        ops.keep_mask(state.s, Rng::BernoulliThreshold(p), n, got.data());
+        EXPECT_EQ(got, want) << kernels::TierName(tier) << " n=" << n
+                             << " p=" << p;
+        EXPECT_TRUE(std::equal(state.s, state.s + 4, end.s))
+            << kernels::TierName(tier) << " n=" << n << " p=" << p;
+      }
+    }
+  }
+}
+
+// The masked scale on every tier against in[i] * (kept ? scale : 0.0), at
+// every bit offset within a word and across word boundaries, on inputs
+// holding NaN, +-inf and -0.0.
+TEST(KeepMaskTest, MaskedScaleMatchesProductAtEveryOffset) {
+  constexpr int kBits = 320;
+  Rng rng(77);
+  std::vector<uint64_t> keep(kBits / 64);
+  for (uint64_t& w : keep) w = rng.Next();
+  std::vector<double> in(kBits);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0,
+                             0.0};
+  for (int i = 0; i < kBits; ++i) {
+    in[i] = i % 7 == 0 ? specials[(i / 7) % 5] : rng.Normal(0.0, 1.0);
+  }
+  const double scale = 1.0 / (1.0 - 0.3);
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
+  for (const Tier tier : tiers) {
+    const TierOps& ops = kernels::OpsFor(tier);
+    for (int first = 0; first < 130; ++first) {
+      for (const int n : {0, 1, 7, 8, 9, 63, 64, 65, 150}) {
+        std::vector<double> got(n, 42.0), want(n);
+        for (int i = 0; i < n; ++i) {
+          const int64_t bit = first + i;
+          const bool kept = (keep[bit / 64] >> (bit % 64)) & 1;
+          want[i] = in[bit] * (kept ? scale : 0.0);
+        }
+        ops.masked_scale(in.data() + first, keep.data(), first, n, scale,
+                         got.data());
+        EXPECT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                          n * sizeof(double)) == 0)
+            << kernels::TierName(tier) << " first=" << first << " n=" << n;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ahg

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -102,6 +103,125 @@ TEST(FusedOpsTest, LinearReluMatchesExplicitChainBitwise) {
       EXPECT_TRUE(BitwiseEqual(chain[i], fused[i]))
           << "with_bias=" << with_bias << " tensor " << i;
     }
+  }
+}
+
+// Features with NaN, +-inf and -0.0 among Gaussian entries: a dropped
+// inf or NaN stays NaN, and a dropped -x is -0.0.
+Matrix FeaturesWithSpecials(int rows, int cols, uint64_t seed) {
+  Rng rng(seed);
+  Matrix m = Matrix::Gaussian(rows, cols, 1.0, &rng);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0};
+  for (int64_t i = 0; i < m.size(); i += 97) {
+    m.data()[i] = specials[(i / 97) % 4];
+  }
+  return m;
+}
+
+// One forward and backward of Linear(Dropout(x)) at p = 0.4, fused into
+// DropoutLinear or as the explicit Dropout -> MatMul [-> AddRowVector] or
+// Dropout -> LinearRelu chain, with a random upstream grad. Returns the
+// output, the grads of x, W and b, and the generator state as a 1x4 row.
+std::vector<Matrix> DropoutLinearRun(const Matrix& xv, const Matrix& wv,
+                                     const Matrix& bv, bool relu, bool bias,
+                                     bool fused) {
+  Rng rng(99);
+  Var x = MakeParam(xv);
+  Var w = MakeParam(wv);
+  Var b = bias ? MakeParam(bv) : Var();
+  Var out;
+  if (fused) {
+    out = DropoutLinear(x, w, b, 0.4, relu, &rng);
+  } else {
+    Var dropped = Dropout(x, 0.4, /*training=*/true, &rng);
+    if (relu) {
+      out = LinearRelu(dropped, w, b);
+    } else {
+      out = MatMul(dropped, w);
+      if (b) out = AddRowVector(out, b);
+    }
+  }
+  Rng upstream_rng(7);
+  const Var upstream = MakeConstant(
+      Matrix::Gaussian(out->rows(), out->cols(), 1.0, &upstream_rng));
+  std::vector<Matrix> r = {out->value};
+  Backward(SumAll(CWiseMul(out, upstream)));
+  r.push_back(x->grad);
+  r.push_back(w->grad);
+  if (b) r.push_back(b->grad);
+  const RngState state = rng.ExportState();
+  Matrix s(1, 4);
+  std::memcpy(s.data(), state.s, sizeof(state.s));
+  r.push_back(s);
+  return r;
+}
+
+// DropoutLinear against the explicit chain by memcmp: values, the grads of
+// x, W and b, and the generator state, for ReLU on and off and bias on and
+// off, across the masked GEMMs' row blocks (2048 rows at 48 columns, 68 at
+// 1433) and MatMulTransA's 2048-row reduction chunks, on features holding
+// NaN, +-inf and -0.0. The 12000-row case runs at 48 columns only: at
+// 1433 its chain would hold about 0.5 GB.
+TEST(FusedOpsTest, DropoutLinearMatchesExplicitChainBitwise) {
+  for (const int cols : {48, 1433}) {
+    for (const int rows : {1, 7, 2047, 2048, 2049, 12000}) {
+      if (cols > 48 && rows > 2049) continue;
+      const int out_dim = rows % 2 == 1 ? 5 : 8;
+      const Matrix xv = FeaturesWithSpecials(rows, cols, 3 + rows);
+      Rng rng(5);
+      const Matrix wv = Matrix::Gaussian(cols, out_dim, 0.3, &rng);
+      const Matrix bv = Matrix::Gaussian(1, out_dim, 1.0, &rng);
+      for (const bool relu : {false, true}) {
+        for (const bool bias : {false, true}) {
+          const std::vector<Matrix> chain =
+              DropoutLinearRun(xv, wv, bv, relu, bias, /*fused=*/false);
+          const std::vector<Matrix> fused =
+              DropoutLinearRun(xv, wv, bv, relu, bias, /*fused=*/true);
+          ASSERT_EQ(chain.size(), fused.size());
+          for (size_t i = 0; i < chain.size(); ++i) {
+            EXPECT_TRUE(BitwiseEqual(chain[i], fused[i]))
+                << rows << "x" << cols << " relu=" << relu
+                << " bias=" << bias << " tensor " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A taped training forward of a dense-first family keeps no buffer the
+// size of the features alive: its first layer keeps the dropout's bits,
+// not the dropped copy.
+TEST(FusedOpsTest, DenseFirstForwardKeepsNoFeatureSizedBuffer) {
+  SyntheticConfig graph_cfg;
+  graph_cfg.num_nodes = 600;
+  graph_cfg.num_classes = 3;
+  graph_cfg.feature_dim = 384;
+  graph_cfg.avg_degree = 4.0;
+  graph_cfg.seed = 8;
+  const Graph g = GenerateSbmGraph(graph_cfg);
+  const Var features = MakeConstant(g.features());
+  const int64_t feature_bytes =
+      static_cast<int64_t>(g.features().size()) * sizeof(double);
+  for (ModelFamily family :
+       {ModelFamily::kSgc, ModelFamily::kDagnn, ModelFamily::kAppnp,
+        ModelFamily::kGcnii, ModelFamily::kAgnn, ModelFamily::kGatedGnn}) {
+    ModelConfig cfg;
+    cfg.family = family;
+    cfg.in_dim = g.feature_dim();
+    cfg.hidden_dim = 4;
+    cfg.num_layers = 2;
+    cfg.dropout = 0.5;
+    std::unique_ptr<GnnModel> model = BuildModel(cfg);
+    Rng rng(3);
+    GnnContext ctx{&g, /*training=*/true, &rng};
+    const int64_t before = AllocTracker::CurrentBytes();
+    const std::vector<Var> layers = model->LayerOutputs(ctx, features);
+    const int64_t kept = AllocTracker::CurrentBytes() - before;
+    EXPECT_LT(kept, feature_bytes) << ModelFamilyName(family);
+    EXPECT_TRUE(layers.back()->requires_grad) << ModelFamilyName(family);
   }
 }
 
@@ -215,6 +335,74 @@ TEST(MemoryBitwiseTest, TrainedProbsIdenticalAcrossThreadsForAllFamilies) {
           << ModelFamilyName(family) << " threads=" << threads;
       EXPECT_EQ(one.best_epoch, many.best_epoch)
           << ModelFamilyName(family) << " threads=" << threads;
+    }
+  }
+}
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// FNV-1a over the bytes of a result's probs, accuracies and best epoch.
+uint64_t ResultDigest(const NodeTrainResult& r) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  h = Fnv1a(h, r.probs.data(),
+            static_cast<size_t>(r.probs.size()) * sizeof(double));
+  h = Fnv1a(h, &r.val_accuracy, sizeof(double));
+  h = Fnv1a(h, &r.test_accuracy, sizeof(double));
+  return Fnv1a(h, &r.best_epoch, sizeof(int));
+}
+
+// Digests of TrainSingleNodeModel's result for every family in enum order,
+// with a validation split and then without one (the train rows stand in),
+// as the trainer computed them when its per-epoch eval forward still ran
+// on the tape and took the softmax of every row.
+constexpr uint64_t kGoldenNodeResults[2][kNumModelFamilies] = {
+    {
+        0xe00219035aeee877ULL, 0x27632658614c1f60ULL, 0xef2d3d1fde3216c5ULL,
+        0xac206ce13f73e835ULL, 0x699aaac88d1ed6edULL, 0xc6b95f71badcd1f7ULL,
+        0xa21a122de903c60fULL, 0xde4ec8ef944e6544ULL, 0x5635d964baf7eebeULL,
+        0x98da998863c59f11ULL, 0x6f2ba96bfac64afcULL, 0xb402498e81207d1bULL,
+        0xab4731951a2dc16aULL, 0x997de2a4b1619cc8ULL, 0xdce521a6538f0dedULL,
+        0x4c6322c9b2ce1394ULL, 0xaf1e832167b0e37aULL, 0xed822c85df3b465dULL,
+        0x538ad54399d65425ULL,
+    },
+    {
+        0x4a09db795fb6e81cULL, 0x58477e6d1ca6f8beULL, 0x841779c9486b4bcbULL,
+        0xd3563a3621ca055aULL, 0x8d65e1879fc58e58ULL, 0xd8743bfd47dd111cULL,
+        0xb7e55f1694e440acULL, 0xffd361a60d0fe499ULL, 0x09e5a46beb0cbbedULL,
+        0x60f40d461fb0ee3cULL, 0x375322a8783cc185ULL, 0xb708b9c3b122bd85ULL,
+        0xb906ddbead2fc51cULL, 0xe0ec3afadc31c581ULL, 0xc44eb6fe305b10fbULL,
+        0x814c1eac41390740ULL, 0xa2324455ce67935dULL, 0x5e94c704a78a685eULL,
+        0x2f44ec99a173cd57ULL,
+    }};
+
+// The eval forward runs off the tape and the per-epoch softmax covers only
+// the rows validation reads; neither changes a bit of the result.
+TEST(MemoryBitwiseTest, NodeTrainResultMatchesGoldenForAllFamilies) {
+  const Graph g = SmallGraph(21);
+  Rng rng(4);
+  const DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
+  DataSplit no_val = split;
+  no_val.val.clear();
+  const DataSplit* splits[2] = {&split, &no_val};
+  for (int s = 0; s < 2; ++s) {
+    for (ModelFamily family : AllFamilies()) {
+      TrainConfig cfg;
+      cfg.max_epochs = 8;
+      cfg.patience = 3;
+      cfg.seed = 9;
+      cfg.num_threads = 1;
+      const NodeTrainResult result =
+          TrainSingleNodeModel(ZooConfig(family), g, *splits[s], cfg);
+      EXPECT_EQ(ResultDigest(result),
+                kGoldenNodeResults[s][static_cast<int>(family)])
+          << ModelFamilyName(family) << (s == 0 ? "" : " without val");
     }
   }
 }

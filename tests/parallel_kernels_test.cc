@@ -8,7 +8,10 @@
 // the threaded path; thread counts beyond the core count simply
 // oversubscribe, which the guarantee must also survive.
 #include <cstring>
+#include <limits>
+#include <vector>
 
+#include "autodiff/ops.h"
 #include "gtest/gtest.h"
 #include "tensor/matrix.h"
 #include "tensor/sparse_matrix.h"
@@ -153,6 +156,93 @@ TEST_F(ParallelKernelsTest, MatMulTransABitwiseAcrossThreadCounts) {
   for (int t : kThreadCounts) {
     ScopedNumThreads threads(t);
     ExpectBitwiseEqual(MatMulTransA(a, b), reference);
+  }
+}
+
+// Linear(Dropout(x)) as the fused DropoutLinear op or as the explicit
+// Dropout -> MatMul [-> AddRowVector] / Dropout -> LinearRelu chain: the
+// output, the grads of x, W and b, and the generator state (last, 1x4).
+std::vector<Matrix> DropoutLinearRun(const Matrix& xv, const Matrix& wv,
+                                     const Matrix& bv, bool relu, bool bias,
+                                     bool fused) {
+  Rng rng(41);
+  Var x = MakeParam(xv);
+  Var w = MakeParam(wv);
+  Var b = bias ? MakeParam(bv) : Var();
+  Var out;
+  if (fused) {
+    out = DropoutLinear(x, w, b, 0.5, relu, &rng);
+  } else {
+    Var dropped = Dropout(x, 0.5, /*training=*/true, &rng);
+    out = relu ? LinearRelu(dropped, w, b) : MatMul(dropped, w);
+    if (!relu && b) out = AddRowVector(out, b);
+  }
+  Rng upstream_rng(42);
+  const Var upstream = MakeConstant(
+      Matrix::Gaussian(out->rows(), out->cols(), 1.0, &upstream_rng));
+  std::vector<Matrix> r = {out->value};
+  Backward(SumAll(CWiseMul(out, upstream)));
+  r.push_back(x->grad);
+  r.push_back(w->grad);
+  if (b) r.push_back(b->grad);
+  Matrix state(1, 4);
+  std::memcpy(state.data(), rng.ExportState().s, 4 * sizeof(uint64_t));
+  r.push_back(state);
+  return r;
+}
+
+// DropoutLinear at 1, 2 and 4 threads: the workers' row ranges split the
+// masked row blocks, and each worker forms its own scratch block. On
+// Gaussian features it matches the chain at 1 thread. On features holding
+// NaN, +-inf and -0.0 it matches the chain at the same thread count: which
+// of two NaNs an add returns depends on the row tiles a worker range forms
+// (kernels/kernel_ops.h), so NaN payloads follow the thread count in the
+// chain as well.
+TEST_F(ParallelKernelsTest, DropoutLinearBitwiseAcrossThreadCounts) {
+  struct Shape {
+    int rows, cols;
+  };
+  for (const Shape shape : {Shape{7, 48}, Shape{2049, 48}, Shape{12000, 48},
+                            Shape{2049, 1433}}) {
+    for (const bool specials : {false, true}) {
+      Rng rng(43 + shape.rows);
+      Matrix xv = Matrix::Gaussian(shape.rows, shape.cols, 1.0, &rng);
+      const double special[] = {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                -0.0};
+      for (int64_t i = 0; specials && i < xv.size(); i += 89) {
+        xv.data()[i] = special[(i / 89) % 4];
+      }
+      const Matrix wv = Matrix::Gaussian(shape.cols, 8, 0.3, &rng);
+      const Matrix bv = Matrix::Gaussian(1, 8, 1.0, &rng);
+      for (const bool relu : {false, true}) {
+        for (const bool bias : {false, true}) {
+          std::vector<Matrix> one_thread;
+          {
+            ScopedNumThreads threads(1);
+            one_thread = DropoutLinearRun(xv, wv, bv, relu, bias, false);
+          }
+          for (int t : {1, 2, 4}) {
+            ScopedNumThreads threads(t);
+            const std::vector<Matrix> reference =
+                specials ? DropoutLinearRun(xv, wv, bv, relu, bias, false)
+                         : one_thread;
+            const std::vector<Matrix> fused =
+                DropoutLinearRun(xv, wv, bv, relu, bias, true);
+            ASSERT_EQ(fused.size(), reference.size());
+            for (size_t i = 0; i < fused.size(); ++i) {
+              SCOPED_TRACE(::testing::Message()
+                           << shape.rows << "x" << shape.cols
+                           << " specials=" << specials << " relu=" << relu
+                           << " bias=" << bias << " threads=" << t
+                           << " tensor " << i);
+              ExpectBitwiseEqual(fused[i], reference[i]);
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -115,6 +117,60 @@ TEST(RngTest, ForkProducesIndependentStream) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += a.Next() == forked.Next();
   EXPECT_LT(same, 4);
+}
+
+bool SameState(const RngState& a, const RngState& b) {
+  return std::equal(a.s, a.s + 4, b.s) &&
+         a.has_spare_normal == b.has_spare_normal &&
+         std::memcmp(&a.spare_normal, &b.spare_normal, sizeof(double)) == 0;
+}
+
+// Advance(k) lands where k Next() calls do, and leaves the spare normal of
+// Normal() as it was.
+TEST(RngTest, AdvanceEqualsRepeatedNext) {
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{63}, uint64_t{64},
+                     uint64_t{65}, uint64_t{1000}, uint64_t{72000},
+                     (uint64_t{1} << 20) + 3}) {
+    Rng stepped(41);
+    stepped.Normal();  // leaves a spare normal behind
+    Rng jumped = stepped;
+    for (uint64_t i = 0; i < k; ++i) stepped.Next();
+    jumped.Advance(k);
+    EXPECT_TRUE(SameState(stepped.ExportState(), jumped.ExportState()))
+        << "k=" << k;
+    EXPECT_TRUE(jumped.ExportState().has_spare_normal) << "k=" << k;
+    EXPECT_EQ(stepped.Next(), jumped.Next()) << "k=" << k;
+  }
+}
+
+// The characteristic polynomial derived by Berlekamp-Massey reproduces the
+// reference implementation's jump constants: x^(2^128) mod P is JUMP, and
+// x^(2^192) mod P is LONG_JUMP.
+TEST(RngTest, JumpPolynomialsMatchPublishedConstants) {
+  const RngJump jump = Rng::JumpOfPow2(128);
+  const uint64_t kJump[4] = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                             0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+  EXPECT_TRUE(std::equal(jump.words, jump.words + 4, kJump));
+  const RngJump long_jump = Rng::JumpOfPow2(192);
+  const uint64_t kLongJump[4] = {0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                                 0x77710069854ee241ULL, 0x39109bb02acbe635ULL};
+  EXPECT_TRUE(std::equal(long_jump.words, long_jump.words + 4, kLongJump));
+  // A jump by a power of two that fits in k agrees with JumpOf.
+  const RngJump small = Rng::JumpOfPow2(20);
+  const RngJump direct = Rng::JumpOf(uint64_t{1} << 20);
+  EXPECT_TRUE(std::equal(small.words, small.words + 4, direct.words));
+}
+
+// Bernoulli(p) is the threshold compare, at the edges of [0, 1) too.
+TEST(RngTest, BernoulliThresholdDecidesBernoulli) {
+  for (double p : {0.0, 1e-300, 0.1, 0.25, 0.5, 0.9,
+                   std::nextafter(1.0, 0.0), 1.0}) {
+    Rng a(43), b(43);
+    const uint64_t threshold = Rng::BernoulliThreshold(p);
+    for (int i = 0; i < 2000; ++i) {
+      EXPECT_EQ(a.Bernoulli(p), (b.Next() >> 11) < threshold) << "p=" << p;
+    }
+  }
 }
 
 }  // namespace
