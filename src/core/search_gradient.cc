@@ -8,6 +8,7 @@
 #include "nn/optimizer.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace ahg {
 
@@ -47,16 +48,31 @@ GradientSearchResult SearchGradient(const std::vector<CandidateSpec>& pool,
   Rng dropout_rng(config.seed ^ 0x77aa55ULL);
   Var features = MakeConstant(graph.features());
 
-  // Combined prediction of Eqn 4: sum_j beta_j * GSE_j probabilities.
-  auto ensemble_probs = [&](bool training) {
+  // Combined prediction of Eqn 4: sum_j beta_j * GSE_j probabilities. The
+  // training forwards draw their dropout masks from one shared stream in
+  // ensemble order, so they run serially.
+  auto train_probs = [&] {
     GnnContext ctx;
     ctx.graph = &graph;
-    ctx.training = training;
+    ctx.training = true;
     ctx.rng = &dropout_rng;
     std::vector<Var> per_model;
     per_model.reserve(ensembles.size());
     for (auto& gse : ensembles) per_model.push_back(gse->Probs(ctx, features));
     return SoftmaxWeightedSum(per_model, beta_raw);
+  };
+  // The eval forward draws nothing (its context has no rng, so a draw would
+  // fail loudly), so each self-ensemble runs in its own task. Inference mode
+  // is thread-local: each task takes its own.
+  auto eval_probs = [&] {
+    const GnnContext ctx{&graph, /*training=*/false, /*rng=*/nullptr};
+    std::vector<Var> per_model(ensembles.size());
+    ParallelFor(n, config.num_threads, [&](int j) {
+      ScopedInferenceMode inference;
+      per_model[j] = ensembles[j]->Probs(ctx, features);
+    });
+    ScopedInferenceMode inference;
+    return std::move(SoftmaxWeightedSum(per_model, beta_raw)->value);
   };
   auto zero_grads = [&] {
     for (const Var& p : weight_params) p->ZeroGrad();
@@ -114,24 +130,17 @@ GradientSearchResult SearchGradient(const std::vector<CandidateSpec>& pool,
     }
     // Weight step on the training loss (Algorithm 1, line 5).
     zero_grads();
-    Backward(MaskedNllFromProbs(ensemble_probs(true), graph.labels(),
-                                split.train));
+    Backward(MaskedNllFromProbs(train_probs(), graph.labels(), split.train));
     weight_optimizer.Step();
 
     // Architecture step on the validation loss (lines 6-9).
     if (epoch % config.update_every == 0) {
       zero_grads();
-      Backward(MaskedNllFromProbs(ensemble_probs(true), graph.labels(),
-                                  split.val));
+      Backward(MaskedNllFromProbs(train_probs(), graph.labels(), split.val));
       arch_optimizer.Step();
     }
 
-    Matrix eval;
-    {
-      ScopedInferenceMode inference;
-      eval = std::move(ensemble_probs(false)->value);
-    }
-    const double val_acc = Accuracy(eval, graph.labels(), split.val);
+    const double val_acc = Accuracy(eval_probs(), graph.labels(), split.val);
     if (val_acc > best_val) {
       best_val = val_acc;
       best_beta_raw = beta_raw->value;

@@ -44,6 +44,10 @@ struct GradientSearchConfig {
   int patience = 5;  // paper: early stop with patience 5 during search
   TrainConfig train;  // model-weight optimizer settings
   uint64_t seed = 1;
+  // Threads for the per-epoch eval forward, one self-ensemble per task. The
+  // training forwards stay serial: they share one dropout stream. Results
+  // are bitwise the same at every count.
+  int num_threads = 1;
   // Cooperative cancellation, polled at epoch boundaries. A cancelled search
   // returns `interrupted = true`; its outputs are incomplete.
   const CancelToken* cancel = nullptr;

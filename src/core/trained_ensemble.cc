@@ -8,6 +8,7 @@
 #include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace ahg {
 namespace {
@@ -157,11 +158,12 @@ int TrainedEnsemble::LeadMemberIndex() const {
   return 0;
 }
 
-Matrix TrainedEnsemble::PredictProba(const Graph& graph) const {
+Matrix TrainedEnsemble::PredictProba(const Graph& graph,
+                                     int num_threads) const {
   AHG_CHECK(!members_.empty());
-  const int num_arch = static_cast<int>(beta_.size());
-  std::vector<std::vector<Matrix>> per_arch(num_arch);
-  for (const Member& member : members_) {
+  std::vector<Matrix> member_probs(members_.size());
+  ParallelFor(static_cast<int>(members_.size()), num_threads, [&](int i) {
+    const Member& member = members_[i];
     AHG_CHECK_EQ(member.config.in_dim, graph.feature_dim());
     std::unique_ptr<GnnModel> model = BuildModel(member.config);
     Rng head_rng(member.config.seed ^ 0x5ca1ab1eULL);
@@ -172,7 +174,14 @@ Matrix TrainedEnsemble::PredictProba(const Graph& graph) const {
     Var x = MakeConstant(graph.features());
     ScopedInferenceMode inference;
     Var logits = head.Apply(model->LayerOutputs(ctx, x).back());
-    per_arch[member.pool_index].push_back(RowSoftmax(logits->value));
+    member_probs[i] = RowSoftmax(logits->value);
+  });
+  // Grouped in member order, so each average adds in the same order at
+  // every thread count.
+  const int num_arch = static_cast<int>(beta_.size());
+  std::vector<std::vector<Matrix>> per_arch(num_arch);
+  for (size_t i = 0; i < members_.size(); ++i) {
+    per_arch[members_[i].pool_index].push_back(std::move(member_probs[i]));
   }
   std::vector<Matrix> arch_probs;
   std::vector<double> weights;

@@ -67,8 +67,10 @@ class TrainedEnsemble {
                                    const std::vector<double>& beta);
 
   // Full-graph class probabilities on an arbitrary graph with the same
-  // feature dimensionality and class count.
-  Matrix PredictProba(const Graph& graph) const;
+  // feature dimensionality and class count. Members run their forwards on
+  // up to `num_threads` threads (ParallelFor); the result is bitwise the
+  // same at every thread count.
+  Matrix PredictProba(const Graph& graph, int num_threads = 1) const;
 
   // Serializes to `dir`: one .ahgm per member, then manifest.tsv (beta at
   // round-trip precision, one member file row each). Every file is written

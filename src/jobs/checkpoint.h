@@ -54,6 +54,11 @@ struct SearchJobSpec {
   double proxy_model_ratio = 0.5;
   double proxy_train_fraction = 0.6;
   double proxy_val_fraction = 0.2;
+  // The job's member-thread count, despite the name: proxy candidates, the
+  // gradient search's eval forward, final members and their val forwards
+  // all run on up to this many threads, with bitwise the same results at
+  // every count. The rename to a member-thread name waits on perfbench,
+  // which sets this field.
   int proxy_num_threads = 1;
   // Shared training protocol (proxy probes, search, final members). The
   // cancel pointer is runtime-only and never serialized.

@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace ahg::jobs {
 namespace {
@@ -60,8 +61,8 @@ StatusOr<SearchJobOutcome> SearchJob::Run(const JobEnv& env) {
   if (!s.ok()) return s;
 
   // Checkpoint writer shared by concurrent unit callbacks (proxy candidates
-  // evaluate in parallel). The mutex also serializes the ckpt mutations the
-  // callbacks make just before calling this.
+  // and final members run in parallel). The mutex also serializes the ckpt
+  // mutations the callbacks make just before calling this.
   std::mutex ckpt_mu;
   Status ckpt_error = Status::OK();
   int written = 0;
@@ -207,6 +208,7 @@ StatusOr<SearchJobOutcome> SearchJob::Run(const JobEnv& env) {
       gcfg.patience = spec.gradient_patience;
       gcfg.train = spec.train;
       gcfg.seed = spec.seed ^ 0xa11ce5ULL;
+      gcfg.num_threads = spec.proxy_num_threads;
       gcfg.cancel = env.cancel;
       gcfg.checkpoint_every = spec.gradient_checkpoint_every;
       gcfg.on_checkpoint = [&](const GradientSearchState& st) {
@@ -246,22 +248,35 @@ StatusOr<SearchJobOutcome> SearchJob::Run(const JobEnv& env) {
     const std::vector<MemberSpec> members = TrainedEnsemble::PlanMembers(
         ckpt.pool, ckpt.layers, *env.graph, spec.train,
         spec.seed ^ kFinalTrainSeedSalt);
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (ckpt.member_params.count(static_cast<int>(i)) > 0) continue;
-      if (cancelled()) return pause_job("cancelled during final train");
-      MemberSpec member = members[i];
-      member.train.cancel = env.cancel;
-      std::vector<Matrix> params =
-          TrainedEnsemble::TrainMember(member, *env.graph, *env.split);
-      // A cancel mid-member produced a partial snapshot; discard it so the
-      // resumed run retrains this member from scratch (deterministically).
-      if (cancelled()) return pause_job("cancelled during final train");
-      {
-        std::lock_guard<std::mutex> lock(ckpt_mu);
-        ckpt.member_params[static_cast<int>(i)] = std::move(params);
-        write_ckpt_locked();
+    // Members are seeded independently, so they train concurrently and
+    // checkpoint in whatever order they finish; a resume retrains exactly
+    // the members missing from member_params.
+    std::vector<int> missing;
+    for (int i = 0; i < static_cast<int>(members.size()); ++i) {
+      if (ckpt.member_params.count(i) == 0) missing.push_back(i);
+    }
+    ParallelFor(
+        static_cast<int>(missing.size()), spec.proxy_num_threads, [&](int t) {
+          if (cancelled()) return;
+          const int i = missing[t];
+          MemberSpec member = members[i];
+          member.train.cancel = env.cancel;
+          std::vector<Matrix> params =
+              TrainedEnsemble::TrainMember(member, *env.graph, *env.split);
+          // A cancel mid-member produced a partial snapshot; discard it so
+          // the resumed run retrains this member from scratch
+          // (deterministically).
+          if (cancelled()) return;
+          std::lock_guard<std::mutex> lock(ckpt_mu);
+          ckpt.member_params[i] = std::move(params);
+          write_ckpt_locked();
+        });
+    if (!ckpt_error.ok()) return fail_job(ckpt_error);
+    for (int i : missing) {
+      // Only a cancel leaves a member untrained.
+      if (ckpt.member_params.count(i) == 0) {
+        return pause_job("cancelled during final train");
       }
-      if (!ckpt_error.ok()) return fail_job(ckpt_error);
     }
     std::vector<std::vector<Matrix>> ordered;
     ordered.reserve(members.size());
@@ -282,7 +297,8 @@ StatusOr<SearchJobOutcome> SearchJob::Run(const JobEnv& env) {
   }
   outcome.ensemble_dir = ensemble_dir;
   if (!env.split->val.empty()) {
-    const Matrix probs = ensemble.PredictProba(*env.graph);
+    const Matrix probs =
+        ensemble.PredictProba(*env.graph, spec.proxy_num_threads);
     outcome.ensemble_val_accuracy =
         Accuracy(probs, env.graph->labels(), env.split->val);
   }

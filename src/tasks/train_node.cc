@@ -86,9 +86,8 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
       ScopedInferenceMode inference;
       logits = std::move(forward_logits(false)->value);
     }
-    const double eval_acc = Accuracy(
+    const double val_acc = Accuracy(
         RowSoftmax(GatherRows(logits, eval_nodes)), eval_labels, eval_rows);
-    const double val_acc = split.val.empty() ? -eval_acc : eval_acc;
     if (epoch == 1 || val_acc > result.val_accuracy) {
       result.val_accuracy = val_acc;
       result.best_epoch = epoch;
@@ -98,7 +97,6 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
       break;
     }
   }
-  if (split.val.empty()) result.val_accuracy = -result.val_accuracy;
   if (!split.test.empty()) {
     result.test_accuracy = Accuracy(result.probs, graph.labels(), split.test);
   }

@@ -42,7 +42,9 @@ struct NodeTrainResult {
 };
 
 // Builds the model from `model_config` (in_dim is filled from the graph) and
-// trains it on `split`.
+// trains it on `split`, keeping the epoch of the best val accuracy. Without
+// val rows the train rows stand in: the kept epoch is the one of the best
+// train accuracy, which `val_accuracy` then reports.
 NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
                                      const Graph& graph,
                                      const DataSplit& split,

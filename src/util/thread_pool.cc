@@ -15,6 +15,23 @@ std::atomic<int64_t> g_min_parallel_work{kDefaultMinParallelWork};
 // Depth of parallel regions on this thread; > 0 inside a worker task.
 thread_local int tl_parallel_depth = 0;
 
+// Runs `drain` on the calling thread and on `workers - 1` new threads, each
+// inside a parallel region, and returns once every copy has returned. Each
+// copy pulls work from a counter `drain` shares, so the caller takes its
+// share of the indices and the call starts one thread fewer than it uses.
+void DrainOnThreads(int workers, const std::function<void()>& drain) {
+  auto region = [&drain] {
+    ++tl_parallel_depth;
+    drain();
+    --tl_parallel_depth;
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(std::max(0, workers - 1));
+  for (int w = 1; w < workers; ++w) helpers.emplace_back(region);
+  region();
+  for (std::thread& helper : helpers) helper.join();
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -116,16 +133,10 @@ void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(std::min(num_threads, n));
   std::atomic<int> next{0};
-  for (int w = 0; w < pool.num_threads(); ++w) {
-    pool.Submit([&] {
-      ++tl_parallel_depth;
-      for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
-      --tl_parallel_depth;
-    });
-  }
-  pool.Wait();
+  DrainOnThreads(std::min(num_threads, n), [&] {
+    for (int i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
+  });
 }
 
 void ParallelForChunked(int64_t n, int64_t work_per_item,
@@ -145,21 +156,15 @@ void ParallelForChunked(int64_t n, int64_t work_per_item,
   const int64_t num_chunks =
       std::min<int64_t>({n, by_grain, int64_t{threads} * 4});
   const int64_t chunk = (n + num_chunks - 1) / num_chunks;
-  const int workers = static_cast<int>(std::min<int64_t>(threads, num_chunks));
-  ThreadPool pool(workers);
   std::atomic<int64_t> next{0};
-  for (int w = 0; w < workers; ++w) {
-    pool.Submit([&] {
-      ++tl_parallel_depth;
-      for (int64_t c = next.fetch_add(1); c * chunk < n;
-           c = next.fetch_add(1)) {
-        const int64_t begin = c * chunk;
-        fn(begin, std::min<int64_t>(begin + chunk, n));
-      }
-      --tl_parallel_depth;
-    });
-  }
-  pool.Wait();
+  auto drain = [&] {
+    for (int64_t c = next.fetch_add(1); c * chunk < n; c = next.fetch_add(1)) {
+      const int64_t begin = c * chunk;
+      fn(begin, std::min<int64_t>(begin + chunk, n));
+    }
+  };
+  DrainOnThreads(static_cast<int>(std::min<int64_t>(threads, num_chunks)),
+                 drain);
 }
 
 }  // namespace ahg

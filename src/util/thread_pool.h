@@ -7,10 +7,14 @@
 //  - A process-global thread count, set via SetNumThreads() and defaulted
 //    from std::thread::hardware_concurrency(), controls every kernel-level
 //    ParallelForChunked() loop.
+//  - A parallel call uses the calling thread as one of its workers: it
+//    starts `threads - 1` new threads and drains indices on the caller
+//    alongside them, returning when all are done.
 //  - Parallel regions never nest: a ParallelFor/ParallelForChunked issued
-//    from inside a worker runs inline on that worker. This keeps the proxy
-//    evaluator's candidate-level parallelism from multiplying with kernel
-//    parallelism and makes nested calls trivially deadlock-free.
+//    from inside a worker (the caller included) runs inline on that worker.
+//    This keeps the search job's member-level parallelism from multiplying
+//    with kernel parallelism and makes nested calls trivially
+//    deadlock-free.
 //  - Determinism: ParallelForChunked partitions [0, n) into contiguous
 //    chunks and each index is processed by exactly one worker. Kernels that
 //    write only index-owned state (one output row per index) are therefore
@@ -105,18 +109,21 @@ class ScopedMinParallelWork {
   int64_t saved_;
 };
 
-// Runs fn(i) for i in [0, n), distributing across `num_threads` workers.
-// With num_threads <= 1 — or when already inside a parallel region — runs
-// inline in index order.
+// Runs fn(i) for i in [0, n) on min(num_threads, n) workers: the calling
+// thread and min(num_threads, n) - 1 new threads, each claiming the next
+// unclaimed index, so every index runs exactly once and InParallelRegion()
+// is true inside fn on every worker. With num_threads <= 1 — or when
+// already inside a parallel region — runs inline in index order.
 void ParallelFor(int n, int num_threads, const std::function<void(int)>& fn);
 
 // Runs fn(begin, end) over a partition of [0, n) into contiguous chunks,
-// distributed across GetNumThreads() workers. `work_per_item` is the
-// caller's estimate of per-index cost (in fused multiply-add units); when
-// n * work_per_item falls below GetMinParallelWork(), or the loop is nested
-// inside another parallel region, the whole range runs inline as
-// fn(0, n). Chunks are claimed dynamically but each index belongs to
-// exactly one chunk, so index-owned writes need no synchronization.
+// distributed across GetNumThreads() workers, the calling thread being one
+// of them as in ParallelFor. `work_per_item` is the caller's estimate of
+// per-index cost (in fused multiply-add units); when n * work_per_item
+// falls below GetMinParallelWork(), or the loop is nested inside another
+// parallel region, the whole range runs inline as fn(0, n). Chunks are
+// claimed dynamically but each index belongs to exactly one chunk, so
+// index-owned writes need no synchronization.
 void ParallelForChunked(int64_t n, int64_t work_per_item,
                         const std::function<void(int64_t, int64_t)>& fn);
 

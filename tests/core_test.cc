@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "core/autohens.h"
 #include "core/gse.h"
@@ -258,6 +259,76 @@ TEST(SearchGradientTest, ProducesValidLayersAndBeta) {
   EXPECT_NEAR(std::accumulate(result.beta.begin(), result.beta.end(), 0.0),
               1.0, 1e-9);
   EXPECT_GT(result.val_accuracy, 0.4);  // co-trained ensemble learns
+}
+
+void AppendBits(const Matrix& m, std::string* out) {
+  const int dims[2] = {m.rows(), m.cols()};
+  out->append(reinterpret_cast<const char*>(dims), sizeof(dims));
+  out->append(reinterpret_cast<const char*>(m.data()),
+              m.size() * sizeof(double));
+}
+
+void AppendBits(const std::vector<Matrix>& ms, std::string* out) {
+  for (const Matrix& m : ms) AppendBits(m, out);
+}
+
+template <typename T>
+void AppendBits(const T& value, std::string* out) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// Every bit of a snapshot: the state a resume restores.
+std::string StateBits(const GradientSearchState& st) {
+  std::string out;
+  AppendBits(st.epoch, &out);
+  AppendBits(st.weight_values, &out);
+  AppendBits(st.arch_values, &out);
+  for (const AdamState* opt : {&st.weight_opt, &st.arch_opt}) {
+    AppendBits(opt->m, &out);
+    AppendBits(opt->v, &out);
+    AppendBits(opt->step, &out);
+    AppendBits(opt->learning_rate, &out);
+  }
+  AppendBits(st.dropout_rng.s, &out);
+  AppendBits(st.dropout_rng.has_spare_normal, &out);
+  AppendBits(st.dropout_rng.spare_normal, &out);
+  AppendBits(st.best_val, &out);
+  AppendBits(st.best_beta_raw, &out);
+  AppendBits(st.best_alphas, &out);
+  AppendBits(st.epochs_since_best, &out);
+  return out;
+}
+
+// The eval forward runs each self-ensemble in its own task; the training
+// forwards stay serial. Results and every snapshot match bit for bit.
+TEST(SearchGradientTest, BitwiseAcrossEvalThreadCounts) {
+  std::vector<CandidateSpec> pool = TinyPool();
+  pool.push_back({"APPNP", TinyConfig(ModelFamily::kAppnp)});
+  std::string bits[2];
+  for (int t = 0; t < 2; ++t) {
+    GradientSearchConfig cfg;
+    cfg.k = 2;
+    cfg.max_epochs = 8;
+    cfg.patience = 8;
+    cfg.train = FastTrain();
+    cfg.seed = 11;
+    cfg.num_threads = t + 1;
+    cfg.checkpoint_every = 3;
+    int snapshots = 0;
+    cfg.on_checkpoint = [&](const GradientSearchState& st) {
+      bits[t] += StateBits(st);
+      ++snapshots;
+    };
+    const GradientSearchResult result =
+        SearchGradient(pool, TestGraph(), TestSplit(), cfg);
+    EXPECT_EQ(snapshots, 2);
+    for (const std::vector<int>& layers : result.layers) {
+      for (int layer : layers) AppendBits(layer, &bits[t]);
+    }
+    for (double b : result.beta) AppendBits(b, &bits[t]);
+    AppendBits(result.val_accuracy, &bits[t]);
+  }
+  EXPECT_TRUE(bits[0] == bits[1]);
 }
 
 TEST(HierarchicalTest, CombinedProbsAreRowStochastic) {

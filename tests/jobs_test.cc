@@ -688,6 +688,108 @@ INSTANTIATE_TEST_SUITE_P(AllAlgos, KillResumeTest,
                                            JobAlgo::kGradient),
                          AlgoName());
 
+// --- Concurrent member work ----------------------------------------------
+
+// Four candidates ranked down to a pool of three, gradient search, then
+// three final members: every stage that runs member work on the job's
+// thread count has more than one unit to run.
+SearchJobSpec MemberThreadSpec(const std::string& job_id, int threads) {
+  SearchJobSpec spec = MakeSpec(job_id, JobAlgo::kGradient);
+  spec.candidates.push_back({"APPNP", TinyConfig(ModelFamily::kAppnp)});
+  spec.pool_size = 3;
+  spec.proxy_num_threads = threads;
+  return spec;
+}
+
+void ExpectMemberParamsIdentical(const JobStore& store, const std::string& a,
+                                 const std::string& b) {
+  auto ckpt_a = store.LoadJobCheckpoint(a);
+  auto ckpt_b = store.LoadJobCheckpoint(b);
+  ASSERT_TRUE(ckpt_a.ok() && ckpt_b.ok());
+  const auto& params_a = ckpt_a.value().member_params;
+  const auto& params_b = ckpt_b.value().member_params;
+  ASSERT_EQ(params_a.size(), params_b.size());
+  for (const auto& [index, mats] : params_a) {
+    ASSERT_EQ(params_b.count(index), 1u) << index;
+    const std::vector<Matrix>& other = params_b.at(index);
+    ASSERT_EQ(mats.size(), other.size()) << index;
+    for (size_t m = 0; m < mats.size(); ++m) {
+      ASSERT_EQ(mats[m].size(), other[m].size()) << index;
+      EXPECT_EQ(std::memcmp(mats[m].data(), other[m].data(),
+                            sizeof(double) * mats[m].size()),
+                0)
+          << "member " << index << " matrix " << m;
+    }
+  }
+}
+
+TEST(SearchJobTest, MemberThreadCountsGiveIdenticalBytes) {
+  JobStore store(FreshRoot("member_threads"));
+  SetNumThreads(1);
+  for (int threads : {1, 2, 3}) {
+    const std::string id = "t" + std::to_string(threads);
+    ASSERT_TRUE(store.CreateJob(MemberThreadSpec(id, threads)).ok());
+    SearchJob job(&store, id);
+    auto out = job.Run(MakeEnv());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out.value().status, JobStatus::kPublished);
+    ASSERT_EQ(out.value().layers.size(), 3u);
+  }
+  ASSERT_EQ(store.LoadJobCheckpoint("t1").value().member_params.size(), 3u);
+  for (const char* id : {"t2", "t3"}) {
+    ExpectDirsIdentical(store.EnsembleDir("t1"), store.EnsembleDir(id));
+    ExpectMemberParamsIdentical(store, "t1", id);
+  }
+}
+
+// Two members train at once and checkpoint in the order they finish. A
+// kill right after each stage-3 checkpoint (every member's, then the
+// train_done one), then a resume, gives the uninterrupted ensemble bytes.
+TEST(SearchJobTest, ConcurrentMembersSurviveKillAtEveryStage3Checkpoint) {
+  JobStore store(FreshRoot("member_kills"));
+  SetNumThreads(1);  // match the forked workers' kernel schedule
+  ASSERT_TRUE(store.CreateJob(MemberThreadSpec("base", 2)).ok());
+  SearchJob base_job(&store, "base");
+  auto base_out = base_job.Run(MakeEnv());
+  ASSERT_TRUE(base_out.ok()) << base_out.status().ToString();
+  const int total = base_out.value().checkpoints_written;
+  const int members = 3;
+  ASSERT_EQ(store.LoadJobCheckpoint("base").value().member_params.size(),
+            size_t{members});
+  ASSERT_GT(total, members + 1);
+  for (int kill_at = total - members; kill_at <= total; ++kill_at) {
+    const std::string id = "k" + std::to_string(kill_at);
+    ASSERT_TRUE(store.CreateJob(MemberThreadSpec(id, 2)).ok());
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      JobEnv env = MakeEnv();
+      env.kill_after_checkpoints = kill_at;
+      SearchJob job(&store, id);
+      auto out = job.Run(env);
+      _exit(out.ok() ? 0 : 17);
+    }
+    int wstatus = 0;
+    waitpid(pid, &wstatus, 0);
+    ASSERT_TRUE(WIFSIGNALED(wstatus)) << "no kill at checkpoint " << kill_at;
+    EXPECT_EQ(WTERMSIG(wstatus), SIGKILL);
+    ASSERT_TRUE(store.RecoverInterrupted().ok());
+    auto ckpt = store.LoadJobCheckpoint(id);
+    ASSERT_TRUE(ckpt.ok());
+    EXPECT_EQ(static_cast<int>(ckpt.value().member_params.size()),
+              std::min(members, kill_at - (total - members) + 1))
+        << kill_at;
+
+    SearchJob job(&store, id);
+    auto out = job.Run(MakeEnv());
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out.value().status, JobStatus::kPublished);
+    EXPECT_TRUE(out.value().resumed);
+    ExpectDirsIdentical(store.EnsembleDir("base"), store.EnsembleDir(id));
+    ExpectMemberParamsIdentical(store, "base", id);
+  }
+}
+
 // --- JobQueue ------------------------------------------------------------
 
 TEST(JobQueueTest, SubmitRunsToPublished) {

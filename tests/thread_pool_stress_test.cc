@@ -1,8 +1,10 @@
 // Stress tests pinning the ThreadPool contract the parallel kernels rely
 // on: FIFO dequeue order, Wait() covering everything submitted so far,
-// destruction draining queued work, and nested ParallelFor calls running
-// inline instead of deadlocking or oversubscribing.
+// destruction draining queued work, the calling thread working as one of a
+// parallel loop's workers, and nested ParallelFor calls running inline
+// instead of deadlocking or oversubscribing.
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -123,6 +125,91 @@ TEST(ThreadPoolStressTest, ParallelForChunkedInlineBelowMinGrain) {
   });
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(inline_region);
+}
+
+// Blocks each caller until `parties` callers have arrived, so a loop of
+// `parties` indices on `parties` workers gives every worker exactly one
+// index. A worker that never joins fails the wait instead of hanging.
+void ArriveAndWait(std::atomic<int>& arrived, int parties) {
+  arrived.fetch_add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (arrived.load() < parties) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "only " << arrived.load() << " of " << parties << " workers ran";
+    std::this_thread::yield();
+  }
+}
+
+TEST(ThreadPoolStressTest, ParallelForRunsIndicesOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::vector<std::thread::id> ran_on(3);
+  std::vector<char> in_region(3, 0);
+  ParallelFor(3, 3, [&](int i) {
+    ran_on[i] = std::this_thread::get_id();
+    in_region[i] = InParallelRegion();
+    ArriveAndWait(arrived, 3);
+  });
+  EXPECT_FALSE(InParallelRegion());
+  int on_caller = 0;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(in_region[i]) << i;
+    on_caller += ran_on[i] == caller;
+  }
+  EXPECT_EQ(on_caller, 1);
+  EXPECT_NE(ran_on[0], ran_on[1]);
+  EXPECT_NE(ran_on[0], ran_on[2]);
+  EXPECT_NE(ran_on[1], ran_on[2]);
+}
+
+TEST(ThreadPoolStressTest, ParallelForChunkedRunsAChunkOnTheCaller) {
+  ScopedMinParallelWork min_work(1);
+  ScopedNumThreads threads(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::atomic<int> on_caller{0};
+  std::atomic<int> outside_region{0};
+  ParallelForChunked(2, 1, [&](int64_t begin, int64_t end) {
+    EXPECT_EQ(end, begin + 1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    if (!InParallelRegion()) outside_region.fetch_add(1);
+    ArriveAndWait(arrived, 2);
+  });
+  EXPECT_EQ(on_caller.load(), 1);
+  EXPECT_EQ(outside_region.load(), 0);
+  EXPECT_FALSE(InParallelRegion());
+}
+
+TEST(ThreadPoolStressTest, ParallelForRunsEachIndexOnce) {
+  for (int threads : {2, 3, 4, 7}) {
+    std::vector<std::atomic<int>> hits(1000);
+    ParallelFor(1000, threads, [&](int i) { hits[i].fetch_add(1); });
+    for (int i = 0; i < 1000; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << i << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ThreadPoolStressTest, NestedCallsRunInlineOnTheirWorker) {
+  ScopedMinParallelWork min_work(1);
+  ScopedNumThreads threads(4);
+  std::atomic<int> elsewhere{0};
+  std::atomic<int> inner_hits{0};
+  ParallelFor(6, 3, [&](int) {
+    const std::thread::id worker = std::this_thread::get_id();
+    ParallelFor(5, 4, [&](int) {
+      if (std::this_thread::get_id() != worker) elsewhere.fetch_add(1);
+      inner_hits.fetch_add(1);
+    });
+    ParallelForChunked(64, 1 << 20, [&](int64_t begin, int64_t end) {
+      if (std::this_thread::get_id() != worker) elsewhere.fetch_add(1);
+      EXPECT_EQ(begin, 0);
+      EXPECT_EQ(end, 64);
+    });
+  });
+  EXPECT_EQ(inner_hits.load(), 6 * 5);
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPoolStressTest, ScopedSettingsRestore) {

@@ -85,6 +85,30 @@ TEST(TrainNodeTest, EarlyStoppingCapsEpochs) {
   EXPECT_LT(result.best_epoch, 400);
 }
 
+// Without val rows the train rows stand in and the kept epoch is the one of
+// the best train accuracy. Runs that differ only in max_epochs share their
+// first epochs, so the kept score can only rise as max_epochs grows.
+TEST(TrainNodeTest, WithoutValKeepsBestTrainAccuracyEpoch) {
+  Graph g = EasyGraph(5);
+  Rng rng(6);
+  DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
+  split.val.clear();
+  TrainConfig tcfg = FastTrain();
+  tcfg.patience = 1000;
+  double first = 0.0;
+  double previous = 0.0;
+  for (int epochs = 1; epochs <= 15; ++epochs) {
+    tcfg.max_epochs = epochs;
+    const NodeTrainResult result =
+        TrainSingleNodeModel(SmallGcn(), g, split, tcfg);
+    if (epochs == 1) first = result.val_accuracy;
+    EXPECT_GE(result.val_accuracy, previous) << epochs << " epochs";
+    EXPECT_LE(result.best_epoch, epochs);
+    previous = result.val_accuracy;
+  }
+  EXPECT_GT(previous, first);  // the GCN learns its train rows
+}
+
 TEST(TrainNodeTest, DeterministicGivenSeeds) {
   Graph g = EasyGraph(4);
   Rng rng(5);

@@ -53,6 +53,30 @@ TEST(TrainedEnsembleTest, PredictsWellOnTrainingGraph) {
   EXPECT_GT(Accuracy(probs, g.labels(), split.test), 0.7);
 }
 
+// Members run their forwards concurrently, and each architecture averages
+// its members in member order, so every thread count gives the same bits.
+TEST(TrainedEnsembleTest, PredictProbaIsBitwiseAcrossThreadCounts) {
+  Graph g = TestGraph(6);
+  Rng rng(7);
+  DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
+  TrainConfig train = FastTrain();
+  train.max_epochs = 10;
+  TrainedEnsemble ensemble =
+      TrainedEnsemble::Train(TinyPool(), {{2, 1, 2}, {1, 2}}, {0.3, 0.7}, g,
+                             split, train, 8);
+  ASSERT_EQ(ensemble.num_members(), 5);
+  const Matrix serial = ensemble.PredictProba(g);
+  for (int threads : {2, 4}) {
+    const Matrix parallel = ensemble.PredictProba(g, threads);
+    ASSERT_EQ(parallel.rows(), serial.rows());
+    ASSERT_EQ(parallel.cols(), serial.cols());
+    EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
+                          serial.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+}
+
 TEST(TrainedEnsembleTest, InductiveTransferFromSubgraphToFullGraph) {
   // Train on a 50% induced subgraph, predict on the full graph — the
   // proxy-to-full workflow the competition pipeline relies on.
