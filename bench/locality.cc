@@ -7,7 +7,6 @@
 // layout a real ingest pipeline can hand us. Candidates re-reorder that
 // shuffled graph with the locality pass:
 //   rcm  bandwidth-minimizing Reverse Cuthill-McKee
-//   hub  degree-sorted hub clustering
 //
 // Workload per layout: a 2-layer GCN step (H1 = relu((A X) W1 + b1),
 // H2 = (A H1) W2 + b2) over the layout's kSymNorm CSR — SpMM-bound at
@@ -278,7 +277,6 @@ int Main(int argc, char** argv) {
   };
   const Candidate candidates[] = {
       {"rcm", ReorderStrategy::kRcm},
-      {"hub", ReorderStrategy::kHubCluster},
   };
   for (const Candidate& c : candidates) {
     const Graph reordered = ReorderGraph(shuffled, c.strategy, seed);

@@ -6,7 +6,7 @@
 // Usage:
 //   autograph_cli --data DIR [--algo adaptive|gradient] [--pool N] [--k K]
 //                 [--seed S] [--out FILE] [--nas] [--threads T]
-//                 [--reorder none|rcm|hub|shuffle]
+//                 [--reorder none|rcm|shuffle]
 //                 [--trace-out FILE] [--metrics-out FILE]
 //
 // --reorder applies a locality pass (graph/reorder.h) before training: the

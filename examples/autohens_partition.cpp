@@ -17,7 +17,7 @@
 //
 // Usage:
 //   autohens_partition [--shards N] [--nodes V] [--queries Q] [--seed S]
-//                      [--reorder none|rcm|hub|shuffle]
+//                      [--reorder none|rcm|shuffle]
 //                      [--registry-root DIR]
 //
 // --reorder runs the locality pass before the plan is built, so every part

@@ -12,7 +12,7 @@
 //   autohens_serve [--registry DIR] [--nodes N] [--queries Q] [--batch B]
 //                  [--serve-threads T] [--deadline-ms D] [--queue-limit L]
 //                  [--max-queue-delay-ms M] [--seed S]
-//                  [--reorder none|rcm|hub|shuffle]
+//                  [--reorder none|rcm|shuffle]
 //                  [--assert-no-violations] [--trace-out FILE]
 //                  [--metrics-out FILE] [--report-interval-s R]
 //

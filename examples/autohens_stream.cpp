@@ -17,7 +17,7 @@
 //
 // Usage:
 //   autohens_stream [--nodes N] [--mutations M] [--batch B] [--seed S]
-//                   [--reorder none|rcm|hub|shuffle]
+//                   [--reorder none|rcm|shuffle]
 //                   [--assert-match] [--metrics-out FILE]
 //
 // --reorder runs the locality pass on the base graph before the server is

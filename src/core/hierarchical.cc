@@ -1,6 +1,6 @@
 #include "core/hierarchical.h"
 
-#include "ensemble/baselines.h"
+#include "core/trained_ensemble.h"
 #include "metrics/metrics.h"
 #include "util/stopwatch.h"
 
@@ -12,24 +12,19 @@ HierarchicalResult TrainHierarchicalEnsemble(
     const std::vector<double>& beta, const Graph& graph,
     const DataSplit& split, const TrainConfig& train_config, uint64_t seed) {
   AHG_CHECK(!pool.empty());
-  AHG_CHECK_EQ(pool.size(), layers.size());
   AHG_CHECK_EQ(pool.size(), beta.size());
   Stopwatch watch;
-  HierarchicalResult result;
-  for (size_t j = 0; j < pool.size(); ++j) {
-    std::vector<Matrix> member_probs;
-    for (size_t k = 0; k < layers[j].size(); ++k) {
-      ModelConfig mcfg = pool[j].config;
-      mcfg.num_layers = layers[j][k];
-      mcfg.seed = seed + static_cast<uint64_t>(j) * 131 + k;
-      TrainConfig tcfg = train_config;
-      tcfg.seed = mcfg.seed ^ 0x2badULL;
-      member_probs.push_back(
-          TrainSingleNodeModel(mcfg, graph, split, tcfg).probs);
-    }
-    result.per_model_probs.push_back(AverageProbs(member_probs));
+  std::vector<Matrix> member_probs;
+  std::vector<int> pool_index;
+  for (const MemberSpec& spec : TrainedEnsemble::PlanMembers(
+           pool, layers, graph, train_config, seed)) {
+    member_probs.push_back(
+        TrainSingleNodeModel(spec.config, graph, split, spec.train).probs);
+    pool_index.push_back(spec.pool_index);
   }
-  result.probs = WeightedProbs(result.per_model_probs, beta);
+  HierarchicalResult result;
+  result.probs = CombineMemberProbs(std::move(member_probs), pool_index, beta,
+                                    &result.per_model_probs);
   if (!split.val.empty()) {
     result.val_accuracy = Accuracy(result.probs, graph.labels(), split.val);
   }

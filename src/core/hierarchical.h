@@ -19,12 +19,14 @@ struct HierarchicalResult {
   double val_accuracy = 0.0;
   double test_accuracy = 0.0;
   double train_seconds = 0.0;
-  // probs of each GSE (after the 1/K average), for diagnostics.
+  // probs of each GSE (after the 1/K average), for diagnostics; an
+  // architecture without members has none.
   std::vector<Matrix> per_model_probs;
 };
 
-// Trains pool[j] at depths layers[j][0..K-1] with per-member seeds derived
-// from `seed`, averages each architecture's K members, then applies `beta`.
+// Trains the members TrainedEnsemble::PlanMembers lists for (pool, layers,
+// seed) with TrainSingleNodeModel, then combines their probabilities with
+// CombineMemberProbs: each architecture's K members averaged, then `beta`.
 HierarchicalResult TrainHierarchicalEnsemble(
     const std::vector<CandidateSpec>& pool,
     const std::vector<std::vector<int>>& layers,

@@ -4,82 +4,34 @@
 #include "ensemble/baselines.h"
 #include "io/model_store.h"
 #include "io/record.h"
-#include "metrics/metrics.h"
 #include "nn/linear.h"
-#include "nn/optimizer.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace ahg {
-namespace {
 
-// Trains one member and returns its best-validation parameter snapshot
-// (model weights followed by the classifier head, in store order).
-std::vector<Matrix> TrainMemberKeepWeights(const ModelConfig& config,
-                                           const Graph& graph,
-                                           const DataSplit& split,
-                                           const TrainConfig& train_config,
-                                           int num_classes) {
-  std::unique_ptr<GnnModel> model = BuildModel(config);
-  Rng head_rng(config.seed ^ 0x5ca1ab1eULL);
-  Linear head(model->params(), config.hidden_dim, num_classes, /*bias=*/true,
-              &head_rng);
-  AdamConfig adam_config;
-  adam_config.learning_rate = train_config.learning_rate;
-  adam_config.weight_decay = train_config.weight_decay;
-  Adam optimizer(model->params()->params(), adam_config);
-  Rng dropout_rng(train_config.seed);
-  Var features = MakeConstant(graph.features());
-
-  auto forward_logits = [&](bool training) {
-    GnnContext ctx{&graph, training, &dropout_rng};
-    return head.Apply(model->LayerOutputs(ctx, features).back());
-  };
-
-  // Validation reads only the val rows, and RowSoftmax and Accuracy are
-  // row-independent, so the eval softmax runs on those rows alone.
-  std::vector<int> val_labels, val_rows;
-  for (int r : split.val) {
-    val_labels.push_back(graph.labels()[r]);
-    val_rows.push_back(static_cast<int>(val_rows.size()));
+Matrix CombineMemberProbs(std::vector<Matrix> member_probs,
+                          const std::vector<int>& pool_index,
+                          const std::vector<double>& beta,
+                          std::vector<Matrix>* per_model_probs) {
+  AHG_CHECK_EQ(member_probs.size(), pool_index.size());
+  // Grouped in member order, so each average adds in the same order however
+  // the members were computed.
+  std::vector<std::vector<Matrix>> per_arch(beta.size());
+  for (size_t i = 0; i < member_probs.size(); ++i) {
+    per_arch[pool_index[i]].push_back(std::move(member_probs[i]));
   }
-
-  std::vector<Matrix> best_snapshot = model->params()->Snapshot();
-  double best_val = -1.0;
-  int since_best = 0;
-  for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
-    if (IsCancelled(train_config.cancel)) break;
-    model->params()->ZeroGrad();
-    Backward(MaskedCrossEntropy(forward_logits(true), graph.labels(),
-                                split.train));
-    optimizer.Step();
-    if (train_config.lr_decay_every > 0 &&
-        epoch % train_config.lr_decay_every == 0) {
-      optimizer.set_learning_rate(optimizer.learning_rate() *
-                                  train_config.lr_decay);
-    }
-    Matrix logits;
-    {
-      ScopedInferenceMode inference;
-      logits = std::move(forward_logits(false)->value);
-    }
-    const double val_acc =
-        split.val.empty()
-            ? 0.0
-            : Accuracy(RowSoftmax(GatherRows(logits, split.val)), val_labels,
-                       val_rows);
-    if (epoch == 1 || val_acc > best_val) {
-      best_val = val_acc;
-      best_snapshot = model->params()->Snapshot();
-      since_best = 0;
-    } else if (++since_best >= train_config.patience) {
-      break;
-    }
+  std::vector<Matrix> arch_probs;
+  std::vector<double> weights;
+  for (size_t j = 0; j < beta.size(); ++j) {
+    if (per_arch[j].empty()) continue;
+    arch_probs.push_back(AverageProbs(per_arch[j]));
+    weights.push_back(beta[j]);
   }
-  return best_snapshot;
+  Matrix probs = WeightedProbs(arch_probs, weights);
+  if (per_model_probs != nullptr) *per_model_probs = std::move(arch_probs);
+  return probs;
 }
-
-}  // namespace
 
 std::vector<MemberSpec> TrainedEnsemble::PlanMembers(
     const std::vector<CandidateSpec>& pool,
@@ -107,8 +59,11 @@ std::vector<MemberSpec> TrainedEnsemble::PlanMembers(
 std::vector<Matrix> TrainedEnsemble::TrainMember(const MemberSpec& spec,
                                                  const Graph& graph,
                                                  const DataSplit& split) {
-  return TrainMemberKeepWeights(spec.config, graph, split, spec.train,
-                                spec.num_classes);
+  std::vector<Matrix> params;
+  RunNodeTraining(spec.config, spec.num_classes,
+                  spec.config.seed ^ 0x5ca1ab1eULL, graph, split, spec.train,
+                  /*best_logits=*/nullptr, &params);
+  return params;
 }
 
 TrainedEnsemble TrainedEnsemble::FromParts(
@@ -176,21 +131,10 @@ Matrix TrainedEnsemble::PredictProba(const Graph& graph,
     Var logits = head.Apply(model->LayerOutputs(ctx, x).back());
     member_probs[i] = RowSoftmax(logits->value);
   });
-  // Grouped in member order, so each average adds in the same order at
-  // every thread count.
-  const int num_arch = static_cast<int>(beta_.size());
-  std::vector<std::vector<Matrix>> per_arch(num_arch);
-  for (size_t i = 0; i < members_.size(); ++i) {
-    per_arch[members_[i].pool_index].push_back(std::move(member_probs[i]));
-  }
-  std::vector<Matrix> arch_probs;
-  std::vector<double> weights;
-  for (int j = 0; j < num_arch; ++j) {
-    if (per_arch[j].empty()) continue;
-    arch_probs.push_back(AverageProbs(per_arch[j]));
-    weights.push_back(beta_[j]);
-  }
-  return WeightedProbs(arch_probs, weights);
+  std::vector<int> pool_index;
+  for (const Member& member : members_) pool_index.push_back(member.pool_index);
+  return CombineMemberProbs(std::move(member_probs), pool_index, beta_,
+                            /*per_model_probs=*/nullptr);
 }
 
 Status TrainedEnsemble::Save(const std::string& dir) const {

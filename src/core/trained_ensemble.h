@@ -1,11 +1,14 @@
-// A persistent, inference-ready hierarchical ensemble. Unlike
-// TrainHierarchicalEnsemble (which only returns transductive predictions),
-// TrainedEnsemble keeps every member's weights, so the ensemble can
+// A persistent, inference-ready hierarchical ensemble. Each member trains
+// through the node-training loop of tasks/train_node.h (RunNodeTraining),
+// and TrainedEnsemble keeps every member's best-epoch weights, so the
+// ensemble can
 //   * predict on a DIFFERENT graph than it was trained on (our zoo models
 //     are inductive: weights are independent of graph size), e.g. train on
 //     a proxy subgraph and predict on the full graph, and
 //   * be saved to / loaded from disk (one AHGM file per member plus a
 //     manifest), the deployment artifact a competition submission ships.
+// TrainHierarchicalEnsemble (core/hierarchical.h) trains the same member
+// plan and combines with CombineMemberProbs, but keeps only predictions.
 #ifndef AUTOHENS_CORE_TRAINED_ENSEMBLE_H_
 #define AUTOHENS_CORE_TRAINED_ENSEMBLE_H_
 
@@ -31,14 +34,23 @@ struct MemberSpec {
   int num_classes = 0;
 };
 
+// The hierarchical combiner, Yhat = sum_j beta_j * (1/K_j) sum_k Yhat_{j,k}:
+// averages the member probabilities of each architecture in member order
+// (member i belongs to architecture pool_index[i]), then sums the averages
+// weighted by beta. Architectures without members are skipped. When
+// non-null, `per_model_probs` receives the averages in architecture order.
+Matrix CombineMemberProbs(std::vector<Matrix> member_probs,
+                          const std::vector<int>& pool_index,
+                          const std::vector<double>& beta,
+                          std::vector<Matrix>* per_model_probs);
+
 class TrainedEnsemble {
  public:
   TrainedEnsemble() = default;
 
-  // Trains pool[j] members at depths layers[j][k] (same protocol as
-  // TrainHierarchicalEnsemble) but retains the best-validation weights of
-  // every member. Equivalent to PlanMembers + TrainMember over every spec +
-  // FromParts.
+  // Trains pool[j] members at depths layers[j][k] and retains the
+  // best-validation weights of every member. Equivalent to PlanMembers +
+  // TrainMember over every spec + FromParts.
   static TrainedEnsemble Train(const std::vector<CandidateSpec>& pool,
                                const std::vector<std::vector<int>>& layers,
                                const std::vector<double>& beta,
@@ -52,10 +64,11 @@ class TrainedEnsemble {
       const std::vector<std::vector<int>>& layers, const Graph& graph,
       const TrainConfig& train_config, uint64_t seed);
 
-  // Trains a single planned member and returns its best-validation weight
-  // snapshot (model weights followed by the classifier head). Honors
-  // spec.train.cancel at epoch boundaries; a cancelled training returns a
-  // partial snapshot the caller must discard.
+  // Trains a single planned member with RunNodeTraining and returns its
+  // best-validation weight snapshot (model weights followed by the
+  // classifier head); without val rows, the best train accuracy decides.
+  // Honors spec.train.cancel at epoch boundaries; a cancelled training
+  // returns a partial snapshot the caller must discard.
   static std::vector<Matrix> TrainMember(const MemberSpec& spec,
                                          const Graph& graph,
                                          const DataSplit& split);

@@ -81,8 +81,7 @@ std::shared_ptr<const StreamingServer::State> StreamingServer::state() const {
 
 StatusOr<RefreshStats> StreamingServer::ApplyPending() {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  const std::vector<Mutation> batch =
-      log_.Drain(options_.max_batch_mutations);
+  const std::vector<Mutation> batch = log_.Drain();
   std::shared_ptr<const State> cur = state();
   if (batch.empty()) {
     // Nothing to fold in; report the published state without a version bump.

@@ -42,8 +42,6 @@
 namespace ahg::dyn {
 
 struct StreamOptions {
-  // Mutations folded into one snapshot step per ApplyPending (0 = all).
-  size_t max_batch_mutations = 0;
   RefreshOptions refresh;
   // When not kNone, a batch that trips DeltaCsr compaction (the overlay was
   // already being folded into fresh bases, so a relayout costs little
@@ -72,11 +70,11 @@ class StreamingServer {
   uint64_t Submit(Mutation m);
   size_t pending() const { return log_.pending(); }
 
-  // Drains up to options.max_batch_mutations from the log, applies them as
-  // one atomic batch, refreshes propagation over the dirty rows and
-  // publishes the new (snapshot, hidden) pair. Call from one mutator
-  // thread. A validation failure re-queues nothing and publishes nothing —
-  // the rejected batch is reported and dropped.
+  // Drains every pending mutation from the log, applies them as one atomic
+  // batch, refreshes propagation over the dirty rows and publishes the new
+  // (snapshot, hidden) pair. Call from one mutator thread. A validation
+  // failure re-queues nothing and publishes nothing — the rejected batch is
+  // reported and dropped.
   StatusOr<RefreshStats> ApplyPending();
 
   // Class probabilities for `nodes` against the latest published state.

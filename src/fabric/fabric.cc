@@ -66,7 +66,7 @@ Status ServingFabric::ServeGraph(const Graph* graph,
   }
   for (auto& shard : shards_) {
     Status added = shard->AddTenant(
-        kDefaultTenant, graph, registry, options_.engine,
+        kDefaultTenant, graph, registry,
         ResolverPinnedBatcherOptions(options_.batcher, registry,
                                      &pinned_version_));
     if (!added.ok()) return added;
@@ -91,7 +91,7 @@ Status ServingFabric::AddTenant(const std::string& tenant, const Graph* graph,
   }
   const int shard_id = ring_.ShardForKey(tenant);
   Status added = shards_[shard_id]->AddTenant(
-      tenant, graph, registry, options_.engine,
+      tenant, graph, registry,
       ResolverPinnedBatcherOptions(options_.batcher, registry,
                                    &pinned_version_));
   if (!added.ok()) return added;
@@ -220,19 +220,15 @@ Status ServingFabric::Rollout(int version) {
       return Status::NotFound(
           StrFormat("Rollout: version %d is not loaded", version));
     }
-    if (options_.warm_on_rollout) {
-      Status warmed = partitioned_engine_->Warm(*model);
-      if (!warmed.ok()) return warmed;
-    }
+    Status warmed = partitioned_engine_->Warm(*model);
+    if (!warmed.ok()) return warmed;
     pinned_version_.store(version, std::memory_order_release);
     m_rollouts_->Increment();
     return Status::OK();
   }
-  if (options_.warm_on_rollout) {
-    for (auto& shard : shards_) {
-      Status warmed = shard->WarmVersion(version);
-      if (!warmed.ok()) return warmed;
-    }
+  for (auto& shard : shards_) {
+    Status warmed = shard->WarmVersion(version);
+    if (!warmed.ok()) return warmed;
   }
   // Commit: one atomic store. Every batch resolves the pin exactly once,
   // so no batch mixes versions and no shard can lag once this returns.

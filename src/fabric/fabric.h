@@ -64,21 +64,15 @@ struct FabricOptions {
   int virtual_nodes = 64;  // ring points per shard
   // Shard-wide propagation-cache budget shared by the shard's tenants.
   int64_t shard_cache_byte_budget = int64_t{256} << 20;
-  // Per-tenant engine settings (shared_cache / cache_scope are overwritten
-  // by the shard) and per-tenant batcher settings (model_resolver is
-  // overwritten with the fleet version pin).
-  serve::EngineOptions engine;
+  // Per-tenant batcher settings (model_resolver is overwritten with the
+  // fleet version pin).
   serve::BatcherOptions batcher;
   // Router backpressure: a query bound for a shard whose queue depth is at
   // or above this limit is shed with ResourceExhausted without touching
   // the batcher. <= 0 disables the router gate (the batcher's queue_limit
   // still applies).
   int router_queue_limit = 0;
-  // Rollout prepare phase warms the new version's propagation product on
-  // every shard before the flip, so the first post-flip query on each
-  // shard pays a row gather instead of a full forward.
-  bool warm_on_rollout = true;
-  // Partitioner knobs for ServePartitioned (seed, balance epsilon, ...).
+  // Partitioner seed for ServePartitioned.
   partition::PartitionerOptions partitioner;
 };
 

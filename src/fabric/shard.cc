@@ -12,7 +12,6 @@ EngineShard::EngineShard(int shard_id, int64_t cache_byte_budget)
 
 Status EngineShard::AddTenant(const std::string& tenant, const Graph* graph,
                               const serve::ModelRegistry* registry,
-                              serve::EngineOptions engine_options,
                               serve::BatcherOptions batcher_options) {
   if (graph == nullptr || registry == nullptr) {
     return Status::InvalidArgument("AddTenant: null graph or registry");
@@ -28,6 +27,7 @@ Status EngineShard::AddTenant(const std::string& tenant, const Graph* graph,
   }
   // Every tenant engine shares the shard cache; the tenant name is the
   // stable scope that keeps same-(generation, version) products apart.
+  serve::EngineOptions engine_options;
   engine_options.shared_cache = &cache_;
   engine_options.cache_scope = tenant;
   Tenant entry;

@@ -37,14 +37,13 @@ class EngineShard {
   EngineShard(const EngineShard&) = delete;
   EngineShard& operator=(const EngineShard&) = delete;
 
-  // Installs `tenant` on this shard: an engine over `graph` (cache keys
-  // scoped by the tenant name) and a batcher resolving models through
-  // `batcher_options.model_resolver` (set by the fabric to the fleet
-  // version pin). `graph` and `registry` must outlive the shard. Fails on
-  // a duplicate tenant name.
+  // Installs `tenant` on this shard: an engine over `graph` (caching in the
+  // shard cache, keys scoped by the tenant name) and a batcher resolving
+  // models through `batcher_options.model_resolver` (set by the fabric to
+  // the fleet version pin). `graph` and `registry` must outlive the shard.
+  // Fails on a duplicate tenant name.
   Status AddTenant(const std::string& tenant, const Graph* graph,
                    const serve::ModelRegistry* registry,
-                   serve::EngineOptions engine_options,
                    serve::BatcherOptions batcher_options);
 
   bool HasTenant(const std::string& tenant) const;

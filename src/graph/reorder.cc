@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <sstream>
 
 #include "util/logging.h"
@@ -17,8 +16,6 @@ const char* ReorderStrategyName(ReorderStrategy strategy) {
       return "none";
     case ReorderStrategy::kRcm:
       return "rcm";
-    case ReorderStrategy::kHubCluster:
-      return "hub";
     case ReorderStrategy::kShuffle:
       return "shuffle";
   }
@@ -28,10 +25,9 @@ const char* ReorderStrategyName(ReorderStrategy strategy) {
 StatusOr<ReorderStrategy> ParseReorderStrategy(const std::string& name) {
   if (name == "none") return ReorderStrategy::kNone;
   if (name == "rcm") return ReorderStrategy::kRcm;
-  if (name == "hub") return ReorderStrategy::kHubCluster;
   if (name == "shuffle") return ReorderStrategy::kShuffle;
   return Status::InvalidArgument(
-      StrFormat("unknown reorder strategy '%s' (none|rcm|hub|shuffle)",
+      StrFormat("unknown reorder strategy '%s' (none|rcm|shuffle)",
                 name.c_str()));
 }
 
@@ -202,40 +198,6 @@ std::vector<int> RcmOrder(const std::vector<std::vector<int>>& neighbors) {
   return order;
 }
 
-// Hubs (top ~1% by degree, at least one) first in (degree desc, id asc)
-// order, then every remaining node grouped behind the earliest-ranked hub
-// in its neighborhood (nodes with no hub neighbor trail in id order).
-std::vector<int> HubClusterOrder(
-    const std::vector<std::vector<int>>& neighbors) {
-  const int n = static_cast<int>(neighbors.size());
-  std::vector<int> by_degree(n);
-  for (int i = 0; i < n; ++i) by_degree[i] = i;
-  std::stable_sort(by_degree.begin(), by_degree.end(), [&](int a, int b) {
-    return neighbors[a].size() > neighbors[b].size();
-  });
-  const int num_hubs = std::max(1, n / 100);
-  std::vector<int> hub_rank(n, std::numeric_limits<int>::max());
-  for (int h = 0; h < num_hubs && h < n; ++h) hub_rank[by_degree[h]] = h;
-
-  std::vector<int> order;
-  order.reserve(n);
-  for (int h = 0; h < num_hubs && h < n; ++h) order.push_back(by_degree[h]);
-
-  std::vector<int> anchor(n, std::numeric_limits<int>::max());
-  std::vector<int> rest;
-  rest.reserve(n - static_cast<int>(order.size()));
-  for (int v = 0; v < n; ++v) {
-    if (hub_rank[v] != std::numeric_limits<int>::max()) continue;
-    for (int u : neighbors[v]) anchor[v] = std::min(anchor[v], hub_rank[u]);
-    rest.push_back(v);
-  }
-  // `rest` ascends by id, so a stable anchor sort yields (anchor, id).
-  std::stable_sort(rest.begin(), rest.end(),
-                   [&](int a, int b) { return anchor[a] < anchor[b]; });
-  order.insert(order.end(), rest.begin(), rest.end());
-  return order;
-}
-
 std::vector<int> ShuffleOrder(int n, uint64_t seed) {
   std::vector<int> order(n);
   for (int i = 0; i < n; ++i) order[i] = i;
@@ -256,9 +218,6 @@ NodePermutation ComputeReorderFromAdjacency(
       return NodePermutation::Identity(n);
     case ReorderStrategy::kRcm:
       order = RcmOrder(neighbors);
-      break;
-    case ReorderStrategy::kHubCluster:
-      order = HubClusterOrder(neighbors);
       break;
     case ReorderStrategy::kShuffle:
       order = ShuffleOrder(n, seed);

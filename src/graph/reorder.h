@@ -40,18 +40,13 @@ enum class ReorderStrategy {
   // Minimizes bandwidth — the classic cache-locality ordering for
   // community-structured (SBM-like) graphs.
   kRcm,
-  // Degree-sorted hub clustering: high-degree hubs first (degree descending,
-  // id ascending), then each remaining node grouped behind its lowest-id hub
-  // neighbor. Keeps a hub's neighborhood contiguous in the dense operand of
-  // SpMM on hub-heavy graphs.
-  kHubCluster,
   // Seeded Fisher-Yates shuffle. Pessimal-locality baseline for benches and
   // adversarial tests; never a win.
   kShuffle,
 };
 
 // Lowercase name used by --reorder flags and Serialize ("none", "rcm",
-// "hub", "shuffle").
+// "shuffle").
 const char* ReorderStrategyName(ReorderStrategy strategy);
 StatusOr<ReorderStrategy> ParseReorderStrategy(const std::string& name);
 

@@ -39,13 +39,9 @@ Tier ClampToSupported(Tier tier) {
   return Tier::kScalar;
 }
 
-// Env overrides are read once; SetTier afterwards still clamps the same way.
+// The env override is read once; SetTier afterwards still clamps the same
+// way.
 Tier InitialTier() {
-  const char* force_scalar = std::getenv("AHG_FORCE_SCALAR");
-  if (force_scalar != nullptr && force_scalar[0] != '\0' &&
-      std::strcmp(force_scalar, "0") != 0) {
-    return Tier::kScalar;
-  }
   const char* tier_env = std::getenv("AHG_KERNEL_TIER");
   if (tier_env != nullptr && tier_env[0] != '\0') {
     Tier requested = BestSupportedTier();

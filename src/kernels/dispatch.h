@@ -12,11 +12,10 @@
 // host supports.
 //
 // Tier selection, resolved once at first use:
-//   1. AHG_FORCE_SCALAR=1        -> scalar, unconditionally.
-//   2. AHG_KERNEL_TIER=scalar|avx2|avx512
+//   1. AHG_KERNEL_TIER=scalar|avx2|avx512
 //                                -> that tier, clamped down to the best
 //                                   supported tier at or below it.
-//   3. otherwise                 -> best tier the CPU (and build) supports.
+//   2. otherwise                 -> best tier the CPU (and build) supports.
 // SetTier()/ScopedTier override the resolved tier at runtime (tests force
 // each tier in turn); overrides clamp to supported tiers the same way.
 #ifndef AUTOHENS_KERNELS_DISPATCH_H_

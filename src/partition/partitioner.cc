@@ -13,6 +13,14 @@ namespace ahg::partition {
 
 namespace {
 
+// Parts may hold up to (1 + kBalanceEpsilon) * ceil(n / P) nodes.
+constexpr double kBalanceEpsilon = 0.1;
+// Boundary-refinement sweeps per level during uncoarsening.
+constexpr int kRefinementPasses = 4;
+// Coarsening stops once the graph has at most num_parts * kCoarsenTarget
+// nodes (or matching stalls).
+constexpr int kCoarsenTarget = 32;
+
 // Weighted adjacency list of one coarsening level. Neighbor lists are
 // sorted by id with duplicates merged, so every traversal below is
 // deterministic without hashing.
@@ -152,11 +160,12 @@ std::vector<int> InitialAssignment(const LevelGraph& g, int num_parts) {
   return part;
 }
 
-// One ascending-id sweep of greedy boundary moves. A node moves to the part
+// Up to kRefinementPasses ascending-id sweeps of greedy boundary moves,
+// stopping after a sweep that moves nothing. A node moves to the part
 // it is most connected to when that strictly reduces the cut (or keeps it
 // equal while strictly improving balance), the target stays under `cap`,
 // and the source part keeps at least one node.
-void RefineLevel(const LevelGraph& g, int num_parts, double cap, int passes,
+void RefineLevel(const LevelGraph& g, int num_parts, double cap,
                  std::vector<int>* part) {
   std::vector<double> load(num_parts, 0.0);
   std::vector<int> count(num_parts, 0);
@@ -165,7 +174,7 @@ void RefineLevel(const LevelGraph& g, int num_parts, double cap, int passes,
     count[(*part)[v]] += 1;
   }
   std::vector<double> conn(num_parts, 0.0);
-  for (int pass = 0; pass < passes; ++pass) {
+  for (int pass = 0; pass < kRefinementPasses; ++pass) {
     bool moved = false;
     for (int v = 0; v < g.n; ++v) {
       const int cur = (*part)[v];
@@ -265,8 +274,7 @@ StatusOr<std::vector<int>> PartitionGraph(const Graph& graph, int num_parts,
   std::vector<LevelGraph> levels;
   std::vector<std::vector<int>> maps;
   levels.push_back(FromEdges(n, graph.edges()));
-  const int target =
-      std::max(num_parts * std::max(options.coarsen_target, 1), num_parts);
+  const int target = num_parts * kCoarsenTarget;
   while (levels.back().n > target) {
     const LevelGraph& fine = levels.back();
     const std::vector<int> match = HeavyEdgeMatching(
@@ -285,16 +293,15 @@ StatusOr<std::vector<int>> PartitionGraph(const Graph& graph, int num_parts,
   // Coarsest-level assignment, then refine while projecting back up. The
   // capacity cap is in constituent node counts, so it is the same bound at
   // every level.
-  const double cap = (1.0 + options.balance_epsilon) *
+  const double cap = (1.0 + kBalanceEpsilon) *
                      std::ceil(static_cast<double>(n) / num_parts);
   std::vector<int> assign = InitialAssignment(levels.back(), num_parts);
-  RefineLevel(levels.back(), num_parts, cap, options.refinement_passes,
-              &assign);
+  RefineLevel(levels.back(), num_parts, cap, &assign);
   for (int l = static_cast<int>(maps.size()) - 1; l >= 0; --l) {
     std::vector<int> finer(levels[l].n);
     for (int v = 0; v < levels[l].n; ++v) finer[v] = assign[maps[l][v]];
     assign = std::move(finer);
-    RefineLevel(levels[l], num_parts, cap, options.refinement_passes, &assign);
+    RefineLevel(levels[l], num_parts, cap, &assign);
   }
   FillEmptyParts(n, num_parts, &assign);
   if (metrics != nullptr) *metrics = ComputeMetrics(graph, assign, num_parts);

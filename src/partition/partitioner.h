@@ -12,9 +12,9 @@
 // Quality is reported, not assumed: edge-cut fraction (cut edges / total
 // edges, self loops excluded) and balance factor (heaviest part over ideal
 // n/P). The refinement pass never moves a node when the move would overflow
-// the (1 + balance_epsilon) * ceil(n/P) capacity or empty its source part,
-// and a final rebalance step guarantees every part owns at least one node
-// whenever num_parts <= num_nodes.
+// the 1.1 * ceil(n/P) capacity or empty its source part, and a final
+// rebalance step guarantees every part owns at least one node whenever
+// num_parts <= num_nodes.
 #ifndef AUTOHENS_PARTITION_PARTITIONER_H_
 #define AUTOHENS_PARTITION_PARTITIONER_H_
 
@@ -27,14 +27,7 @@
 namespace ahg::partition {
 
 struct PartitionerOptions {
-  uint64_t seed = 1;
-  // Parts may hold up to (1 + balance_epsilon) * ceil(n / P) nodes.
-  double balance_epsilon = 0.1;
-  // Boundary-refinement sweeps per level during uncoarsening.
-  int refinement_passes = 4;
-  // Stop coarsening once the graph has at most num_parts * coarsen_target
-  // nodes (or matching stalls).
-  int coarsen_target = 32;
+  uint64_t seed = 1;  // seeds the matching pass's visit order
 };
 
 struct PartitionMetrics {

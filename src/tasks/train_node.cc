@@ -11,25 +11,24 @@
 
 namespace ahg {
 
-NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
-                                     const Graph& graph,
-                                     const DataSplit& split,
-                                     const TrainConfig& train_config) {
-  AHG_TRACE_SPAN("train/node_model");
-  Stopwatch watch;
+NodeTrainRun RunNodeTraining(const ModelConfig& model_config, int num_classes,
+                             uint64_t head_seed, const Graph& graph,
+                             const DataSplit& split,
+                             const TrainConfig& train_config,
+                             Matrix* best_logits,
+                             std::vector<Matrix>* best_params) {
   // Apply the per-config kernel-thread override for the duration of this
-  // training run. Skipped inside a parallel region (proxy evaluation trains
-  // candidates concurrently): kernels run inline there, and mutating the
-  // global setting from worker threads would race across candidates.
+  // training run. Skipped inside a parallel region (proxy evaluation and a
+  // job's final members train concurrently): kernels run inline there, and
+  // mutating the global setting from worker threads would race.
   ScopedNumThreads scoped_threads(
       InParallelRegion() ? 0 : train_config.num_threads);
-  ModelConfig cfg = model_config;
-  cfg.in_dim = graph.feature_dim();
-  AHG_CHECK_GT(cfg.in_dim, 0);
-  std::unique_ptr<GnnModel> model = BuildModel(cfg);
-  Rng init_rng(cfg.seed ^ 0x9e3779b9ULL);
-  Linear head(model->params(), cfg.hidden_dim, graph.num_classes(),
-              /*bias=*/true, &init_rng);
+  AHG_CHECK_GT(graph.feature_dim(), 0);
+  AHG_CHECK_EQ(model_config.in_dim, graph.feature_dim());
+  std::unique_ptr<GnnModel> model = BuildModel(model_config);
+  Rng head_rng(head_seed);
+  Linear head(model->params(), model_config.hidden_dim, num_classes,
+              /*bias=*/true, &head_rng);
 
   AdamConfig adam_config;
   adam_config.learning_rate = train_config.learning_rate;
@@ -40,18 +39,13 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
   Var features = MakeConstant(graph.features());
 
   auto forward_logits = [&](bool training) {
-    GnnContext ctx;
-    ctx.graph = &graph;
-    ctx.training = training;
-    ctx.rng = &dropout_rng;
-    std::vector<Var> layers = model->LayerOutputs(ctx, features);
-    return head.Apply(layers.back());
+    GnnContext ctx{&graph, training, &dropout_rng};
+    return head.Apply(model->LayerOutputs(ctx, features).back());
   };
 
   // Validation reads only the val rows (the train rows when there are
   // none), and RowSoftmax and Accuracy are row-independent, so each epoch
-  // takes the softmax of those rows alone; all rows only on an epoch whose
-  // probs are kept.
+  // takes the softmax of those rows alone.
   const std::vector<int>& eval_nodes =
       split.val.empty() ? split.train : split.val;
   std::vector<int> eval_labels, eval_rows;
@@ -60,14 +54,13 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
     eval_rows.push_back(static_cast<int>(eval_rows.size()));
   }
 
-  NodeTrainResult result;
+  if (best_params != nullptr) *best_params = model->params()->Snapshot();
+  NodeTrainRun run;
   int epochs_since_best = 0;
-  static obs::Counter* epochs_counter =
-      obs::MetricsRegistry::Global().GetCounter("train.epochs");
   for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
     if (IsCancelled(train_config.cancel)) break;
     AHG_TRACE_SPAN_ARG("train/epoch", epoch);
-    epochs_counter->Increment();
+    run.epochs = epoch;
     // Train step.
     model->params()->ZeroGrad();
     Var loss =
@@ -86,17 +79,41 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
       ScopedInferenceMode inference;
       logits = std::move(forward_logits(false)->value);
     }
-    const double val_acc = Accuracy(
+    const double score = Accuracy(
         RowSoftmax(GatherRows(logits, eval_nodes)), eval_labels, eval_rows);
-    if (epoch == 1 || val_acc > result.val_accuracy) {
-      result.val_accuracy = val_acc;
-      result.best_epoch = epoch;
-      result.probs = RowSoftmax(logits);
+    if (epoch == 1 || score > run.best_score) {
+      run.best_score = score;
+      run.best_epoch = epoch;
+      if (best_logits != nullptr) *best_logits = std::move(logits);
+      if (best_params != nullptr) *best_params = model->params()->Snapshot();
       epochs_since_best = 0;
     } else if (++epochs_since_best >= train_config.patience) {
       break;
     }
   }
+  return run;
+}
+
+NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
+                                     const Graph& graph,
+                                     const DataSplit& split,
+                                     const TrainConfig& train_config) {
+  AHG_TRACE_SPAN("train/node_model");
+  Stopwatch watch;
+  ModelConfig cfg = model_config;
+  cfg.in_dim = graph.feature_dim();
+  Matrix best_logits;
+  const NodeTrainRun run =
+      RunNodeTraining(cfg, graph.num_classes(), cfg.seed ^ 0x9e3779b9ULL,
+                      graph, split, train_config, &best_logits, nullptr);
+  static obs::Counter* epochs_counter =
+      obs::MetricsRegistry::Global().GetCounter("train.epochs");
+  epochs_counter->Increment(run.epochs);
+
+  NodeTrainResult result;
+  result.probs = RowSoftmax(best_logits);
+  result.val_accuracy = run.best_score;
+  result.best_epoch = run.best_epoch;
   if (!split.test.empty()) {
     result.test_accuracy = Accuracy(result.probs, graph.labels(), split.test);
   }

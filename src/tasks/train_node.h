@@ -50,6 +50,28 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
                                      const DataSplit& split,
                                      const TrainConfig& train_config);
 
+// What RunNodeTraining reports about its run.
+struct NodeTrainRun {
+  double best_score = 0.0;  // val accuracy (train accuracy without val rows)
+  int best_epoch = 0;       // 0 when no epoch ran
+  int epochs = 0;           // epochs run, the early-stopped one included
+};
+
+// The training loop behind TrainSingleNodeModel and
+// TrainedEnsemble::TrainMember. Builds the model of `model_config` (whose
+// in_dim must match the graph) under a `num_classes`-way linear head drawn
+// from Rng(head_seed), then trains it on `split` as described above. On
+// every new best epoch it keeps that epoch's eval-mode full-graph logits in
+// `best_logits` and the model weights followed by the head in
+// `best_params`; either may be null. `best_params` starts as the initial
+// weights, which it still holds when no epoch runs.
+NodeTrainRun RunNodeTraining(const ModelConfig& model_config, int num_classes,
+                             uint64_t head_seed, const Graph& graph,
+                             const DataSplit& split,
+                             const TrainConfig& train_config,
+                             Matrix* best_logits,
+                             std::vector<Matrix>* best_params);
+
 // The hyper-parameter grid the proxy-evaluation stage searches per model
 // (a subset of the paper's appendix grid, sized for CPU budgets).
 struct GridSearchSpace {

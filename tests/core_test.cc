@@ -354,6 +354,48 @@ TEST(HierarchicalTest, GseReducesToSingleArchitecture) {
   EXPECT_GT(result.val_accuracy, 0.6);
 }
 
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// FNV-1a over every bit of a result: probs, each architecture's averaged
+// probs, and both accuracies.
+uint64_t HierarchicalDigest(const HierarchicalResult& r) {
+  std::string bits;
+  AppendBits(r.probs, &bits);
+  AppendBits(r.per_model_probs, &bits);
+  AppendBits(r.val_accuracy, &bits);
+  AppendBits(r.test_accuracy, &bits);
+  return Fnv1a(0xcbf29ce484222325ULL, bits.data(), bits.size());
+}
+
+// Digests of TrainHierarchicalEnsemble and TrainGse, with a val split and
+// without one, recorded when the hierarchical stage still planned its own
+// member seeds and combined its own probabilities.
+TEST(HierarchicalTest, ResultsMatchGoldenBits) {
+  DataSplit no_val = TestSplit();
+  no_val.val.clear();
+  const DataSplit splits[2] = {TestSplit(), no_val};
+  const uint64_t kGolden[2][2] = {
+      {0x80d5c50e6048d0b0ULL, 0x4588c1f201770ae6ULL},
+      {0xcb1f8a1bb268a71eULL, 0xd80840c384f42ff0ULL}};
+  for (int s = 0; s < 2; ++s) {
+    const HierarchicalResult ensemble = TrainHierarchicalEnsemble(
+        TinyPool(), {{2, 3}, {1, 2}}, {0.6, 0.4}, TestGraph(), splits[s],
+        FastTrain(), /*seed=*/8);
+    CandidateSpec spec{"GCN", TinyConfig(ModelFamily::kGcn)};
+    const HierarchicalResult gse = TrainGse(spec, {2, 2, 3}, TestGraph(),
+                                            splits[s], FastTrain(), /*seed=*/9);
+    EXPECT_EQ(HierarchicalDigest(ensemble), kGolden[s][0]) << "split " << s;
+    EXPECT_EQ(HierarchicalDigest(gse), kGolden[s][1]) << "split " << s;
+  }
+}
+
 class AutoHEnsAlgoTest : public ::testing::TestWithParam<SearchAlgo> {};
 
 TEST_P(AutoHEnsAlgoTest, EndToEndRunsAndLearns) {

@@ -499,11 +499,11 @@ TEST(EngineShardTest, SharedCacheServesEachTenantItsOwnProduct) {
   EngineShard shard(/*shard_id=*/0, /*cache_byte_budget=*/0);
   ASSERT_TRUE(shard
                   .AddTenant("alpha", &alpha_graph, alpha_registry.get(),
-                             serve::EngineOptions{}, TestBatcher(1))
+                             TestBatcher(1))
                   .ok());
   ASSERT_TRUE(shard
                   .AddTenant("beta", &beta_graph, beta_registry.get(),
-                             serve::EngineOptions{}, TestBatcher(1))
+                             TestBatcher(1))
                   .ok());
 
   serve::InferenceEngine alpha_ref(&alpha_graph, serve::EngineOptions{});
@@ -545,11 +545,11 @@ TEST(EngineShardTest, EvictionAccountingSpansTenants) {
   EngineShard shard(/*shard_id=*/0, /*cache_byte_budget=*/4000);
   ASSERT_TRUE(shard
                   .AddTenant("alpha", &alpha_graph, alpha_registry.get(),
-                             serve::EngineOptions{}, TestBatcher(1))
+                             TestBatcher(1))
                   .ok());
   ASSERT_TRUE(shard
                   .AddTenant("beta", &beta_graph, beta_registry.get(),
-                             serve::EngineOptions{}, TestBatcher(1))
+                             TestBatcher(1))
                   .ok());
 
   ASSERT_TRUE(shard.engine("alpha")->PredictNodes(alpha_model, {0}).ok());

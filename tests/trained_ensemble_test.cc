@@ -215,6 +215,55 @@ TEST(TrainedEnsembleTest, TrainMemberParamsMatchGoldenBits) {
   EXPECT_EQ(bits, kGoldenMemberBits) << hex;
 }
 
+// Without val rows a member keeps the epoch of the best train accuracy,
+// exactly as if the train rows were its val rows, and so learns.
+TEST(TrainedEnsembleTest, TrainMemberWithoutValKeepsBestTrainAccuracyEpoch) {
+  SyntheticConfig graph_cfg;
+  graph_cfg.num_nodes = 200;
+  graph_cfg.num_classes = 3;
+  graph_cfg.feature_dim = 10;
+  graph_cfg.avg_degree = 5.0;
+  graph_cfg.homophily = 0.9;
+  graph_cfg.feature_signal = 1.0;
+  graph_cfg.seed = 23;
+  const Graph g = GenerateSbmGraph(graph_cfg);
+  Rng rng(24);
+  DataSplit no_val = RandomSplit(g, 0.5, 0.2, &rng);
+  no_val.val.clear();
+  DataSplit val_is_train = no_val;
+  val_is_train.val = no_val.train;
+  CandidateSpec gcn = FindCandidate("GCN");
+  gcn.config.hidden_dim = 12;
+  TrainConfig train = FastTrain();
+  train.patience = 3;
+  auto member = [&](int max_epochs, const DataSplit& split) {
+    train.max_epochs = max_epochs;
+    const std::vector<MemberSpec> specs =
+        TrainedEnsemble::PlanMembers({gcn}, {{2}}, g, train, 25);
+    std::vector<std::vector<Matrix>> params = {
+        TrainedEnsemble::TrainMember(specs[0], g, split)};
+    return TrainedEnsemble::FromParts(specs, std::move(params), {1.0});
+  };
+  const TrainedEnsemble one = member(1, no_val);
+  const TrainedEnsemble trained = member(40, no_val);
+  const TrainedEnsemble reference = member(40, val_is_train);
+  ASSERT_EQ(trained.member_params(0).size(),
+            reference.member_params(0).size());
+  for (size_t i = 0; i < trained.member_params(0).size(); ++i) {
+    const Matrix& a = trained.member_params(0)[i];
+    const Matrix& b = reference.member_params(0)[i];
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "param " << i;
+  }
+  const double train_one =
+      Accuracy(one.PredictProba(g), g.labels(), no_val.train);
+  const double train_trained =
+      Accuracy(trained.PredictProba(g), g.labels(), no_val.train);
+  EXPECT_GT(train_trained, train_one);
+  EXPECT_GT(Accuracy(trained.PredictProba(g), g.labels(), no_val.test), 0.8);
+}
+
 TEST(TrainedEnsembleTest, LoadRejectsMissingDirectory) {
   EXPECT_EQ(TrainedEnsemble::Load("/definitely/not/there").status().code(),
             Status::Code::kNotFound);
