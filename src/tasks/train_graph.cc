@@ -6,7 +6,6 @@
 #include "metrics/metrics.h"
 #include "models/graph_level.h"
 #include "nn/linear.h"
-#include "nn/optimizer.h"
 #include "util/stopwatch.h"
 
 namespace ahg {
@@ -47,11 +46,6 @@ GraphTrainResult TrainGraphClassifier(const ModelConfig& model_config,
   Linear head(model->params(), cfg.hidden_dim, set.num_classes,
               /*bias=*/true, &init_rng);
 
-  AdamConfig adam_config;
-  adam_config.learning_rate = train_config.learning_rate;
-  adam_config.weight_decay = train_config.weight_decay;
-  Adam optimizer(model->params()->params(), adam_config);
-
   Rng dropout_rng(train_config.seed);
   auto forward_logits = [&](bool training) {
     std::vector<Var> pooled = PooledLayerOutputs(model.get(), batch, training,
@@ -60,36 +54,23 @@ GraphTrainResult TrainGraphClassifier(const ModelConfig& model_config,
     return head.Apply(pooled.back());
   };
 
+  // Without val graphs the train graphs stand in.
+  const std::vector<int>& eval_graphs =
+      split.val.empty() ? split.train : split.val;
   GraphTrainResult result;
-  if (best_params != nullptr) *best_params = model->params()->Snapshot();
-  int epochs_since_best = 0;
-  for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
-    if (IsCancelled(train_config.cancel)) break;
-    model->params()->ZeroGrad();
-    Var loss =
-        MaskedCrossEntropy(forward_logits(true), set.labels, split.train);
-    Backward(loss);
-    optimizer.Step();
-    if (train_config.lr_decay_every > 0 &&
-        epoch % train_config.lr_decay_every == 0) {
-      optimizer.set_learning_rate(optimizer.learning_rate() *
-                                  train_config.lr_decay);
-    }
-
-    const Matrix probs = RowSoftmax(forward_logits(false)->value);
-    const double val_acc =
-        split.val.empty() ? -Accuracy(probs, set.labels, split.train)
-                          : Accuracy(probs, set.labels, split.val);
-    if (epoch == 1 || val_acc > result.val_accuracy) {
-      result.val_accuracy = val_acc;
-      result.probs = probs;
-      if (best_params != nullptr) *best_params = model->params()->Snapshot();
-      epochs_since_best = 0;
-    } else if (++epochs_since_best >= train_config.patience) {
-      break;
-    }
-  }
-  if (split.val.empty()) result.val_accuracy = -result.val_accuracy;
+  Matrix probs;
+  const NodeTrainRun run = RunEpochs(
+      model->params(), train_config, /*steps_per_epoch=*/1,
+      [&](int) {
+        return MaskedCrossEntropy(forward_logits(true), set.labels,
+                                  split.train);
+      },
+      [&] {
+        probs = RowSoftmax(forward_logits(false)->value);
+        return Accuracy(probs, set.labels, eval_graphs);
+      },
+      [&] { result.probs = std::move(probs); }, best_params);
+  result.val_accuracy = run.best_score;
   if (!split.test.empty()) {
     result.test_accuracy = Accuracy(result.probs, set.labels, split.test);
   }

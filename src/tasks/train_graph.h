@@ -28,6 +28,9 @@ struct GraphTrainResult {
   double train_seconds = 0.0;
 };
 
+// Trains on RunEpochs' protocol, keeping the epoch of the best val accuracy.
+// Without val graphs the train graphs stand in: the kept epoch is the one of
+// the best train accuracy, which `val_accuracy` then reports.
 // When `best_params` is non-null it receives the best-validation snapshot
 // of the model weights plus the pooled classifier head (last two tensors),
 // so a search job's winner can be persisted and served without retraining.

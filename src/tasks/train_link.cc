@@ -5,17 +5,23 @@
 #include "autodiff/ops.h"
 #include "metrics/metrics.h"
 #include "models/link_encoder.h"
-#include "nn/optimizer.h"
 #include "util/stopwatch.h"
 
 namespace ahg {
 namespace {
 
-std::vector<NodePair> ConcatPairs(const std::vector<NodePair>& pos,
-                                  const std::vector<NodePair>& neg) {
-  std::vector<NodePair> all = pos;
-  all.insert(all.end(), neg.begin(), neg.end());
-  return all;
+// Positives followed by negatives, with their LinkLabels.
+struct LabeledPairs {
+  std::vector<NodePair> pairs;
+  std::vector<int> labels;
+};
+
+LabeledPairs Label(const std::vector<NodePair>& pos,
+                   const std::vector<NodePair>& neg) {
+  LabeledPairs out{pos, LinkLabels(static_cast<int>(pos.size()),
+                                   static_cast<int>(neg.size()))};
+  out.pairs.insert(out.pairs.end(), neg.begin(), neg.end());
+  return out;
 }
 
 std::vector<double> SigmoidScores(const Var& logits) {
@@ -44,71 +50,46 @@ LinkTrainResult TrainLinkModel(const ModelConfig& model_config,
   cfg.in_dim = graph.feature_dim();
   std::unique_ptr<GnnModel> model = BuildModel(cfg);
 
-  AdamConfig adam_config;
-  adam_config.learning_rate = train_config.learning_rate;
-  adam_config.weight_decay = train_config.weight_decay;
-  Adam optimizer(model->params()->params(), adam_config);
-
   Rng dropout_rng(train_config.seed);
   Var features = MakeConstant(graph.features());
 
-  const std::vector<NodePair> train_pairs =
-      ConcatPairs(split.train_pos, split.train_neg);
-  const std::vector<double> train_targets = [&] {
-    std::vector<double> t(split.train_pos.size(), 1.0);
-    t.insert(t.end(), split.train_neg.size(), 0.0);
-    return t;
-  }();
-  const std::vector<NodePair> val_pairs =
-      ConcatPairs(split.val_pos, split.val_neg);
-  const std::vector<NodePair> test_pairs =
-      ConcatPairs(split.test_pos, split.test_neg);
-  const std::vector<int> val_labels = LinkLabels(
-      static_cast<int>(split.val_pos.size()),
-      static_cast<int>(split.val_neg.size()));
-  const std::vector<int> test_labels = LinkLabels(
-      static_cast<int>(split.test_pos.size()),
-      static_cast<int>(split.test_neg.size()));
+  const LabeledPairs train = Label(split.train_pos, split.train_neg);
+  const LabeledPairs val = Label(split.val_pos, split.val_neg);
+  const LabeledPairs test = Label(split.test_pos, split.test_neg);
+  const std::vector<double> train_targets(train.labels.begin(),
+                                          train.labels.end());
+  // Without val pairs the train pairs stand in.
+  const bool has_val = !val.pairs.empty();
+  const LabeledPairs& eval = has_val ? val : train;
 
   auto embed = [&](bool training) {
-    GnnContext ctx;
-    ctx.graph = &graph;
-    ctx.training = training;
-    ctx.rng = &dropout_rng;
+    GnnContext ctx{&graph, training, &dropout_rng};
     return model->LayerOutputs(ctx, features).back();
   };
 
   LinkTrainResult result;
-  if (best_params != nullptr) *best_params = model->params()->Snapshot();
-  int epochs_since_best = 0;
-  for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
-    if (IsCancelled(train_config.cancel)) break;
-    model->params()->ZeroGrad();
-    Var loss =
-        BceWithLogits(ScorePairs(embed(true), train_pairs), train_targets);
-    Backward(loss);
-    optimizer.Step();
-    if (train_config.lr_decay_every > 0 &&
-        epoch % train_config.lr_decay_every == 0) {
-      optimizer.set_learning_rate(optimizer.learning_rate() *
-                                  train_config.lr_decay);
-    }
-
-    Var z = embed(false);
-    const std::vector<double> val_scores =
-        SigmoidScores(ScorePairs(z, val_pairs));
-    const double val_auc = RocAuc(val_scores, val_labels);
-    if (epoch == 1 || val_auc > result.val_auc) {
-      result.val_auc = val_auc;
-      result.val_scores = val_scores;
-      result.test_scores = SigmoidScores(ScorePairs(z, test_pairs));
-      result.test_auc = RocAuc(result.test_scores, test_labels);
-      if (best_params != nullptr) *best_params = model->params()->Snapshot();
-      epochs_since_best = 0;
-    } else if (++epochs_since_best >= train_config.patience) {
-      break;
-    }
-  }
+  Var z;
+  std::vector<double> eval_scores;
+  const NodeTrainRun run = RunEpochs(
+      model->params(), train_config, /*steps_per_epoch=*/1,
+      [&](int) {
+        return BceWithLogits(ScorePairs(embed(true), train.pairs),
+                             train_targets);
+      },
+      [&] {
+        z = embed(false);
+        eval_scores = SigmoidScores(ScorePairs(z, eval.pairs));
+        return RocAuc(eval_scores, eval.labels);
+      },
+      [&] {
+        if (has_val) result.val_scores = std::move(eval_scores);
+        if (!test.pairs.empty()) {
+          result.test_scores = SigmoidScores(ScorePairs(z, test.pairs));
+          result.test_auc = RocAuc(result.test_scores, test.labels);
+        }
+      },
+      best_params);
+  result.val_auc = run.best_score;
   result.train_seconds = watch.ElapsedSeconds();
   return result;
 }

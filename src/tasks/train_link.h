@@ -25,6 +25,10 @@ struct LinkTrainResult {
 // 1-labels for positives followed by 0-labels for negatives.
 std::vector<int> LinkLabels(int num_pos, int num_neg);
 
+// Trains on RunEpochs' protocol, keeping the epoch of the best val AUC.
+// Without val pairs the train pairs stand in: the kept epoch is the one of
+// the best train AUC, which `val_auc` then reports, and `val_scores` stays
+// empty. Without test pairs `test_auc` stays 0 and `test_scores` empty.
 // When `best_params` is non-null it receives the encoder's best-validation
 // weight snapshot (ParameterStore order), so the winner of a search job can
 // be persisted and served without retraining. Honors train_config.cancel at

@@ -11,29 +11,69 @@
 
 namespace ahg {
 
-NodeTrainRun RunNodeTraining(const ModelConfig& model_config, int num_classes,
-                             uint64_t head_seed, const Graph& graph,
-                             const DataSplit& split,
-                             const TrainConfig& train_config,
-                             Matrix* best_logits,
-                             std::vector<Matrix>* best_params) {
+NodeTrainRun RunEpochs(ParameterStore* params, const TrainConfig& train_config,
+                       int steps_per_epoch,
+                       const std::function<Var(int step)>& step_loss,
+                       const std::function<double()>& eval_score,
+                       const std::function<void()>& keep_best,
+                       std::vector<Matrix>* best_params) {
   // Apply the per-config kernel-thread override for the duration of this
   // training run. Skipped inside a parallel region (proxy evaluation and a
   // job's final members train concurrently): kernels run inline there, and
   // mutating the global setting from worker threads would race.
   ScopedNumThreads scoped_threads(
       InParallelRegion() ? 0 : train_config.num_threads);
+  AdamConfig adam_config;
+  adam_config.learning_rate = train_config.learning_rate;
+  adam_config.weight_decay = train_config.weight_decay;
+  Adam optimizer(params->params(), adam_config);
+
+  if (best_params != nullptr) *best_params = params->Snapshot();
+  NodeTrainRun run;
+  int epochs_since_best = 0;
+  for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
+    if (IsCancelled(train_config.cancel)) break;
+    AHG_TRACE_SPAN_ARG("train/epoch", epoch);
+    run.epochs = epoch;
+    for (int step = 0; step < steps_per_epoch; ++step) {
+      params->ZeroGrad();
+      Backward(step_loss(step));
+      optimizer.Step();
+    }
+    if (train_config.lr_decay_every > 0 &&
+        epoch % train_config.lr_decay_every == 0) {
+      optimizer.set_learning_rate(optimizer.learning_rate() *
+                                  train_config.lr_decay);
+    }
+
+    // Evaluation off the tape.
+    ScopedInferenceMode inference;
+    const double score = eval_score();
+    if (epoch == 1 || score > run.best_score) {
+      run.best_score = score;
+      run.best_epoch = epoch;
+      keep_best();
+      if (best_params != nullptr) *best_params = params->Snapshot();
+      epochs_since_best = 0;
+    } else if (++epochs_since_best >= train_config.patience) {
+      break;
+    }
+  }
+  return run;
+}
+
+NodeTrainRun RunNodeTraining(const ModelConfig& model_config, int num_classes,
+                             uint64_t head_seed, const Graph& graph,
+                             const DataSplit& split,
+                             const TrainConfig& train_config,
+                             Matrix* best_logits,
+                             std::vector<Matrix>* best_params) {
   AHG_CHECK_GT(graph.feature_dim(), 0);
   AHG_CHECK_EQ(model_config.in_dim, graph.feature_dim());
   std::unique_ptr<GnnModel> model = BuildModel(model_config);
   Rng head_rng(head_seed);
   Linear head(model->params(), model_config.hidden_dim, num_classes,
               /*bias=*/true, &head_rng);
-
-  AdamConfig adam_config;
-  adam_config.learning_rate = train_config.learning_rate;
-  adam_config.weight_decay = train_config.weight_decay;
-  Adam optimizer(model->params()->params(), adam_config);
 
   Rng dropout_rng(train_config.seed);
   Var features = MakeConstant(graph.features());
@@ -54,44 +94,22 @@ NodeTrainRun RunNodeTraining(const ModelConfig& model_config, int num_classes,
     eval_rows.push_back(static_cast<int>(eval_rows.size()));
   }
 
-  if (best_params != nullptr) *best_params = model->params()->Snapshot();
-  NodeTrainRun run;
-  int epochs_since_best = 0;
-  for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
-    if (IsCancelled(train_config.cancel)) break;
-    AHG_TRACE_SPAN_ARG("train/epoch", epoch);
-    run.epochs = epoch;
-    // Train step.
-    model->params()->ZeroGrad();
-    Var loss =
-        MaskedCrossEntropy(forward_logits(true), graph.labels(), split.train);
-    Backward(loss);
-    optimizer.Step();
-    if (train_config.lr_decay_every > 0 &&
-        epoch % train_config.lr_decay_every == 0) {
-      optimizer.set_learning_rate(optimizer.learning_rate() *
-                                  train_config.lr_decay);
-    }
-
-    // Validation: an eval-mode forward (no dropout) off the tape.
-    Matrix logits;
-    {
-      ScopedInferenceMode inference;
-      logits = std::move(forward_logits(false)->value);
-    }
-    const double score = Accuracy(
-        RowSoftmax(GatherRows(logits, eval_nodes)), eval_labels, eval_rows);
-    if (epoch == 1 || score > run.best_score) {
-      run.best_score = score;
-      run.best_epoch = epoch;
-      if (best_logits != nullptr) *best_logits = std::move(logits);
-      if (best_params != nullptr) *best_params = model->params()->Snapshot();
-      epochs_since_best = 0;
-    } else if (++epochs_since_best >= train_config.patience) {
-      break;
-    }
-  }
-  return run;
+  Matrix logits;
+  return RunEpochs(
+      model->params(), train_config, /*steps_per_epoch=*/1,
+      [&](int) {
+        return MaskedCrossEntropy(forward_logits(true), graph.labels(),
+                                  split.train);
+      },
+      [&] {
+        logits = std::move(forward_logits(false)->value);
+        return Accuracy(RowSoftmax(GatherRows(logits, eval_nodes)),
+                        eval_labels, eval_rows);
+      },
+      [&] {
+        if (best_logits != nullptr) *best_logits = std::move(logits);
+      },
+      best_params);
 }
 
 NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,

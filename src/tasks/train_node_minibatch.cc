@@ -6,7 +6,6 @@
 #include "autodiff/ops.h"
 #include "metrics/metrics.h"
 #include "nn/linear.h"
-#include "nn/optimizer.h"
 #include "util/stopwatch.h"
 
 namespace ahg {
@@ -74,62 +73,51 @@ NodeTrainResult TrainSingleNodeModelMinibatch(
   Rng init_rng(cfg.seed ^ 0x9e3779b9ULL);
   Linear head(model->params(), cfg.hidden_dim, graph.num_classes(),
               /*bias=*/true, &init_rng);
-  AdamConfig adam_config;
-  adam_config.learning_rate = train_config.learning_rate;
-  adam_config.weight_decay = train_config.weight_decay;
-  Adam optimizer(model->params()->params(), adam_config);
+  // One stream for the shuffle, the neighbor sampling and dropout.
   Rng rng(train_config.seed);
 
-  Var full_features = MakeConstant(graph.features());
-  auto full_eval_probs = [&] {
-    GnnContext ctx{&graph, /*training=*/false, nullptr};
-    Var logits = head.Apply(model->LayerOutputs(ctx, full_features).back());
-    return RowSoftmax(logits->value);
+  const int batch_size = minibatch_config.batch_size;
+  AHG_CHECK_GT(batch_size, 0);
+  std::vector<int> train_nodes = split.train;
+  const int num_batches =
+      (static_cast<int>(train_nodes.size()) + batch_size - 1) / batch_size;
+  // The step's batch and seed rows outlive its loss, through Backward.
+  SampledBatch batch;
+  std::vector<int> seed_idx;
+  auto batch_loss = [&](int step) {
+    if (step == 0) rng.Shuffle(&train_nodes);
+    const size_t begin = static_cast<size_t>(step) * batch_size;
+    const size_t end = std::min(train_nodes.size(), begin + batch_size);
+    std::vector<int> seeds(train_nodes.begin() + begin,
+                           train_nodes.begin() + end);
+    batch = SampleNeighborhoodBatch(graph, seeds, cfg.num_layers,
+                                    minibatch_config.fanout, &rng);
+    // Loss on the seed rows (indices 0..num_seeds-1 by construction).
+    seed_idx.resize(batch.num_seeds);
+    for (int i = 0; i < batch.num_seeds; ++i) seed_idx[i] = i;
+    GnnContext ctx{&batch.graph, /*training=*/true, &rng};
+    Var x = MakeConstant(batch.graph.features());
+    Var logits = head.Apply(model->LayerOutputs(ctx, x).back());
+    return MaskedCrossEntropy(logits, batch.graph.labels(), seed_idx);
   };
 
+  // Evaluation runs full-batch; without val rows the train rows stand in.
+  const std::vector<int>& eval_nodes =
+      split.val.empty() ? split.train : split.val;
+  Var full_features = MakeConstant(graph.features());
   NodeTrainResult result;
-  std::vector<int> train_nodes = split.train;
-  int epochs_since_best = 0;
-  for (int epoch = 1; epoch <= train_config.max_epochs; ++epoch) {
-    rng.Shuffle(&train_nodes);
-    for (size_t begin = 0; begin < train_nodes.size();
-         begin += minibatch_config.batch_size) {
-      const size_t end = std::min(train_nodes.size(),
-                                  begin + minibatch_config.batch_size);
-      std::vector<int> seeds(train_nodes.begin() + begin,
-                             train_nodes.begin() + end);
-      SampledBatch batch = SampleNeighborhoodBatch(
-          graph, seeds, cfg.num_layers, minibatch_config.fanout, &rng);
-      // Loss on the seed rows (indices 0..num_seeds-1 by construction).
-      std::vector<int> seed_idx(batch.num_seeds);
-      for (int i = 0; i < batch.num_seeds; ++i) seed_idx[i] = i;
-      model->params()->ZeroGrad();
-      GnnContext ctx{&batch.graph, /*training=*/true, &rng};
-      Var x = MakeConstant(batch.graph.features());
-      Var logits = head.Apply(model->LayerOutputs(ctx, x).back());
-      Backward(MaskedCrossEntropy(logits, batch.graph.labels(), seed_idx));
-      optimizer.Step();
-    }
-    if (train_config.lr_decay_every > 0 &&
-        epoch % train_config.lr_decay_every == 0) {
-      optimizer.set_learning_rate(optimizer.learning_rate() *
-                                  train_config.lr_decay);
-    }
-    if (epoch % std::max(1, minibatch_config.eval_every) != 0) continue;
-    const Matrix probs = full_eval_probs();
-    const double val_acc =
-        split.val.empty() ? -Accuracy(probs, graph.labels(), split.train)
-                          : Accuracy(probs, graph.labels(), split.val);
-    if (result.best_epoch == 0 || val_acc > result.val_accuracy) {
-      result.val_accuracy = val_acc;
-      result.best_epoch = epoch;
-      result.probs = probs;
-      epochs_since_best = 0;
-    } else if (++epochs_since_best >= train_config.patience) {
-      break;
-    }
-  }
-  if (split.val.empty()) result.val_accuracy = -result.val_accuracy;
+  Matrix probs;
+  const NodeTrainRun run = RunEpochs(
+      model->params(), train_config, num_batches, batch_loss,
+      [&] {
+        GnnContext ctx{&graph, /*training=*/false, nullptr};
+        probs = RowSoftmax(
+            head.Apply(model->LayerOutputs(ctx, full_features).back())->value);
+        return Accuracy(probs, graph.labels(), eval_nodes);
+      },
+      [&] { result.probs = std::move(probs); }, /*best_params=*/nullptr);
+  result.val_accuracy = run.best_score;
+  result.best_epoch = run.best_epoch;
   if (!split.test.empty()) {
     result.test_accuracy = Accuracy(result.probs, graph.labels(), split.test);
   }

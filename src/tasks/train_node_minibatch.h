@@ -19,12 +19,13 @@ struct MinibatchConfig {
   int batch_size = 256;
   // Maximum sampled in-neighbors per node per hop; hops = model depth.
   int fanout = 10;
-  // Evaluate (full-batch) every this many epochs.
-  int eval_every = 1;
 };
 
 // Same contract as TrainSingleNodeModel, but each epoch sweeps the training
-// nodes in neighbor-sampled mini-batches.
+// nodes in neighbor-sampled mini-batches, one optimizer step per batch,
+// before the full-batch evaluation. Without val rows the train rows stand
+// in: the kept epoch is the one of the best train accuracy, which
+// `val_accuracy` then reports.
 NodeTrainResult TrainSingleNodeModelMinibatch(
     const ModelConfig& model_config, const Graph& graph,
     const DataSplit& split, const TrainConfig& train_config,

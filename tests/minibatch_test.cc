@@ -1,6 +1,7 @@
 #include "tasks/train_node_minibatch.h"
 
 #include <set>
+#include <string>
 
 #include "graph/synthetic.h"
 #include "gtest/gtest.h"
@@ -77,6 +78,25 @@ TEST(MinibatchTrainTest, ReachesFullBatchAccuracyBallpark) {
   EXPECT_GT(mini.test_accuracy, 0.7);
   NodeTrainResult full = TrainSingleNodeModel(mcfg, g, split, tcfg);
   EXPECT_GT(mini.test_accuracy, full.test_accuracy - 0.12);
+
+  // Recorded when the mini-batch trainer still ran its own epoch loop:
+  // FNV-1a over the kept probs, the kept epoch and both accuracies.
+  std::string bits;
+  const int dims[2] = {mini.probs.rows(), mini.probs.cols()};
+  bits.append(reinterpret_cast<const char*>(dims), sizeof(dims));
+  bits.append(reinterpret_cast<const char*>(mini.probs.data()),
+              mini.probs.size() * sizeof(double));
+  bits.append(reinterpret_cast<const char*>(&mini.best_epoch), sizeof(int));
+  bits.append(reinterpret_cast<const char*>(&mini.val_accuracy),
+              sizeof(double));
+  bits.append(reinterpret_cast<const char*>(&mini.test_accuracy),
+              sizeof(double));
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char byte : bits) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(h, 0x4d847228bf821993ULL) << std::hex << h;
 }
 
 TEST(MinibatchTrainTest, WorksWithBatchLargerThanTrainSet) {
