@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "kernels/kernel_ops.h"
 #include "util/rng.h"
 
 namespace ahg {
@@ -29,24 +28,6 @@ void AccumulateRowSums(const Var& bias, const Matrix& g) {
   for (int r = 0; r < g.rows(); ++r) {
     const double* gr = g.Row(r);
     for (int c = 0; c < g.cols(); ++c) bg[c] += gr[c];
-  }
-}
-
-// The epilogue of a fused linear layer on its product, in place: row + b
-// (AddRowVector's additions; nothing without a bias), or, with relu,
-// max(row + b, 0). The dispatched kernel's max(v, +0.0) matches
-// `v > 0 ? v : 0.0` bit-for-bit (including -0.0 and NaN inputs).
-void LinearEpilogue(Matrix* out, const Var& b, bool relu) {
-  const kernels::TierOps& ops = kernels::ActiveOps();
-  const double* bias = b ? b->value.Row(0) : nullptr;
-  if (!relu && bias == nullptr) return;
-  for (int r = 0; r < out->rows(); ++r) {
-    double* row = out->Row(r);
-    if (relu) {
-      ops.bias_relu_row(row, bias, out->cols());
-    } else {
-      for (int c = 0; c < out->cols(); ++c) row[c] += bias[c];
-    }
   }
 }
 
@@ -119,10 +100,8 @@ Var MatMul(const Var& a, const Var& b) {
 }
 
 Var AddRowVector(const Var& m, const Var& bias) {
-  AHG_CHECK_EQ(bias->rows(), 1);
-  AHG_CHECK_EQ(bias->cols(), m->cols());
   Matrix out = m->value;
-  LinearEpilogue(&out, bias, /*relu=*/false);
+  LinearEpilogue(&out, &bias->value, /*relu=*/false);
   return MakeOpNode(std::move(out), {m, bias}, [m, bias](const Node& n) {
     AccumulateInto(m, n.grad);
     AccumulateRowSums(bias, n.grad);
@@ -131,15 +110,11 @@ Var AddRowVector(const Var& m, const Var& bias) {
 
 Var LinearRelu(const Var& x, const Var& w, const Var& b) {
   AHG_CHECK_EQ(x->cols(), w->rows());
-  if (b) {
-    AHG_CHECK_EQ(b->rows(), 1);
-    AHG_CHECK_EQ(b->cols(), w->cols());
-  }
   Matrix out = ahg::MatMul(x->value, w->value);
   // Single in-place pass over the product: the additions and the max are
   // the exact per-element arithmetic AddRowVector and Relu would perform on
   // their own output buffers.
-  LinearEpilogue(&out, b, /*relu=*/true);
+  LinearEpilogue(&out, b ? &b->value : nullptr, /*relu=*/true);
   std::vector<Var> parents =
       b ? std::vector<Var>{x, w, b} : std::vector<Var>{x, w};
   return MakeOpNode(
@@ -301,13 +276,9 @@ Var Dropout(const Var& a, double p, bool training, Rng* rng) {
 Var DropoutLinear(const Var& x, const Var& w, const Var& b, double p,
                   bool relu, Rng* rng) {
   AHG_CHECK_EQ(x->cols(), w->rows());
-  if (b) {
-    AHG_CHECK_EQ(b->rows(), 1);
-    AHG_CHECK_EQ(b->cols(), w->cols());
-  }
   KeepMask mask(x->value.size(), p, rng);
   Matrix out = MatMulKeepMask(x->value, mask, w->value);
-  LinearEpilogue(&out, b, relu);
+  LinearEpilogue(&out, b ? &b->value : nullptr, relu);
   std::vector<Var> parents =
       b ? std::vector<Var>{x, w, b} : std::vector<Var>{x, w};
   return MakeOpNode(

@@ -73,15 +73,8 @@ ProxyEvalResult ProxyEvaluate(const std::vector<CandidateSpec>& pool,
           TrainConfig tcfg = config.train;
           tcfg.seed = mcfg.seed + 1;
           tcfg.cancel = config.cancel;
-          NodeTrainResult trained;
-          if (config.grid_search) {
-            trained = GridSearchTrain(mcfg, rounds[b].sub.graph,
-                                      rounds[b].split, tcfg,
-                                      GridSearchSpace(), nullptr, nullptr);
-          } else {
-            trained = TrainSingleNodeModel(mcfg, rounds[b].sub.graph,
-                                           rounds[b].split, tcfg);
-          }
+          const NodeTrainResult trained = TrainSingleNodeModel(
+              mcfg, rounds[b].sub.graph, rounds[b].split, tcfg);
           // A cancel that fired mid-training produced a partial result;
           // drop the whole candidate rather than score it inconsistently.
           if (IsCancelled(config.cancel)) return;

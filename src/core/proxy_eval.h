@@ -33,7 +33,6 @@ struct ProxyConfig {
   double model_ratio = 0.5;    // M_proxy: hidden-size multiplier
   double train_fraction = 0.6;
   double val_fraction = 0.2;
-  bool grid_search = false;  // per-candidate lr/dropout search
   // Candidate-level parallelism (one worker per proxy model). Kernel-level
   // threads inside each candidate come from train.num_threads / the global
   // SetNumThreads() setting and automatically run inline when candidates

@@ -4,25 +4,8 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace ahg::dyn {
-
-namespace {
-
-// The one row kernel every DeltaCsr SpMM variant uses: accumulate row
-// entries in ascending column order, dense columns innermost — the same
-// order as SparseMatrix::Spmm, so products agree bitwise row by row.
-inline void AccumulateRow(const DeltaCsr::RowRef& row, const Matrix& x,
-                          double* yrow) {
-  for (int64_t e = 0; e < row.nnz; ++e) {
-    const double v = row.vals[e];
-    const double* xrow = x.Row(row.cols[e]);
-    for (int c = 0; c < x.cols(); ++c) yrow[c] += v * xrow[c];
-  }
-}
-
-}  // namespace
 
 DeltaCsr::DeltaCsr(std::shared_ptr<const SparseMatrix> base)
     : base_(std::move(base)) {
@@ -40,12 +23,7 @@ DeltaCsr::RowRef DeltaCsr::Row(int r) const {
     return {store.cols.data(), store.vals.data(),
             static_cast<int64_t>(store.cols.size())};
   }
-  if (base_ != nullptr && r < base_->rows()) {
-    const int64_t begin = base_->row_ptr()[r];
-    const int64_t end = base_->row_ptr()[r + 1];
-    return {base_->col_idx().data() + begin, base_->values().data() + begin,
-            end - begin};
-  }
+  if (base_ != nullptr && r < base_->rows()) return base_->Row(r);
   return {};  // grown row, never overridden: empty
 }
 
@@ -76,15 +54,8 @@ void DeltaCsr::Grow(int rows, int cols) {
 Matrix DeltaCsr::Spmm(const Matrix& x) const {
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("dyn/delta_spmm", nnz_ * x.cols());
-  Matrix y(rows_, x.cols());
-  const int64_t work_per_row =
-      rows_ > 0 ? std::max<int64_t>(1, nnz_ / rows_) * x.cols() : 1;
-  ParallelForChunked(rows_, work_per_row, [&](int64_t begin, int64_t end) {
-    for (int64_t r = begin; r < end; ++r) {
-      AccumulateRow(Row(static_cast<int>(r)), x, y.Row(static_cast<int>(r)));
-    }
-  });
-  return y;
+  return SpmmRowLoop(rows_, rows_ > 0 ? nnz_ / rows_ : 0, x,
+                     [this](int64_t r) { return Row(static_cast<int>(r)); });
 }
 
 Matrix DeltaCsr::SpmmRows(const std::vector<int>& rows,
@@ -92,18 +63,9 @@ Matrix DeltaCsr::SpmmRows(const std::vector<int>& rows,
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("dyn/delta_spmm_rows",
                      static_cast<int64_t>(rows.size()) * x.cols());
-  Matrix y(static_cast<int>(rows.size()), x.cols());
-  const int64_t work_per_row =
-      rows_ > 0 ? std::max<int64_t>(1, nnz_ / rows_) * x.cols() : 1;
-  ParallelForChunked(static_cast<int64_t>(rows.size()), work_per_row,
-                     [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const int r = rows[i];
-      AHG_CHECK(r >= 0 && r < rows_);
-      AccumulateRow(Row(r), x, y.Row(static_cast<int>(i)));
-    }
-  });
-  return y;
+  return SpmmRowLoop(static_cast<int64_t>(rows.size()),
+                     rows_ > 0 ? nnz_ / rows_ : 0, x,
+                     [this, &rows](int64_t i) { return Row(rows[i]); });
 }
 
 SparseMatrix DeltaCsr::Materialize() const {

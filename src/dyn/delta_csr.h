@@ -9,13 +9,14 @@
 // full CSR. AddNode grows rows() past the base; such rows are empty until
 // overridden.
 //
-// SpMM determinism: Spmm and SpmmRows funnel every row through the same
-// AccumulateRow kernel (entries in ascending column order, dense columns
-// innermost), so a row-subset product is bitwise identical to the
-// corresponding rows of the full product, and both match
-// SparseMatrix::Spmm on the materialized matrix. This is the property the
-// incremental-refresh oracle (incremental == cold full recompute) rests
-// on.
+// SpMM determinism: Spmm and SpmmRows run every row through SpmmRowLoop
+// (tensor/sparse_matrix.h), the loop SparseMatrix::Spmm runs: the tier's
+// spmm_row kernel accumulates each output element over the row's entries
+// in stored order, from +0.0. So a row-subset product is bitwise identical
+// to the corresponding rows of the full product, and both match
+// SparseMatrix::Spmm on the materialized matrix at every tier and thread
+// count. This is the property the incremental-refresh oracle
+// (incremental == cold full recompute) rests on.
 //
 // When the overlay outgrows kCompactionFraction of the rows, Compact()
 // folds everything into a new base — the COW savings are gone at that
@@ -36,11 +37,7 @@ class DeltaCsr {
  public:
   // One row's view: `nnz` entries with ascending column RANK (see
   // SetColRank; rank is the column id itself when no rank is set).
-  struct RowRef {
-    const int* cols = nullptr;
-    const double* vals = nullptr;
-    int64_t nnz = 0;
-  };
+  using RowRef = CsrRowRef;
 
   // Overlay fraction beyond which Compact() is worth calling (see
   // MaybeCompact).

@@ -8,22 +8,6 @@
 
 namespace ahg::dyn {
 
-Matrix DenseLayerTransform(const Matrix& agg, const Matrix& w, const Matrix& b,
-                           bool relu) {
-  Matrix h = MatMul(agg, w);
-  AHG_CHECK_EQ(b.rows(), 1);
-  AHG_CHECK_EQ(b.cols(), h.cols());
-  for (int r = 0; r < h.rows(); ++r) {
-    double* row = h.Row(r);
-    const double* bias = b.Row(0);
-    for (int c = 0; c < h.cols(); ++c) row[c] += bias[c];
-    if (relu) {
-      for (int c = 0; c < h.cols(); ++c) row[c] = row[c] > 0.0 ? row[c] : 0.0;
-    }
-  }
-  return h;
-}
-
 std::vector<std::vector<int>> StageCore::PerLayerDirtyRows(
     const ModelConfig& config, const DeltaCsr& adj, const BatchDelta& delta) {
   // The frontier starts at the feature-dirty rows. A propagating stage
@@ -115,9 +99,12 @@ StageCore::StageCore(const ModelConfig& config,
 Matrix StageCore::Compute(int s, const DeltaCsr& adj, const Matrix& in,
                           const std::vector<int>* rows) const {
   const Stage& stage = stages_[s - 1];
+  // H = agg W, then the bias(+ReLU) epilogue: the eval arithmetic of
+  // LinearRelu (GCN) and AddRowVector(MatMul) (SGC), row by row.
   const auto transform = [&](const Matrix& agg) {
-    return DenseLayerTransform(agg, params_[stage.weight],
-                               params_[stage.weight + 1], stage.relu);
+    Matrix h = MatMul(agg, params_[stage.weight]);
+    LinearEpilogue(&h, &params_[stage.weight + 1], stage.relu);
+    return h;
   };
   if (!stage.propagate) {  // row-local: reads only its own input rows
     return rows != nullptr ? transform(GatherRows(in, *rows)) : transform(in);

@@ -12,11 +12,15 @@
 //     N(r) changed, so the dirty set grows one hop per propagating stage:
 //     D_s = S_A ∪ N(D_{s-1}), from the batch's feature-dirty rows. Self
 //     loops make N(D) ⊇ D, so the sets are monotone.
-//  2. The row kernels are subset-exact: DeltaCsr::SpmmRows and MatMul give
-//     rows bitwise identical to those of the full product (fixed per-row
-//     accumulation order, one owner per row). So patched stages equal a
-//     cold whole-matrix recompute bit for bit, and a part's owned rows
-//     equal the lone engine's.
+//  2. The row kernels are subset-exact. A stage runs the training kernels
+//     themselves: DeltaCsr::SpmmRows/Spmm go through SpmmRowLoop (the loop
+//     behind SparseMatrix::Spmm), the dense transform is MatMul then
+//     LinearEpilogue (the bias(+ReLU) epilogue of LinearRelu and
+//     AddRowVector, tensor/matrix.h). Each gives rows bitwise identical to
+//     those of the full product at every tier (fixed per-row accumulation
+//     order, one owner per row). So patched stages equal a cold
+//     whole-matrix recompute bit for bit, a part's owned rows equal the
+//     lone engine's, and both equal the eval-mode model forward.
 #ifndef AUTOHENS_DYN_STAGES_H_
 #define AUTOHENS_DYN_STAGES_H_
 
@@ -35,14 +39,6 @@ namespace ahg::dyn {
 // instead of patching rows: patching most of the matrix costs more than
 // recomputing it.
 inline constexpr double kFullRefreshFraction = 0.5;
-
-// Row-local dense transform of one layer: H = agg * W (+ bias) (ReLU?),
-// with exactly the arithmetic of the eval-mode autodiff chain
-// Relu(AddRowVector(MatMul(agg, W), b)) — same kernels, same order — so a
-// row computed from a gathered subset is bitwise identical to the same row
-// of the full layer.
-Matrix DenseLayerTransform(const Matrix& agg, const Matrix& w, const Matrix& b,
-                           bool relu);
 
 struct RefreshStats {
   bool incremental = false;     // false = full recompute path ran

@@ -1,10 +1,12 @@
 // The per-tier kernel function table behind the runtime dispatch.
 //
 // Each tier (scalar / AVX2 / AVX-512) fills one TierOps with raw-pointer
-// micro-kernels; the tensor layer (tensor/matrix.cc, tensor/sparse_matrix.cc,
-// autodiff/ops.cc) resolves ActiveOps() once per operation — on the calling
-// thread, before entering any parallel region — and drives its loops through
-// the table.
+// micro-kernels; the tensor layer (tensor/matrix.cc, tensor/sparse_matrix.cc)
+// resolves ActiveOps() once per operation — on the calling thread, before
+// entering any parallel region — and drives its loops through the table.
+// Everything above it (autodiff, the dyn, partition and serve planes)
+// reaches the kernels only through tensor/: SpMM through SpmmRowLoop, the
+// bias(+ReLU) epilogue through LinearEpilogue.
 //
 // Exactness contract: every kernel accumulates each output element in
 // exactly the order the scalar reference does (k ascending for GEMM, entry

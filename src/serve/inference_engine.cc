@@ -1,6 +1,5 @@
 #include "serve/inference_engine.h"
 
-#include <cstring>
 #include <mutex>
 #include <utility>
 
@@ -16,11 +15,7 @@ namespace ahg::serve {
 Matrix ApplyClassifierHead(const Matrix& hidden_rows,
                            const ServableModel& model) {
   Matrix logits = MatMul(hidden_rows, model.head_weight());
-  const Matrix& bias = model.head_bias();
-  for (int r = 0; r < logits.rows(); ++r) {
-    double* row = logits.Row(r);
-    for (int c = 0; c < logits.cols(); ++c) row[c] += bias(0, c);
-  }
+  LinearEpilogue(&logits, &model.head_bias(), /*relu=*/false);
   return RowSoftmax(logits);
 }
 
@@ -153,13 +148,11 @@ StatusOr<Matrix> InferenceEngine::PredictNodes(const ServableModel& model,
   }
   // Query ids are external; hidden rows live in the pinned graph's
   // (possibly reordered) internal order.
-  Matrix rows(static_cast<int>(nodes.size()), h.cols());
+  std::vector<int> internal(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    std::memcpy(rows.Row(static_cast<int>(i)),
-                h.Row(ToInternalId(graph.permutation(), nodes[i])),
-                static_cast<size_t>(h.cols()) * sizeof(double));
+    internal[i] = ToInternalId(graph.permutation(), nodes[i]);
   }
-  return ApplyClassifierHead(rows, model);
+  return ApplyClassifierHead(GatherRows(h, internal), model);
 }
 
 StatusOr<Matrix> InferenceEngine::PredictAll(const ServableModel& model) {

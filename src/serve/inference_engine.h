@@ -29,11 +29,12 @@
 
 namespace ahg::serve {
 
-// Classifier head used at training time: softmax(H W + b), applied with the
-// same kernels and accumulation order as nn/Linear + RowSoftmax, so a
-// gathered batch reproduces the training-path rows bitwise (each output row
-// depends only on its own input row). Shared by the static engine and the
-// dynamic-graph streaming server.
+// Classifier head used at training time: softmax(H W + b), through the
+// kernels nn/Linear + RowSoftmax run: MatMul, then LinearEpilogue's bias
+// additions (tensor/matrix.h, AddRowVector's epilogue), then RowSoftmax. So
+// a gathered batch reproduces the training-path rows bitwise (each output
+// row depends only on its own input row). Shared by the static engine, the
+// dynamic-graph streaming server and the partitioned engine.
 Matrix ApplyClassifierHead(const Matrix& hidden_rows,
                            const ServableModel& model);
 

@@ -139,32 +139,4 @@ NodeTrainResult TrainSingleNodeModel(const ModelConfig& model_config,
   return result;
 }
 
-NodeTrainResult GridSearchTrain(const ModelConfig& model_config,
-                                const Graph& graph, const DataSplit& split,
-                                const TrainConfig& train_config,
-                                const GridSearchSpace& space,
-                                ModelConfig* best_model_config,
-                                TrainConfig* best_train_config) {
-  NodeTrainResult best;
-  bool first = true;
-  for (double lr : space.learning_rates) {
-    for (double dropout : space.dropouts) {
-      if (IsCancelled(train_config.cancel)) return best;
-      ModelConfig mcfg = model_config;
-      mcfg.dropout = dropout;
-      TrainConfig tcfg = train_config;
-      tcfg.learning_rate = lr;
-      NodeTrainResult result =
-          TrainSingleNodeModel(mcfg, graph, split, tcfg);
-      if (first || result.val_accuracy > best.val_accuracy) {
-        first = false;
-        best = std::move(result);
-        if (best_model_config != nullptr) *best_model_config = mcfg;
-        if (best_train_config != nullptr) *best_train_config = tcfg;
-      }
-    }
-  }
-  return best;
-}
-
 }  // namespace ahg

@@ -88,23 +88,6 @@ NodeTrainRun RunNodeTraining(const ModelConfig& model_config, int num_classes,
                              Matrix* best_logits,
                              std::vector<Matrix>* best_params);
 
-// The hyper-parameter grid the proxy-evaluation stage searches per model
-// (a subset of the paper's appendix grid, sized for CPU budgets).
-struct GridSearchSpace {
-  std::vector<double> learning_rates{1e-2, 3e-2};
-  std::vector<double> dropouts{0.5, 0.25};
-};
-
-// Trains every (lr, dropout) combination and returns the best-validation
-// result; `best_model_config`/`best_train_config` receive the winning
-// settings when non-null.
-NodeTrainResult GridSearchTrain(const ModelConfig& model_config,
-                                const Graph& graph, const DataSplit& split,
-                                const TrainConfig& train_config,
-                                const GridSearchSpace& space,
-                                ModelConfig* best_model_config,
-                                TrainConfig* best_train_config);
-
 }  // namespace ahg
 
 #endif  // AUTOHENS_TASKS_TRAIN_NODE_H_

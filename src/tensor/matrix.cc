@@ -379,6 +379,25 @@ Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
   return c;
 }
 
+void LinearEpilogue(Matrix* out, const Matrix* bias, bool relu) {
+  if (bias != nullptr) {
+    AHG_CHECK_EQ(bias->rows(), 1);
+    AHG_CHECK_EQ(bias->cols(), out->cols());
+  } else if (!relu) {
+    return;
+  }
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  const double* b = bias != nullptr ? bias->Row(0) : nullptr;
+  for (int r = 0; r < out->rows(); ++r) {
+    double* row = out->Row(r);
+    if (relu) {
+      ops.bias_relu_row(row, b, out->cols());
+    } else {
+      for (int c = 0; c < out->cols(); ++c) row[c] += b[c];
+    }
+  }
+}
+
 Matrix Transpose(const Matrix& a) {
   Matrix t(a.cols(), a.rows());
   for (int i = 0; i < a.rows(); ++i) {

@@ -130,6 +130,13 @@ Matrix MatMulTransAKeepMask(const Matrix& a, const KeepMask& mask,
 // C = A * B^T.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
+// A linear layer's epilogue, in place on its product: every row += bias (a
+// 1 x out->cols() row; no additions when null), then, with relu,
+// max(v, +0.0) through the tier's bias_relu_row, which gives the bits of
+// `v > 0 ? v : 0.0` (-0.0 and NaN map to +0.0). The autodiff linear ops,
+// the dyn stage core and the serving classifier head all end in it.
+void LinearEpilogue(Matrix* out, const Matrix* bias, bool relu);
+
 Matrix Transpose(const Matrix& a);
 Matrix Add(const Matrix& a, const Matrix& b);
 Matrix Sub(const Matrix& a, const Matrix& b);

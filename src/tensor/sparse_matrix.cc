@@ -10,23 +10,23 @@
 #include "util/thread_pool.h"
 
 namespace ahg {
-namespace {
 
-// One CSR row times a dense block via the dispatched per-tier kernel:
-// register-blocked over the dense width, each y[c] accumulating entries in
-// ascending storage order — the same per-element order as the naive
-// entry-outer loop — so results are bitwise identical to it across tiers.
-// Shared by Spmm and SpmmRows. Rows with no entries write a zero row (the
-// accumulators start at 0 and are always stored).
-inline void SpmmRowKernel(const kernels::TierOps& ops, const SparseMatrix& m,
-                          int64_t r, const Matrix& x, double* yrow) {
-  const int64_t e_begin = m.row_ptr()[r];
-  ops.spmm_row(m.values().data() + e_begin, m.col_idx().data() + e_begin,
-               m.row_ptr()[r + 1] - e_begin, x.data(), x.cols(), x.cols(),
-               yrow);
+Matrix SpmmRowLoop(int64_t out_rows, int64_t nnz_per_row, const Matrix& x,
+                   const std::function<CsrRowRef(int64_t i)>& row_at) {
+  Matrix y(static_cast<int>(out_rows), x.cols());
+  // Tier table resolved on the calling thread before the parallel region;
+  // contiguous row ranges of ~equal row count, each row owned by one worker.
+  const kernels::TierOps& ops = kernels::ActiveOps();
+  const int64_t work_per_row = std::max<int64_t>(1, nnz_per_row) * x.cols();
+  ParallelForChunked(out_rows, work_per_row, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      const CsrRowRef row = row_at(i);
+      ops.spmm_row(row.vals, row.cols, row.nnz, x.data(), x.cols(), x.cols(),
+                   y.Row(static_cast<int>(i)));
+    }
+  });
+  return y;
 }
-
-}  // namespace
 
 SparseMatrix SparseMatrix::BuildFromValidCoo(int rows, int cols,
                                              std::vector<CooEntry> entries) {
@@ -125,18 +125,8 @@ StatusOr<SparseMatrix> SparseMatrix::FromCooChecked(
 Matrix SparseMatrix::Spmm(const Matrix& x) const {
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("tensor/spmm", nnz() * x.cols());
-  Matrix y(rows_, x.cols());
-  // Tier table resolved on the calling thread before the parallel region;
-  // contiguous row ranges of ~equal row count, each row owned by one worker.
-  const kernels::TierOps& ops = kernels::ActiveOps();
-  const int64_t work_per_row =
-      rows_ > 0 ? std::max<int64_t>(1, nnz() / rows_) * x.cols() : 1;
-  ParallelForChunked(rows_, work_per_row, [&](int64_t begin, int64_t end) {
-    for (int64_t r = begin; r < end; ++r) {
-      SpmmRowKernel(ops, *this, r, x, y.Row(static_cast<int>(r)));
-    }
-  });
-  return y;
+  return SpmmRowLoop(rows_, rows_ > 0 ? nnz() / rows_ : 0, x,
+                     [this](int64_t r) { return Row(static_cast<int>(r)); });
 }
 
 Matrix SparseMatrix::SpmmRows(const std::vector<int>& rows,
@@ -144,19 +134,9 @@ Matrix SparseMatrix::SpmmRows(const std::vector<int>& rows,
   AHG_CHECK_EQ(x.rows(), cols_);
   AHG_TRACE_SPAN_ARG("tensor/spmm_rows",
                      static_cast<int64_t>(rows.size()) * x.cols());
-  Matrix y(static_cast<int>(rows.size()), x.cols());
-  const kernels::TierOps& ops = kernels::ActiveOps();
-  const int64_t work_per_row =
-      rows_ > 0 ? std::max<int64_t>(1, nnz() / rows_) * x.cols() : 1;
-  ParallelForChunked(static_cast<int64_t>(rows.size()), work_per_row,
-                     [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const int r = rows[i];
-      AHG_CHECK(r >= 0 && r < rows_);
-      SpmmRowKernel(ops, *this, r, x, y.Row(static_cast<int>(i)));
-    }
-  });
-  return y;
+  return SpmmRowLoop(static_cast<int64_t>(rows.size()),
+                     rows_ > 0 ? nnz() / rows_ : 0, x,
+                     [this, &rows](int64_t i) { return Row(rows[i]); });
 }
 
 Matrix SparseMatrix::SpmmTransposed(const Matrix& x) const {

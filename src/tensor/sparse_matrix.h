@@ -4,15 +4,16 @@
 // no gradient machinery; autodiff ops treat it as fixed structure and only
 // differentiate through the dense operand of SpMM.
 //
-// Threading: Spmm and SpmmTransposed are row-parallel over the global
-// thread count (util/thread_pool.h). Each output row is written by exactly
-// one worker in a fixed accumulation order, so results are bitwise
-// identical for every thread count. SpmmTransposed routes through a cached
-// explicit transpose (TransposedCached) so its output rows are owned too —
-// no atomics, no scatter races.
+// Threading: Spmm, SpmmRows and SpmmTransposed are row-parallel over the
+// global thread count (util/thread_pool.h) through SpmmRowLoop. Each output
+// row is written by exactly one worker in a fixed accumulation order, so
+// results are bitwise identical for every thread count. SpmmTransposed
+// routes through a cached explicit transpose (TransposedCached) so its
+// output rows are owned too — no atomics, no scatter races.
 #ifndef AUTOHENS_TENSOR_SPARSE_MATRIX_H_
 #define AUTOHENS_TENSOR_SPARSE_MATRIX_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,27 @@ struct CooEntry {
   int col = 0;
   double value = 0.0;
 };
+
+// One CSR row's stored entries: `nnz` column ids and values, in the order
+// they accumulate.
+struct CsrRowRef {
+  const int* cols = nullptr;
+  const double* vals = nullptr;
+  int64_t nnz = 0;
+};
+
+// The row-parallel SpMM loop behind SparseMatrix::Spmm/SpmmRows and
+// dyn::DeltaCsr::Spmm/SpmmRows: output row i of the out_rows x x.cols()
+// result is the sum over row_at(i)'s entries e of vals[e] * x row cols[e].
+// Each row runs through the active tier's spmm_row (kernels/kernel_ops.h):
+// every output element starts from +0.0 and adds its terms in entry order,
+// multiply and add separate. A row's bits therefore depend only on its
+// entries and x, never on the tier, the thread count or which other rows
+// are computed, and an empty row is a +0.0 row. `nnz_per_row` (the
+// matrix's mean) sizes the parallel chunks; row_at runs on the workers,
+// once per row.
+Matrix SpmmRowLoop(int64_t out_rows, int64_t nnz_per_row, const Matrix& x,
+                   const std::function<CsrRowRef(int64_t i)>& row_at);
 
 class SparseMatrix {
  public:
@@ -93,6 +115,14 @@ class SparseMatrix {
 
   // Per-row sum of values (weighted out-degree for adjacency).
   std::vector<double> RowSums() const;
+
+  // Row r's stored entries. r must be in [0, rows()).
+  CsrRowRef Row(int r) const {
+    AHG_CHECK(r >= 0 && r < rows_);
+    const int64_t begin = row_ptr_[r];
+    return {col_idx_.data() + begin, values_.data() + begin,
+            row_ptr_[r + 1] - begin};
+  }
 
   // Number of stored entries in row r. r must be in [0, rows()).
   int64_t RowNnz(int r) const {

@@ -5,11 +5,18 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "autodiff/graph_ops.h"
 #include "autodiff/ops.h"
 #include "autodiff/variable.h"
+#include "dyn/snapshot.h"
+#include "dyn/stages.h"
+#include "graph/reorder.h"
+#include "graph/synthetic.h"
 #include "gtest/gtest.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernel_ops.h"
@@ -461,35 +468,183 @@ TEST(BitwiseTest, MatMulTransAAcrossReductionChunksMatchesScalar) {
   }
 }
 
-TEST(BitwiseTest, SpmmMatchesScalarAcrossTiersThreads) {
-  const SparseMatrix adj = RandomSparse(200, 150, 7);
+// Spmm and SpmmRows of `m` (a SparseMatrix or a dyn::DeltaCsr) at every
+// tier, at 1 and 4 threads, equal the scalar tier's bit for bit; the subset
+// rows equal those rows of the full product; and `reference` (the same
+// matrix stored another way; may be null) gives the same product.
+template <typename Csr>
+void ExpectSpmmMatchesScalar(const Csr& m, const std::vector<int>& subset,
+                             const SparseMatrix* reference) {
   ScopedMinParallelWork grain(1);
-  // A subset mixing zero-nnz rows, boundaries, and repeats.
-  const std::vector<int> subset = {0, 3, 7, 7, 42, 150, 199};
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
   // Widths below, at and past every tier's column block (4, 16, 32).
   for (const int n : {1, 5, 16, 33, 47}) {
-    const Matrix x = RandomMatrix(150, n, 500 + n);
+    const Matrix x = RandomMatrix(m.cols(), n, 500 + n);
     Matrix base, base_rows;
     {
       ScopedTier scalar(Tier::kScalar);
-      base = adj.Spmm(x);
-      base_rows = adj.SpmmRows(subset, x);
+      base = m.Spmm(x);
+      base_rows = m.SpmmRows(subset, x);
     }
-    for (const Tier tier : SupportedSimdTiers()) {
+    for (const Tier tier : tiers) {
       for (const int threads : {1, 4}) {
         ScopedTier t(tier);
         ScopedNumThreads nt(threads);
-        EXPECT_TRUE(BitwiseEqual(adj.Spmm(x), base))
-            << kernels::TierName(tier) << " threads " << threads << " n "
-            << n;
-        EXPECT_TRUE(BitwiseEqual(adj.SpmmRows(subset, x), base_rows))
-            << "rows subset, tier " << kernels::TierName(tier);
+        const std::string where = std::string(kernels::TierName(tier)) +
+                                  " threads " + std::to_string(threads) +
+                                  " n " + std::to_string(n);
+        EXPECT_TRUE(BitwiseEqual(m.Spmm(x), base)) << where;
+        EXPECT_TRUE(BitwiseEqual(m.SpmmRows(subset, x), base_rows))
+            << "rows subset, " << where;
+        if (reference != nullptr) {
+          EXPECT_TRUE(BitwiseEqual(reference->Spmm(x), base))
+              << "reference, " << where;
+        }
       }
     }
-    // Subset rows must equal the corresponding rows of the full product.
-    for (size_t i = 0; i < subset.size(); ++i) {
-      for (int c = 0; c < n; ++c) {
-        EXPECT_EQ(base_rows(static_cast<int>(i), c), base(subset[i], c));
+    EXPECT_TRUE(BitwiseEqual(base_rows, GatherRows(base, subset))) << n;
+  }
+}
+
+TEST(BitwiseTest, SpmmMatchesScalarAcrossTiersThreads) {
+  // A subset mixing zero-nnz rows, boundaries, and repeats.
+  ExpectSpmmMatchesScalar(RandomSparse(200, 150, 7), {0, 3, 7, 7, 42, 150, 199},
+                          nullptr);
+
+  // A DeltaCsr as the dyn planes hold it: a reordered snapshot (column
+  // rank set, rows in rank order) after a batch that overrides rows and
+  // appends an unwired node (a grown row of the raw adjacency that no
+  // override backs).
+  SyntheticConfig cfg;
+  cfg.num_nodes = 150;
+  cfg.num_classes = 3;
+  cfg.feature_dim = 4;
+  cfg.avg_degree = 4.0;
+  cfg.seed = 7;
+  const Graph graph =
+      ReorderGraph(GenerateSbmGraph(cfg), ReorderStrategy::kRcm, 7);
+  auto v0 = dyn::GraphSnapshot::FromGraph(graph);
+  ASSERT_TRUE(v0.ok()) << v0.status().message();
+  const int n0 = v0.value().num_nodes();
+  int absent = 1;
+  while (v0.value().HasEdge(0, absent)) ++absent;
+  int present = 1;
+  while (!v0.value().HasEdge(9, present)) ++present;
+  auto v1 = v0.value().Apply(
+      {dyn::Mutation::AddNode(std::vector<double>(4, 0.5)),
+       dyn::Mutation::AddEdge(0, absent), dyn::Mutation::RemoveEdge(9, present)});
+  ASSERT_TRUE(v1.ok()) << v1.status().message();
+  const dyn::GraphSnapshot& snap = v1.value().first;
+  const std::vector<int> subset = {snap.ToInternal(0), n0,
+                                   snap.ToInternal(9), 7, 7, 0, n0 - 1};
+  for (const dyn::DeltaCsr* adj :
+       {&snap.adjacency(), &snap.raw_adjacency()}) {
+    ASSERT_NE(adj->col_rank(), nullptr);
+    ASSERT_GT(adj->overridden_rows(), 0);
+    ASSERT_EQ(adj->rows(), n0 + 1);
+    const SparseMatrix flat = adj->Materialize();
+    ExpectSpmmMatchesScalar(*adj, subset, &flat);
+  }
+  ASSERT_EQ(snap.raw_adjacency().Row(n0).nnz, 0);
+}
+
+// The eval-mode forward StageCore reproduces: GCN layers are
+// LinearRelu(Spmm(A, H), W, b); SGC is AddRowVector(MatMul(X, W), b), then
+// Spmm hops. Entry s - 1 holds stage s.
+std::vector<Matrix> EvalChain(const ModelConfig& config, const SparseMatrix& a,
+                              const Matrix& x,
+                              const std::vector<Matrix>& params) {
+  ScopedInferenceMode eval;
+  std::vector<Matrix> stages;
+  Var h = MakeConstant(x);
+  if (config.family == ModelFamily::kGcn) {
+    for (int l = 0; l < config.num_layers; ++l) {
+      h = LinearRelu(Spmm(a, h), MakeConstant(params[2 * l]),
+                     MakeConstant(params[2 * l + 1]));
+      stages.push_back(h->value);
+    }
+  } else {
+    h = AddRowVector(MatMul(h, MakeConstant(params[0])),
+                     MakeConstant(params[1]));
+    stages.push_back(h->value);
+    for (int l = 0; l < config.num_layers; ++l) {
+      h = Spmm(a, h);
+      stages.push_back(h->value);
+    }
+  }
+  return stages;
+}
+
+// StageCore's rows, whole-matrix and patched, equal the eval chain bit for
+// bit at every tier, where the pre-activations hold +-inf and NaN and the
+// features, weights and biases hold -0.0 (products start from +0.0, so a
+// -0.0 bias meets a +0.0 product in the empty adjacency rows).
+TEST(BitwiseTest, StageCoreMatchesEvalChainAtEveryTier) {
+  const int n = 60, in_dim = 6, hidden = 5;
+  const auto base = std::make_shared<const SparseMatrix>(RandomSparse(n, n, 11));
+  const dyn::DeltaCsr adj(base);
+  Matrix x = RandomMatrix(n, in_dim, 12, /*zero_frac=*/0.3);
+  const double inf = std::numeric_limits<double>::infinity();
+  x(3, 0) = inf;
+  x(17, 2) = -inf;
+  x(29, 4) = std::numeric_limits<double>::quiet_NaN();
+  x(41, 1) = 1e308;  // products past DBL_MAX round to inf
+  const std::vector<int> rows = {0, 3, 17, 29, 41, 58, 59};
+
+  ModelConfig gcn;
+  gcn.family = ModelFamily::kGcn;
+  gcn.in_dim = in_dim;
+  gcn.hidden_dim = hidden;
+  gcn.num_layers = 2;
+  ModelConfig sgc = gcn;
+  sgc.family = ModelFamily::kSgc;
+  Matrix bias = RandomMatrix(1, hidden, 13, 0.0);
+  bias(0, 0) = -0.0;
+  bias(0, 3) = -0.0;
+  const std::vector<Matrix> gcn_params = {
+      RandomMatrix(in_dim, hidden, 14), bias, RandomMatrix(hidden, hidden, 15),
+      bias};
+  const std::vector<Matrix> sgc_params = {RandomMatrix(in_dim, hidden, 16),
+                                          bias};
+
+  std::vector<Tier> tiers = SupportedSimdTiers();
+  tiers.push_back(Tier::kScalar);
+  for (const auto& [config, params] :
+       {std::pair{gcn, gcn_params}, std::pair{sgc, sgc_params}}) {
+    const char* family = ModelFamilyName(config.family);
+    std::vector<Matrix> chain;
+    {
+      ScopedTier scalar(Tier::kScalar);
+      chain = EvalChain(config, *base, x, params);
+    }
+    bool special = false;
+    for (const Matrix& stage : chain) {
+      for (int64_t i = 0; i < stage.size(); ++i) {
+        special = special || !std::isfinite(stage.data()[i]);
+      }
+    }
+    EXPECT_TRUE(special) << family << " stages hold no inf or NaN";
+    const dyn::StageCore core(config, params);
+    for (const Tier tier : tiers) {
+      ScopedTier t(tier);
+      const char* tier_name = kernels::TierName(tier);
+      std::vector<Matrix> stages = core.ComputeAll(adj, x);
+      ASSERT_EQ(stages.size(), chain.size());
+      for (size_t s = 0; s < chain.size(); ++s) {
+        EXPECT_TRUE(BitwiseEqual(stages[s], chain[s]))
+            << family << " " << tier_name << " stage " << s + 1;
+        EXPECT_TRUE(
+            BitwiseEqual(EvalChain(config, *base, x, params)[s], chain[s]))
+            << family << " " << tier_name << " eval chain, stage " << s + 1;
+        ScatterRows(Matrix::Constant(static_cast<int>(rows.size()), hidden, 7.0),
+                    rows,
+                    &stages[s]);
+      }
+      for (int s = 1; s <= core.num_stages(); ++s) {
+        core.ComputeRows(s, adj, x, rows, &stages);
+        EXPECT_TRUE(BitwiseEqual(stages[s - 1], chain[s - 1]))
+            << family << " " << tier_name << " patched stage " << s;
       }
     }
   }

@@ -201,31 +201,6 @@ TEST(TrainNodeTest, DeterministicGivenSeeds) {
   EXPECT_TRUE(AllClose(a.probs, b.probs, 0.0));
 }
 
-TEST(TrainNodeTest, GridSearchReturnsBestOfGrid) {
-  Graph g = EasyGraph(5);
-  Rng rng(6);
-  DataSplit split = RandomSplit(g, 0.5, 0.2, &rng);
-  GridSearchSpace space;
-  space.learning_rates = {1e-2, 1e-4};  // 1e-4 should undertrain
-  space.dropouts = {0.3};
-  ModelConfig best_mcfg;
-  TrainConfig best_tcfg;
-  TrainConfig tcfg = FastTrain();
-  tcfg.max_epochs = 30;
-  NodeTrainResult best = GridSearchTrain(SmallGcn(), g, split, tcfg, space,
-                                         &best_mcfg, &best_tcfg);
-  NodeTrainResult slow;
-  {
-    TrainConfig t2 = tcfg;
-    t2.learning_rate = 1e-4;
-    ModelConfig m2 = SmallGcn();
-    m2.dropout = 0.3;
-    slow = TrainSingleNodeModel(m2, g, split, t2);
-  }
-  EXPECT_GE(best.val_accuracy, slow.val_accuracy);
-  EXPECT_EQ(best_mcfg.dropout, 0.3);
-}
-
 // The digest was recorded when the link trainer still ran its own epoch
 // loop: FNV-1a over the kept scores, both AUCs and the kept encoder weights.
 TEST(TrainLinkTest, GcnEncoderBeatsChanceAuc) {
