@@ -703,6 +703,103 @@ TEST(BitwiseTest, BiasReluRowHandlesNegativeZeroLikeScalar) {
   }
 }
 
+// Every row entry of each SIMD tier's table, called directly, against the
+// scalar table: every length from 0 to 2 * 32 + 3 (each tail of both tiers'
+// widest SpMM block) and 1000, operands one double past a 64-byte boundary,
+// inputs holding +-0.0, +-inf and NaN. Each output buffer has one guard
+// element on each side, so a write outside [0, n) fails the memcmp too.
+TEST(BitwiseTest, RowKernelsMatchScalarAtEveryLength) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // When two NaNs meet in one add, x86 returns the first operand, and the
+  // compiler may order a commutative add's operands either way in any tier
+  // (kernel_ops.h). So the inputs' NaN is the one x86 makes of inf * 0, and
+  // every NaN here has one bit pattern.
+  const double nan = std::copysign(std::numeric_limits<double>::quiet_NaN(),
+                                   -1.0);
+  const double specials[] = {0.0, -0.0, inf, -inf, nan};
+  // n operand values from one seed; every 5th holds a special, the rest
+  // are normal draws. row_max's contract covers NaN-free input only.
+  const auto operand = [&](int64_t n, uint64_t seed, bool with_nan) {
+    Rng rng(seed);
+    Matrix m(1, n + 2);
+    for (int64_t i = 0; i < n; ++i) {
+      const double s = specials[(i / 5 + seed) % (with_nan ? 5 : 4)];
+      m.data()[1 + i] = (i + seed) % 5 == 0 ? s : rng.Normal(0.0, 1.0);
+    }
+    return m;
+  };
+  const auto same = [](const Matrix& a, const Matrix& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  const TierOps& ref = kernels::ScalarOps();
+  std::vector<int> lengths;
+  for (int n = 0; n <= 2 * 32 + 3; ++n) lengths.push_back(n);
+  lengths.push_back(1000);
+  // SpMM: kRows rows of x, ldx = n + 3; rows 3 and 5 are read twice.
+  constexpr int kRows = 7;
+  const int cols[kRows] = {3, 0, 6, 5, 1, 3, 5};
+  const Matrix values = operand(kRows, 6, true);
+  for (const Tier tier : SupportedSimdTiers()) {
+    const TierOps& ops = kernels::OpsFor(tier);
+    const std::string name = kernels::TierName(tier);
+    for (const int n : lengths) {
+      const std::string at = name + " n=" + std::to_string(n);
+      const Matrix a = operand(n, 1, true), b = operand(n, 2, true);
+      const double* pa = a.data() + 1;
+      const double* pb = b.data() + 1;
+      const auto run = [&](const char* what, auto&& op) {
+        Matrix want = operand(n, 3, true), got = want;
+        op(ref, want.data() + 1);
+        op(ops, got.data() + 1);
+        EXPECT_TRUE(same(got, want)) << what << " " << at;
+      };
+      for (const double s : {1.75, -0.0, inf, nan}) {
+        run("div_inplace", [&](const TierOps& t, double* x) {
+          t.div_inplace(x, n, s);
+        });
+        run("sub_scalar", [&](const TierOps& t, double* out) {
+          t.sub_scalar(pa, n, s, out);
+        });
+        run("axpy_inplace", [&](const TierOps& t, double* x) {
+          t.axpy_inplace(x, s, pb, n);
+        });
+        run("scale_inplace", [&](const TierOps& t, double* x) {
+          t.scale_inplace(x, s, n);
+        });
+      }
+      run("bias_relu_row", [&](const TierOps& t, double* x) {
+        t.bias_relu_row(x, pb, n);
+      });
+      run("relu_row", [&](const TierOps& t, double* x) {
+        t.bias_relu_row(x, nullptr, n);
+      });
+      run("add_inplace", [&](const TierOps& t, double* x) {
+        t.add_inplace(x, pb, n);
+      });
+      run("cwise_mul", [&](const TierOps& t, double* out) {
+        t.cwise_mul(pa, pb, n, out);
+      });
+      const Matrix x = operand(kRows * (n + 3), 4, true);
+      for (const int nnz : {0, 1, kRows}) {
+        run("spmm_row", [&](const TierOps& t, double* yrow) {
+          t.spmm_row(values.data() + 1, cols, nnz, x.data() + 1, n + 3, n,
+                     yrow);
+        });
+      }
+      // A +-0.0 tie may keep either sign (kernel_ops.h), so two zeros
+      // compare equal by value.
+      if (n >= 1) {
+        const Matrix r = operand(n, 5, false);
+        const double want = ref.row_max(r.data() + 1, n);
+        const double got = ops.row_max(r.data() + 1, n);
+        EXPECT_TRUE(std::memcmp(&got, &want, sizeof(double)) == 0 ||
+                    (got == 0.0 && want == 0.0))
+            << "row_max " << at << ": " << got << " vs " << want;
+      }
+    }
+  }
+}
+
 // A skipped zero a-entry must leave its outputs' bits alone, even an output
 // that holds -0.0 (adding +0.0 there would give +0.0). The operands are
 // half zeros, so the SIMD tiers take their full walks with the add masked,
