@@ -1,5 +1,6 @@
 #include "dyn/stages.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/bitset.h"
@@ -127,9 +128,15 @@ std::vector<Matrix> StageCore::ComputeAll(const DeltaCsr& adj,
 void StageCore::ComputeRows(int s, const DeltaCsr& adj, const Matrix& x,
                             const std::vector<int>& rows,
                             std::vector<Matrix>* stages) const {
-  if (rows.empty()) return;
   const Matrix& in = s == 1 ? x : (*stages)[s - 2];
-  ScatterRows(Compute(s, adj, in, &rows), rows, &(*stages)[s - 1]);
+  // Rows are independent, so blocks give the same bits; a whole-stage
+  // recompute holds one block of results, not a second copy of the stage.
+  constexpr size_t kRowBlock = 256;
+  for (size_t b = 0; b < rows.size(); b += kRowBlock) {
+    const std::vector<int> block(
+        rows.begin() + b, rows.begin() + std::min(rows.size(), b + kRowBlock));
+    ScatterRows(Compute(s, adj, in, &block), block, &(*stages)[s - 1]);
+  }
 }
 
 RefreshStats StageCore::RefreshDirty(

@@ -1,28 +1,25 @@
-// AVX2 tier: 4-lane double vectors, multiply and add kept separate (no FMA
-// — this TU is compiled with -mavx2 -mpopcnt -ffp-contract=off and without
-// -mfma), tails identical to the reference. Vector lanes are independent
-// output elements, so per-element accumulation order matches ops_scalar.cc
-// exactly and results are bitwise identical to it. The GEMMs are the shared
-// register tiles of kernels/gemm_tiles.h on 4-lane vectors.
+// AVX2 tier: the shared kernels of kernels/simd_ops.h and
+// kernels/gemm_tiles.h on 4-lane double vectors. Multiply and add stay
+// separate (no FMA: this TU is compiled with -mavx2 -mpopcnt
+// -ffp-contract=off and without -mfma), so every lane is bitwise identical
+// to ops_scalar.cc.
 #include "kernels/kernel_ops.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 
-#include "kernels/gemm_tiles.h"
-#include "kernels/keep_mask_lanes.h"
+#include "kernels/simd_ops.h"
 
 namespace ahg::kernels {
 namespace {
 
-// Vector traits for the shared GEMM tiles (kernels/gemm_tiles.h): 4 lanes,
-// zero-skip by adding -0.0 in the skipped lanes, column tails by
-// maskload/maskstore. The tiles are smaller than AVX-512's: 16 vector
-// registers, and each mask is one more.
+// Vector traits for the shared kernels: 4 lanes, zero-skip by adding -0.0
+// in the skipped lanes, column tails by maskload/maskstore. The GEMM tiles
+// are smaller than AVX-512's: 16 vector registers, and each mask is one
+// more.
 struct Avx2 {
   using Vec = __m256d;
   using Mask = __m256d;
@@ -34,6 +31,7 @@ struct Avx2 {
   static constexpr int kAccRegs = 8;
   static constexpr int kMaxIv = 4;
 
+  static Vec Zero() { return _mm256_setzero_pd(); }
   static Vec Set1(double x) { return _mm256_set1_pd(x); }
   static Vec Load(const double* p) { return _mm256_loadu_pd(p); }
   static void Store(double* p, Vec v) { _mm256_storeu_pd(p, v); }
@@ -50,8 +48,17 @@ struct Avx2 {
   }
   static Vec Mul(Vec x, Vec y) { return _mm256_mul_pd(x, y); }
   static Vec Add(Vec x, Vec y) { return _mm256_add_pd(x, y); }
+  static Vec Sub(Vec x, Vec y) { return _mm256_sub_pd(x, y); }
+  static Vec Div(Vec x, Vec y) { return _mm256_div_pd(x, y); }
+  static Vec Max(Vec x, Vec y) { return _mm256_max_pd(x, y); }
+  static double ReduceMax(Vec v) {
+    const __m128d lo = _mm256_castpd256_pd128(v);
+    const __m128d hi = _mm256_extractf128_pd(v, 1);
+    const __m128d m2 = _mm_max_pd(lo, hi);
+    return _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
+  }
   static Mask NonzeroOf(Vec v) {
-    return _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_NEQ_UQ);
+    return _mm256_cmp_pd(v, Zero(), _CMP_NEQ_UQ);
   }
   // Off lanes add -0.0, which leaves every acc unchanged (-0.0 and NaN
   // included); +0.0 would turn an acc of -0.0 into +0.0. Two bitwise ops
@@ -96,7 +103,7 @@ struct Avx2 {
                            _mm256_srli_epi64(x, 64 - k));
   }
 
-  // xoshiro256** in 4 lanes (kernels/keep_mask_lanes.h). The multiplies
+  // xoshiro256** in 4 lanes (kernels/simd_ops.h). The multiplies
   // by 5 and 9 are shift-adds, exact mod 2^64 as the scalar products are;
   // draw >> 11 and the threshold are below 2^63, so the signed compare
   // decides draw >> 11 > threshold - 1.
@@ -160,180 +167,11 @@ struct Avx2 {
   }
 };
 
-void GemmAvx2(const double* a, int64_t lda, int m, int kc, const double* b,
-              int64_t ldb, int n, double* c, int64_t ldc, bool skip_zeros) {
-  tiles::Gemm<Avx2>(a, lda, m, kc, b, ldb, n, c, ldc, skip_zeros);
-}
-
-void GemmTransAAvx2(const double* a, int64_t lda, int kc, int m,
-                    const double* b, int64_t ldb, int n, double* c,
-                    int64_t ldc) {
-  tiles::GemmTransA<Avx2>(a, lda, kc, m, b, ldb, n, c, ldc);
-}
-
-template <int NV>
-inline void SpmmRowBlock(const double* values, const int* cols, int64_t nnz,
-                         const double* x, int64_t ldx, double* yrow) {
-  __m256d acc[NV];
-  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
-  for (int64_t e = 0; e < nnz; ++e) {
-    const __m256d ve = _mm256_set1_pd(values[e]);
-    const double* xrow = x + static_cast<int64_t>(cols[e]) * ldx;
-    for (int v = 0; v < NV; ++v) {
-      acc[v] = _mm256_add_pd(acc[v],
-                             _mm256_mul_pd(ve, _mm256_loadu_pd(xrow + 4 * v)));
-    }
-  }
-  for (int v = 0; v < NV; ++v) _mm256_storeu_pd(yrow + 4 * v, acc[v]);
-}
-
-void SpmmRowAvx2(const double* values, const int* cols, int64_t nnz,
-                 const double* x, int64_t ldx, int n, double* yrow) {
-  int c = 0;
-  for (; c + 16 <= n; c += 16) SpmmRowBlock<4>(values, cols, nnz, x + c, ldx, yrow + c);
-  for (; c + 8 <= n; c += 8) SpmmRowBlock<2>(values, cols, nnz, x + c, ldx, yrow + c);
-  for (; c + 4 <= n; c += 4) SpmmRowBlock<1>(values, cols, nnz, x + c, ldx, yrow + c);
-  for (; c < n; ++c) {
-    double acc = 0.0;
-    for (int64_t e = 0; e < nnz; ++e) {
-      acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
-    }
-    yrow[c] = acc;
-  }
-}
-
-double RowMaxAvx2(const double* x, int n) {
-  int c;
-  double m;
-  if (n >= 4) {
-    __m256d vm = _mm256_loadu_pd(x);
-    for (c = 4; c + 4 <= n; c += 4) {
-      vm = _mm256_max_pd(vm, _mm256_loadu_pd(x + c));
-    }
-    const __m128d lo = _mm256_castpd256_pd128(vm);
-    const __m128d hi = _mm256_extractf128_pd(vm, 1);
-    const __m128d m2 = _mm_max_pd(lo, hi);
-    const __m128d m1 = _mm_max_sd(m2, _mm_unpackhi_pd(m2, m2));
-    m = _mm_cvtsd_f64(m1);
-  } else {
-    m = x[0];
-    c = 1;
-  }
-  for (; c < n; ++c) m = std::max(m, x[c]);
-  return m;
-}
-
-void DivInplaceAvx2(double* x, int n, double denom) {
-  const __m256d vd = _mm256_set1_pd(denom);
-  int c = 0;
-  for (; c + 4 <= n; c += 4) {
-    _mm256_storeu_pd(x + c, _mm256_div_pd(_mm256_loadu_pd(x + c), vd));
-  }
-  for (; c < n; ++c) x[c] /= denom;
-}
-
-void SubScalarAvx2(const double* x, int n, double s, double* out) {
-  const __m256d vs = _mm256_set1_pd(s);
-  int c = 0;
-  for (; c + 4 <= n; c += 4) {
-    _mm256_storeu_pd(out + c, _mm256_sub_pd(_mm256_loadu_pd(x + c), vs));
-  }
-  for (; c < n; ++c) out[c] = x[c] - s;
-}
-
-void BiasReluRowAvx2(double* x, const double* bias, int n) {
-  // max_pd(v, +0.0) returns +0.0 when v is -0.0, 0.0, or NaN — exactly the
-  // scalar `v > 0 ? v : 0.0`.
-  const __m256d zero = _mm256_setzero_pd();
-  int c = 0;
-  if (bias != nullptr) {
-    for (; c + 4 <= n; c += 4) {
-      const __m256d v =
-          _mm256_add_pd(_mm256_loadu_pd(x + c), _mm256_loadu_pd(bias + c));
-      _mm256_storeu_pd(x + c, _mm256_max_pd(v, zero));
-    }
-    for (; c < n; ++c) {
-      const double v = x[c] + bias[c];
-      x[c] = v > 0.0 ? v : 0.0;
-    }
-  } else {
-    for (; c + 4 <= n; c += 4) {
-      _mm256_storeu_pd(x + c, _mm256_max_pd(_mm256_loadu_pd(x + c), zero));
-    }
-    for (; c < n; ++c) {
-      const double v = x[c];
-      x[c] = v > 0.0 ? v : 0.0;
-    }
-  }
-}
-
-void AddInplaceAvx2(double* x, const double* y, int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        x + i, _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) x[i] += y[i];
-}
-
-void AxpyInplaceAvx2(double* x, double alpha, const double* y, int64_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(y + i));
-    _mm256_storeu_pd(x + i, _mm256_add_pd(_mm256_loadu_pd(x + i), prod));
-  }
-  for (; i < n; ++i) x[i] += alpha * y[i];
-}
-
-void ScaleInplaceAvx2(double* x, double alpha, int64_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-void CWiseMulAvx2(const double* a, const double* b, int64_t n, double* out) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void KeepMaskAvx2(uint64_t* s, uint64_t threshold, int64_t n,
-                  uint64_t* bits) {
-  lanes::KeepMask<Avx2>(s, threshold, n, bits);
-}
-
-void MaskedScaleAvx2(const double* in, const uint64_t* keep, int64_t first,
-                     int64_t n, double scale, double* out) {
-  lanes::MaskedScale<Avx2>(in, keep, first, n, scale, out);
-}
-
-constexpr TierOps kAvx2OpsTable = {
-    Tier::kAvx2,
-    GemmAvx2,
-    GemmTransAAvx2,
-    SpmmRowAvx2,
-    RowMaxAvx2,
-    DivInplaceAvx2,
-    SubScalarAvx2,
-    BiasReluRowAvx2,
-    AddInplaceAvx2,
-    AxpyInplaceAvx2,
-    ScaleInplaceAvx2,
-    CWiseMulAvx2,
-    KeepMaskAvx2,
-    MaskedScaleAvx2,
-};
+constexpr TierOps kAvx2Ops = simd::TierTable<Avx2>(Tier::kAvx2);
 
 }  // namespace
 
-const TierOps* Avx2Ops() { return &kAvx2OpsTable; }
+const TierOps* Avx2Ops() { return &kAvx2Ops; }
 
 }  // namespace ahg::kernels
 

@@ -101,10 +101,15 @@ int64_t PartitionedEngine::PartResidentBytes(int p) const {
 
 void PartitionedEngine::RecomputeLocked(VersionState* vs) {
   const int S = vs->core.num_stages();
-  vs->states.clear();
-  for (const Matrix& feats : feats_) {
-    vs->states.emplace_back(S,
-                            Matrix(feats.rows(), vs->core.config().hidden_dim));
+  vs->states.assign(feats_.size(), {});
+  for (size_t p = 0; p < feats_.size(); ++p) {
+    // One state at a time: a prototype to copy from would be one state
+    // more at the warm's peak.
+    vs->states[p].reserve(S);
+    for (int s = 0; s < S; ++s) {
+      vs->states[p].emplace_back(feats_[p].rows(),
+                                 vs->core.config().hidden_dim);
+    }
   }
   for (int s = 1; s <= S; ++s) RunStageLocked(vs, s, nullptr, {});
 }
