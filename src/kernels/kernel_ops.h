@@ -1,9 +1,14 @@
 // The per-tier kernel function table behind the runtime dispatch.
 //
 // Each tier (scalar / AVX2 / AVX-512) fills one TierOps with raw-pointer
-// micro-kernels; the tensor layer (tensor/matrix.cc, tensor/sparse_matrix.cc)
-// resolves ActiveOps() once per operation — on the calling thread, before
-// entering any parallel region — and drives its loops through the table.
+// micro-kernels. The scalar table is written by hand (ops_scalar.cc): it is
+// the reference every test compares against. The SIMD tiers share one
+// kernel set, templates over a vector-traits type (kernels/gemm_tiles.h,
+// kernels/simd_ops.h); each SIMD TU holds only its traits struct and the
+// table simd::TierTable<V> builds from the templates. The tensor layer
+// (tensor/matrix.cc, tensor/sparse_matrix.cc) resolves ActiveOps() once per
+// operation — on the calling thread, before entering any parallel region —
+// and drives its loops through the table.
 // Everything above it (autodiff, the dyn, partition and serve planes)
 // reaches the kernels only through tensor/: SpMM through SpmmRowLoop, the
 // bias(+ReLU) epilogue through LinearEpilogue.
@@ -20,7 +25,10 @@
 // any single element accumulates in, so all tiers and thread counts produce
 // bitwise-identical results. (Max-reductions are order-independent for
 // NaN-free input; a +-0.0 tie can differ in sign, which exp/log/div map to
-// identical downstream values.)
+// identical downstream values. Where two NaNs meet in one add, x86 returns
+// the first operand, and the compiler may order a commutative add's
+// operands either way in any tier, so such a result is NaN on every tier
+// but its sign may differ.)
 #ifndef AUTOHENS_KERNELS_KERNEL_OPS_H_
 #define AUTOHENS_KERNELS_KERNEL_OPS_H_
 

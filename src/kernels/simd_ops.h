@@ -20,11 +20,14 @@
 //
 // Each lane is one output element and applies the scalar reference's
 // operations in the scalar reference's order, so how many lanes advance
-// together never changes an element's bits. The row ops run whole vectors
-// and then the scalar reference's loop over the last n % kLanes elements:
-// a masked load fills its dead lanes with 0.0, which is not the identity
-// of a max. SpMM runs gemm_tiles.h's column blocks, whose last vector is
-// masked; a dead lane there is never stored.
+// together never changes an element's bits. Every kernel here runs whole
+// vectors and then the scalar reference's loop over the last n % kLanes
+// elements, as the hand-written tiers did. A masked tail would fill its
+// dead lanes with 0.0, which is not the identity of a max; and where two
+// NaNs meet in an add, the sign that survives follows the compiler's
+// operand order (kernel_ops.h): an SpMM whose tail columns were masked
+// vector lanes gave the other NaN sign than the reference in the ASan
+// build, where the scalar tail gives the reference's.
 #ifndef AUTOHENS_KERNELS_SIMD_OPS_H_
 #define AUTOHENS_KERNELS_SIMD_OPS_H_
 
@@ -37,12 +40,11 @@
 
 namespace ahg::kernels::simd {
 
-// NV column vectors of one CSR row's output (the last partial when kTail),
-// held in registers across the row's entries.
-template <class V, int NV, bool kTail>
+// NV column vectors of one CSR row's output, held in registers across the
+// row's entries.
+template <class V, int NV>
 inline void SpmmRowBlock(const double* values, const int* cols, int64_t nnz,
-                         const double* x, int64_t ldx, typename V::Tail tail,
-                         double* yrow) {
+                         const double* x, int64_t ldx, double* yrow) {
   using Vec = typename V::Vec;
   constexpr int kL = V::kLanes;
   Vec acc[NV];
@@ -53,23 +55,36 @@ inline void SpmmRowBlock(const double* values, const int* cols, int64_t nnz,
     const double* xrow = x + static_cast<int64_t>(cols[e]) * ldx;
     #pragma GCC unroll 4
     for (int v = 0; v < NV; ++v) {
-      acc[v] = V::Add(acc[v], V::Mul(ve, tiles::LoadCol<V, kTail>(
-                                             xrow + v * kL, tail, v == NV - 1)));
+      acc[v] = V::Add(acc[v], V::Mul(ve, V::Load(xrow + v * kL)));
     }
   }
   #pragma GCC unroll 4
-  for (int v = 0; v < NV; ++v) {
-    tiles::StoreCol<V, kTail>(yrow + v * kL, tail, v == NV - 1, acc[v]);
-  }
+  for (int v = 0; v < NV; ++v) V::Store(yrow + v * kL, acc[v]);
 }
 
+// Blocks of 4, 2 and 1 vectors, then the scalar reference's loop over the
+// last n % kLanes columns.
 template <class V>
 void SpmmRow(const double* values, const int* cols, int64_t nnz,
              const double* x, int64_t ldx, int n, double* yrow) {
-  tiles::ForEachColumnBlock<V>(n, [&](auto nv, auto tail_c, int j, auto tail) {
-    SpmmRowBlock<V, nv, tail_c>(values, cols, nnz, x + j, ldx, tail,
-                                yrow + j);
-  });
+  constexpr int kL = V::kLanes;
+  int c = 0;
+  for (; c + 4 * kL <= n; c += 4 * kL) {
+    SpmmRowBlock<V, 4>(values, cols, nnz, x + c, ldx, yrow + c);
+  }
+  for (; c + 2 * kL <= n; c += 2 * kL) {
+    SpmmRowBlock<V, 2>(values, cols, nnz, x + c, ldx, yrow + c);
+  }
+  for (; c + kL <= n; c += kL) {
+    SpmmRowBlock<V, 1>(values, cols, nnz, x + c, ldx, yrow + c);
+  }
+  for (; c < n; ++c) {
+    double acc = 0.0;
+    for (int64_t e = 0; e < nnz; ++e) {
+      acc += values[e] * x[static_cast<int64_t>(cols[e]) * ldx + c];
+    }
+    yrow[c] = acc;
+  }
 }
 
 // Vectorized only when n >= kLanes; the scalar tail continues the max.

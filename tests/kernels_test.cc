@@ -717,11 +717,13 @@ TEST(BitwiseTest, RowKernelsMatchScalarAtEveryLength) {
   const double nan = std::copysign(std::numeric_limits<double>::quiet_NaN(),
                                    -1.0);
   const double specials[] = {0.0, -0.0, inf, -inf, nan};
-  // n operand values from one seed; every 5th holds a special, the rest
-  // are normal draws. row_max's contract covers NaN-free input only.
+  // n operand values from one seed between two guards; every 5th holds a
+  // special, the rest are normal draws. row_max's contract covers NaN-free
+  // input only.
   const auto operand = [&](int64_t n, uint64_t seed, bool with_nan) {
     Rng rng(seed);
     Matrix m(1, n + 2);
+    m.data()[0] = m.data()[n + 1] = 42.0;
     for (int64_t i = 0; i < n; ++i) {
       const double s = specials[(i / 5 + seed) % (with_nan ? 5 : 4)];
       m.data()[1 + i] = (i + seed) % 5 == 0 ? s : rng.Normal(0.0, 1.0);
